@@ -84,7 +84,9 @@ def pareto_sweep(p: AnalyticalParams, n_points: int) -> list[WeightedSolution]:
     """
     if n_points < 2:
         raise ValueError("need at least two sweep points")
-    w_min = feasibility_threshold(p)
+    # with k = 0 the threshold is 0, where the leader would be indifferent
+    # to every tax; every weight in (0, 1] then has the same optimum
+    w_min = feasibility_threshold(p) or 1.0 / n_points
     step = (1.0 - w_min) / (n_points - 1)
     sols = [solve_weighted(w_min + i * step, p) for i in range(n_points)]
     return sorted(sols, key=lambda s: s.damage)

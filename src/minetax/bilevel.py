@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import bisect
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .lower import (
-    BestResponse,
-    LowerEaConfig,
-    best_response,
-    best_response_ea,
-)
+from .lower import best_response
 from .model import (
     ExtendedModel,
     FollowerResponse,
@@ -173,8 +168,6 @@ class EaConfig:
     eta_crossover: float = 15.0
     eta_mutation: float = 20.0
     seed: int = 0
-    lower_solver_mode: str = "deterministic"  # or "ea"
-    lower_ea: LowerEaConfig = field(default_factory=LowerEaConfig)
     hv_stall_tol: float = 1e-4
     hv_stall_generations: int = 20
 
@@ -185,8 +178,6 @@ class EaConfig:
             raise ValueError("crossover rate must lie in [0, 1]")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation rate must lie in [0, 1]")
-        if self.lower_solver_mode not in ("deterministic", "ea"):
-            raise ValueError("lower_solver_mode must be 'deterministic' or 'ea'")
 
 
 @dataclass
@@ -196,18 +187,10 @@ class _Individual:
 
 
 def _evaluate(
-    tau: np.ndarray,
-    model: ExtendedModel,
-    config: EaConfig,
-    tech_filter: Optional[int],
+    tau: np.ndarray, model: ExtendedModel, tech_filter: Optional[int]
 ) -> ArchiveEntry:
     strat = LeaderStrategy(tau=tuple(float(x) for x in tau))
-    if config.lower_solver_mode == "ea":
-        br: BestResponse = best_response_ea(
-            strat, model, config.lower_ea, tech_filter=tech_filter
-        )
-    else:
-        br = best_response(strat, model, tech_filter=tech_filter)
+    br = best_response(strat, model, tech_filter=tech_filter)
     obj = leader_objectives(br.response, strat, model)
     return ArchiveEntry(
         strategy=strat,
@@ -248,7 +231,7 @@ def evolve(
 
     def make(tau: np.ndarray) -> _Individual:
         nonlocal failed
-        ind = _Individual(tau=tau, entry=_evaluate(tau, model, config, tech_filter))
+        ind = _Individual(tau=tau, entry=_evaluate(tau, model, tech_filter))
         if ind.entry.optimality_tag:
             archive.insert(ind.entry)
         else:

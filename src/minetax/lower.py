@@ -1,19 +1,18 @@
 """Follower best-response solvers for the multi-period model.
 
 For fixed taxes and a fixed technology, total profit is strictly concave in
-the extraction schedule, so cyclic coordinate ascent with golden-section
-line searches converges to the unique maximizer; the piecewise-linear cost
-kinks are handled by staying derivative-free. Technology choice is a small
-enumeration on top.
+the extraction schedule, so the optimum is unique. At r = 0 the KKT
+conditions give it exactly, by water-filling on the multiplier of the
+cumulative cost; at r > 0 cyclic coordinate ascent with golden-section line
+searches finds it. Technology choice is a small enumeration on top.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .model import (
     ExtendedModel,
@@ -21,10 +20,8 @@ from .model import (
     LeaderStrategy,
     TechParams,
     cumulative_cost,
-    follower_total_profit,
     leader_objectives,
 )
-from .variation import polynomial_mutation, sbx_crossover
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -35,12 +32,17 @@ TIE_TOL = 1e-9
 STATIONARITY_TOL = 1e-4
 _FD_STEP = 1e-5
 
+# an r = 0 answer is tagged optimal when its KKT residual is at most this
+# times max(1, total extraction)
+KKT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BestResponse:
     response: FollowerResponse
     profit: float
     optimality_tag: bool
+    kkt_residual: Optional[float] = None  # r = 0 only, units of extraction
 
 
 def golden_section_max(
@@ -207,7 +209,7 @@ def _transfer_sweep(
     return moved
 
 
-def best_response_fixed_tech(
+def coordinate_ascent(
     strat: LeaderStrategy,
     tech: TechParams,
     model: ExtendedModel,
@@ -215,7 +217,7 @@ def best_response_fixed_tech(
     coord_tol: float = 1e-7,
     max_sweeps: int = 200,
 ) -> BestResponse:
-    """Unique profit-maximizing schedule for fixed taxes and technology.
+    """Profit-maximizing schedule for fixed taxes and technology, any r.
 
     Cyclic coordinate ascent; each coordinate solved by golden-section
     search over [0, q_max_t], alternated with pairwise fixed-total
@@ -273,6 +275,91 @@ def best_response_fixed_tech(
     return BestResponse(response=resp, profit=ev.total(q), optimality_tag=tag)
 
 
+# (lin_t, quad_t, hi_t) per period: at r = 0 period t adds
+# (lin_t - quad_t q_t) q_t to the profit, with 0 <= q_t <= hi_t
+_Periods = Sequence[tuple[float, float, float]]
+
+
+def _schedule(lam: float, periods: _Periods) -> list[float]:
+    """q_t(lam) = clip((lin_t - lam) / (2 quad_t), 0, hi_t) for each period."""
+    q = []
+    for a, c, h in periods:
+        x = (a - lam) / (2.0 * c)
+        q.append(0.0 if x <= 0.0 else h if x >= h else x)
+    return q
+
+
+def _waterfill(
+    periods: _Periods, slopes: Sequence[float], breakpoints: Sequence[float]
+) -> tuple[list[float], float]:
+    """Exact r = 0 optimum: the schedule and its cost multiplier lam.
+
+    The total S(lam) = sum q_t(lam) is nonincreasing and piecewise linear.
+    Walking up the (nondecreasing) slopes, either S(s_m) lands in stratum
+    m, so lam = s_m, or it drops below the stratum's start: then the total
+    sits on that breakpoint, with lam strictly between s_{m-1} and s_m.
+    """
+    floor = prev_total = 0.0
+    for m, s in enumerate(slopes):
+        q = _schedule(s, periods)
+        total = sum(q)
+        if total < floor:
+            # S is linear between the kinks where a period meets a bound
+            ends = [v for a, c, h in periods for v in (a, a - 2.0 * c * h)]
+            lam, s_lam = slopes[m - 1], prev_total
+            for k in sorted(v for v in ends if lam < v < s) + [s]:
+                s_k = sum(_schedule(k, periods))
+                if s_k <= floor:
+                    lam += (s_lam - floor) / (s_lam - s_k) * (k - lam)
+                    return _schedule(lam, periods), lam
+                lam, s_lam = k, s_k
+        if m == len(slopes) - 1 or total <= breakpoints[m]:
+            return q, s
+        floor, prev_total = breakpoints[m], total
+    raise AssertionError("unreachable: the last stratum is unbounded")
+
+
+def best_response_fixed_tech(
+    strat: LeaderStrategy, tech: TechParams, model: ExtendedModel
+) -> BestResponse:
+    """Unique profit-maximizing schedule for fixed taxes and technology:
+    exact at r = 0, by coordinate ascent at r > 0."""
+    if model.r > 0.0:
+        return coordinate_ascent(strat, tech, model)
+    if len(strat.tau) != model.T:
+        raise ValueError("strategy length must equal the horizon T")
+    slopes, breakpoints = tech.slopes, model.strata.breakpoints
+    if any(b < a for a, b in zip(slopes, slopes[1:])):
+        raise ValueError(
+            f"technology {tech.tech_id}: stratum slopes must be nondecreasing "
+            "(convex cumulative cost) to solve the follower at r = 0"
+        )
+    periods = [
+        (a - x - tech.beta_er, b + tech.alpha_er, h)
+        for a, b, x, (_, h) in zip(model.alpha, model.beta, strat.tau, model.q_bounds)
+    ]
+    q, lam = _waterfill(periods, slopes, breakpoints)
+    total = sum(q)
+    # KKT residual, in units of extraction: q must equal q(lam), and lam must
+    # be a subgradient of C at the total, which then covers every stratum
+    # cheaper than lam and enters none dearer than it
+    starts = (0.0,) + breakpoints[:-1] + (math.inf,)
+    residual = max(
+        max(abs(x - y) for x, y in zip(q, _schedule(lam, periods))),
+        starts[bisect.bisect_left(slopes, lam)] - total,
+        total - starts[bisect.bisect_right(slopes, lam)],
+    )
+    profit = -model.T * tech.gamma_er - cumulative_cost(total, tech, model.strata)
+    for (a, c, _), x in zip(periods, q):
+        profit += (a - c * x) * x
+    return BestResponse(
+        response=FollowerResponse(q=tuple(q), a=tech.tech_id),
+        profit=profit,
+        optimality_tag=residual <= KKT_TOL * max(1.0, total),
+        kkt_residual=residual,
+    )
+
+
 def _pick_optimistic(
     candidates: list[BestResponse], strat: LeaderStrategy, model: ExtendedModel
 ) -> BestResponse:
@@ -300,78 +387,4 @@ def best_response(
         model.techs if tech_filter is None else (model.tech(tech_filter),)
     )
     candidates = [best_response_fixed_tech(strat, tech, model) for tech in techs]
-    return _pick_optimistic(candidates, strat, model)
-
-
-@dataclass(frozen=True)
-class LowerEaConfig:
-    population_size: int = 20
-    generations: int = 30
-    seed: int = 0
-    crossover_rate: float = 0.9
-    mutation_rate: Optional[float] = None  # default 1/T
-    eta_crossover: float = 15.0
-    eta_mutation: float = 20.0
-    initial: Optional[tuple[float, ...]] = None
-
-
-def _evolve_schedule(
-    ev: _ProfitEvaluator, model: ExtendedModel, cfg: LowerEaConfig, tech_id: int
-) -> list[float]:
-    """EA phase: evolve extraction schedules, return the best individual."""
-    if cfg.generations == 0 and cfg.initial is not None:
-        return list(cfg.initial)
-    rng = np.random.default_rng([cfg.seed, tech_id])
-    lows = np.zeros(model.T)
-    highs = np.array([b[1] for b in model.q_bounds])
-    mut_rate = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / model.T
-    pop = rng.uniform(lows, highs, size=(cfg.population_size, model.T))
-    if cfg.initial is not None:
-        pop[0] = np.clip(np.asarray(cfg.initial, dtype=float), lows, highs)
-    fitness = np.array([ev.total(ind) for ind in pop])
-    for _ in range(cfg.generations):
-        children = []
-        while len(children) < cfg.population_size:
-            i1, i2 = rng.integers(cfg.population_size, size=2)
-            j1, j2 = rng.integers(cfg.population_size, size=2)
-            p1 = pop[i1] if fitness[i1] >= fitness[i2] else pop[i2]
-            p2 = pop[j1] if fitness[j1] >= fitness[j2] else pop[j2]
-            c1, c2 = sbx_crossover(
-                p1, p2, lows, highs, cfg.eta_crossover, cfg.crossover_rate, rng
-            )
-            children.append(
-                polynomial_mutation(c1, lows, highs, cfg.eta_mutation, mut_rate, rng)
-            )
-            children.append(
-                polynomial_mutation(c2, lows, highs, cfg.eta_mutation, mut_rate, rng)
-            )
-        children = children[: cfg.population_size]
-        child_fit = np.array([ev.total(ind) for ind in children])
-        # elitist merge
-        merged = np.vstack([pop, np.array(children)])
-        merged_fit = np.concatenate([fitness, child_fit])
-        order = np.argsort(-merged_fit, kind="stable")[: cfg.population_size]
-        pop = merged[order]
-        fitness = merged_fit[order]
-    return list(pop[int(np.argmax(fitness))])
-
-
-def best_response_ea(
-    strat: LeaderStrategy,
-    model: ExtendedModel,
-    ea_config: LowerEaConfig,
-    tech_filter: Optional[int] = None,
-) -> BestResponse:
-    """EA-seeded variant: evolve schedules per technology, then polish with
-    the deterministic coordinate ascent."""
-    techs = (
-        model.techs if tech_filter is None else (model.tech(tech_filter),)
-    )
-    candidates = []
-    for tech in techs:
-        ev = _ProfitEvaluator(strat.tau, tech, model)
-        seed_q = _evolve_schedule(ev, model, ea_config, tech.tech_id)
-        candidates.append(
-            best_response_fixed_tech(strat, tech, model, start=seed_q)
-        )
     return _pick_optimistic(candidates, strat, model)

@@ -11,9 +11,16 @@ All evaluation functions are pure; parameter objects are immutable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+
+def _require_finite(what: str, values: Iterable[float]) -> None:
+    # JSON accepts NaN and Infinity, and every comparison with NaN is false
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,10 @@ class AnalyticalParams:
     k: float = 1.0
 
     def __post_init__(self):
+        _require_finite(
+            "analytical parameters",
+            (self.alpha, self.beta, self.delta, self.gamma, self.phi, self.k),
+        )
         if self.alpha <= 0 or self.beta <= 0 or self.delta <= 0:
             raise ValueError("alpha, beta, delta must be positive")
         # k = 0 is permitted: a revenue-only regulator is a useful
@@ -60,6 +71,10 @@ class TechParams:
 
     def __post_init__(self):
         object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
+        _require_finite(
+            "technology parameters",
+            (self.k, self.alpha_er, self.beta_er, self.gamma_er) + self.slopes,
+        )
         if self.k <= 0:
             raise ValueError("pollution coefficient k must be positive")
         if min(self.alpha_er, self.beta_er, self.gamma_er) < 0:
@@ -81,6 +96,7 @@ class StrataTable:
 
     def __post_init__(self):
         object.__setattr__(self, "amounts", tuple(float(a) for a in self.amounts))
+        _require_finite("stratum amounts", self.amounts)
         if not self.amounts or any(a <= 0 for a in self.amounts):
             raise ValueError("stratum amounts must be positive")
         cum = []
@@ -128,6 +144,7 @@ class ExtendedModel:
             raise ValueError("horizon T must be at least 1")
         if len(self.alpha) != self.T or len(self.beta) != self.T:
             raise ValueError("alpha and beta must have length T")
+        _require_finite("alpha, beta and r", self.alpha + self.beta + (self.r,))
         if any(b <= 0 for b in self.beta):
             raise ValueError("price slopes beta_t must be positive")
         if self.r < 0:
@@ -162,9 +179,16 @@ class ExtendedModel:
                 "q_bounds",
                 tuple((float(lo), float(hi)) for lo, hi in self.q_bounds),
             )
-        for lo, hi in self.tau_bounds + self.q_bounds:
+        if len(self.tau_bounds) != self.T or len(self.q_bounds) != self.T:
+            raise ValueError("tau_bounds and q_bounds must have length T")
+        bounds = self.tau_bounds + self.q_bounds
+        _require_finite("bounds", (x for pair in bounds for x in pair))
+        for lo, hi in bounds:
             if lo > hi:
                 raise ValueError("bounds must be ordered low <= high")
+        # every follower solver searches [0, hi] per period
+        if any(lo != 0 for lo, _ in self.q_bounds):
+            raise ValueError("extraction lower bounds must be 0")
 
     @property
     def stock(self) -> float:

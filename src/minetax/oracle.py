@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lower import BestResponse, best_response_fixed_tech, _pick_optimistic
+from .lower import BestResponse, _pick_optimistic, coordinate_ascent
 from .model import (
     AnalyticalParams,
     ExtendedModel,
@@ -118,7 +118,7 @@ def grid_best_response(
         q, profit = _grid_argmax_fixed_tech(strat.tau, tech, model, grid)
         if refine_sweeps > 0:
             candidates.append(
-                best_response_fixed_tech(
+                coordinate_ascent(
                     strat, tech, model, start=q, max_sweeps=refine_sweeps
                 )
             )

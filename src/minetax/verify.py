@@ -180,13 +180,18 @@ def check_oracle_equivalence(
     grid = GridSpec(
         lows=(0.0,) * model.T, highs=(grid_high,) * model.T, step=grid_step
     )
+    name = "lower-solver vs grid oracle profit"
     worst = 0.0
     for strat in random_strategies(model, n_strategies, seed):
-        solver = best_response(strat, model)
+        try:
+            solver = best_response(strat, model)
+        except ValueError as e:
+            # e.g. a non-convex cost, which the exact r = 0 solver refuses
+            return CheckResult(name, False, float("inf"), detail=str(e))
         oracle = grid_best_response(strat, model, grid, refine_sweeps=refine_sweeps)
         worst = max(worst, abs(solver.profit - oracle.profit))
     return CheckResult(
-        name="lower-solver vs grid oracle profit",
+        name=name,
         passed=worst <= tol,
         deviation=worst,
         detail=f"{n_strategies} random strategies",

@@ -97,6 +97,16 @@ class TestParetoSweep:
         assert sweep[-1].revenue == pytest.approx(612.5625, abs=1e-9)
         assert sweep[-1].damage == pytest.approx(12.375, abs=1e-9)
 
+    def test_no_damage_gives_one_point_for_every_weight(self):
+        # k = 0: the threshold is 0, and every weight in (0, 1] has the
+        # revenue optimum (alpha - gamma)^2 / (8 (beta + delta)) at damage 0
+        sweep = pareto_sweep(AnalyticalParams(k=0.0), 5)
+        assert len(sweep) == 5
+        assert all(0.0 < s.w <= 1.0 for s in sweep)
+        for s in sweep:
+            assert s.revenue == pytest.approx(612.5625, abs=1e-9)
+            assert s.damage == 0.0
+
     def test_points_mutually_nondominated(self, params):
         sweep = pareto_sweep(params, 200)
         for a, b in zip(sweep, sweep[1:]):

@@ -144,10 +144,6 @@ class TestEaConfig:
         with pytest.raises(ValueError):
             EaConfig(population_size=2)
 
-    def test_bad_lower_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EaConfig(lower_solver_mode="exact")
-
 
 class TestEvolve:
     def test_degenerate_bounds_give_single_point(self, model):

@@ -1,5 +1,6 @@
 import csv
 import json
+from importlib import resources
 
 import pytest
 
@@ -53,6 +54,66 @@ def nonconvex_config(tmp_path):
     return str(path)
 
 
+def _bundled():
+    text = resources.files("minetax").joinpath("data/default_config.json")
+    return json.loads(text.read_text())
+
+
+def _set(path, value):
+    def edit(cfg):
+        *parents, last = path
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+
+    return edit
+
+
+class TestInvalidConfigs:
+    """Each invalid input ends in exit code 1 and a message, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "model, edit",
+        [
+            ("extended", _set(("extended", "alpha", 0), float("nan"))),
+            ("extended", _set(("extended", "r"), float("inf"))),
+            ("extended", _set(("extended", "strata", 2), float("nan"))),
+            ("extended",
+             _set(("extended", "technologies", 0, "slopes", 1), float("inf"))),
+            ("extended", _set(("extended", "q_bounds"), [[0, 90]] * 4)),
+            ("extended", _set(("extended", "tau_bounds"), [[0, 50]] * 6)),
+            ("extended",
+             _set(("extended", "q_bounds"), [[1, 90]] + [[0, 90]] * 4)),
+            ("extended",
+             _set(("extended", "tau_bounds"), [[0, float("nan")]] * 5)),
+            ("analytical", _set(("analytical", "alpha"), float("nan"))),
+        ],
+        ids=[
+            "nan-alpha", "inf-r", "nan-stratum", "inf-slope", "short-q-bounds",
+            "long-tau-bounds", "nonzero-q-lower-bound", "nan-tau-bound",
+            "nan-analytical",
+        ],
+    )
+    def test_rejected_with_message(self, tmp_path, capsys, model, edit):
+        cfg = _bundled()
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--model", model, "--config", str(path), "--pop-size", "4",
+                   "--generations", "1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonconvex_costs_rejected(self, tmp_path, nonconvex_config, capsys):
+        rc = main(["--model", "extended", "--config", nonconvex_config,
+                   "--pop-size", "4", "--generations", "1",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nondecreasing" in err
+
+
 class TestAnalyticalRuns:
     def test_sweep_artifact(self, tmp_path, capsys):
         rc = main(["--model", "analytical", "--points", "50",
@@ -78,6 +139,17 @@ class TestAnalyticalRuns:
         rc = main(["--config", bad_analytical_config, "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+    def test_no_damage_instance(self, tmp_path):
+        path = tmp_path / "k0.json"
+        path.write_text(json.dumps({"analytical": {
+            "alpha": 100, "beta": 1, "delta": 1, "gamma": 1, "phi": 0, "k": 0,
+        }}))
+        rc = main(["--config", str(path), "--points", "5",
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = _read_csv(tmp_path / "sweep.csv")
+        assert [float(r["revenue"]) for r in rows] == [612.5625] * 5
 
     def test_missing_config_file(self, tmp_path):
         rc = main(["--config", str(tmp_path / "nope.json"),

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minetax import (
     ExtendedModel,
@@ -7,10 +11,9 @@ from minetax import (
     StrataTable,
     TechParams,
     best_response,
-    best_response_ea,
     best_response_fixed_tech,
 )
-from minetax.lower import LowerEaConfig, _ProfitEvaluator
+from minetax.lower import KKT_TOL, _ProfitEvaluator, _waterfill, coordinate_ascent
 from minetax.oracle import GridSpec, grid_best_response
 from minetax.verify import random_strategies
 
@@ -26,6 +29,7 @@ class TestBestResponseFixedTech:
             assert br.response.q == (0.0,) * 5
             assert br.profit == pytest.approx(-5.0 * tech.gamma_er)
             assert br.optimality_tag
+            assert br.kkt_residual == 0.0
 
     def test_matches_refined_grid_oracle_at_zero_tax(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
@@ -52,18 +56,18 @@ class TestBestResponseFixedTech:
 
     def test_iteration_cap_flags_nonconvergence(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
-        br = best_response_fixed_tech(
-            strat, model.tech(1), model, max_sweeps=1
-        )
+        br = coordinate_ascent(strat, model.tech(1), model, max_sweeps=1)
         assert not br.optimality_tag
 
     def test_unique_optimum_from_any_start(self, model):
+        # r > 0, where coordinate ascent is the production solver
+        discounted = dataclasses.replace(model, r=0.05)
         rng = np.random.default_rng(42)
         for strat in random_strategies(model, 5, seed=11):
             for tech in model.techs:
-                a = best_response_fixed_tech(strat, tech, model)
-                b = best_response_fixed_tech(
-                    strat, tech, model, start=rng.uniform(0.0, 80.0, 5)
+                a = best_response_fixed_tech(strat, tech, discounted)
+                b = coordinate_ascent(
+                    strat, tech, discounted, start=rng.uniform(0.0, 80.0, 5)
                 )
                 for x, y in zip(a.response.q, b.response.q):
                     assert x == pytest.approx(y, abs=1e-5)
@@ -135,31 +139,88 @@ class TestBestResponse:
             assert best_response(strat, model).profit <= top + 1e-6
 
 
-class TestBestResponseEa:
-    def test_matches_deterministic_solver(self, model):
-        cfg = LowerEaConfig(population_size=20, generations=20, seed=4)
-        for strat in random_strategies(model, 5, seed=23):
-            det = best_response(strat, model)
-            ea = best_response_ea(strat, model, cfg)
-            assert ea.profit == pytest.approx(
-                det.profit, rel=1e-3, abs=1e-3
-            )
+def _one_tech_model(alpha, beta, tech, amounts):
+    return ExtendedModel(
+        T=len(alpha), alpha=alpha, beta=beta, techs=(tech,),
+        strata=StrataTable(amounts=amounts),
+    )
 
-    def test_zero_generations_equals_coordinate_ascent(self, model):
-        start = (5.0, 10.0, 15.0, 20.0, 25.0)
-        cfg = LowerEaConfig(generations=0, initial=start)
-        strat = LeaderStrategy(tau=(12.0,) * 5)
-        ea = best_response_ea(strat, model, cfg, tech_filter=3)
-        plain = best_response_fixed_tech(
-            strat, model.tech(3), model, start=start
+
+class TestExactFollower:
+    """The r = 0 water-filling solve against coordinate ascent and by hand."""
+
+    def test_agrees_with_coordinate_ascent(self, model):
+        pairs = 0
+        for strat in random_strategies(model, 500, seed=29):
+            for tech in model.techs:
+                exact = best_response_fixed_tech(strat, tech, model)
+                ca = coordinate_ascent(strat, tech, model)
+                assert exact.optimality_tag
+                assert abs(exact.profit - ca.profit) <= 1e-9 * max(
+                    1.0, abs(exact.profit)
+                )
+                pairs += 1
+        assert pairs == 2000
+
+    def test_every_period_at_its_cap(self, model):
+        capped = dataclasses.replace(
+            model, q_bounds=tuple((0.0, 2.0 + t) for t in range(model.T))
         )
-        assert ea.response == plain.response
-        assert ea.profit == plain.profit
+        strat = LeaderStrategy(tau=(0.0,) * 5)
+        for tech in model.techs:
+            br = best_response_fixed_tech(strat, tech, capped)
+            assert br.response.q == (2.0, 3.0, 4.0, 5.0, 6.0)
+            assert br.optimality_tag
+            # golden-section search stops just short of the cap
+            ca = coordinate_ascent(strat, tech, capped)
+            assert br.profit >= ca.profit
+            assert br.profit == pytest.approx(ca.profit, abs=1e-6)
 
-    def test_fixed_seed_is_deterministic(self, model):
-        cfg = LowerEaConfig(population_size=12, generations=10, seed=99)
-        strat = LeaderStrategy(tau=(20.0, 10.0, 5.0, 15.0, 25.0))
-        a = best_response_ea(strat, model, cfg)
-        b = best_response_ea(strat, model, cfg)
-        assert a.response == b.response
-        assert a.profit == b.profit
+    def test_total_on_breakpoint_between_slopes(self):
+        # q_t(lam) = (lin_t - lam) / 2 with lin = (30, 8): S(1) = 18 > 10 and
+        # S(15) = 7.5 < 10, so the total sits on the breakpoint 10. On the
+        # way, period 2 shuts at lam = 8; then S = (30 - lam) / 2 = 10 at
+        # lam = 10.
+        tech = TechParams(tech_id=1, k=1.0, alpha_er=0.5, beta_er=0.0,
+                          gamma_er=0.0, slopes=(1.0, 15.0))
+        model = _one_tech_model((30.0, 8.0), (0.5, 0.5), tech, (10.0, 100.0))
+        periods = [(30.0, 1.0, 30.0), (8.0, 1.0, 8.0)]  # (lin, quad, hi)
+        q, lam = _waterfill(periods, tech.slopes, model.strata.breakpoints)
+        assert lam == pytest.approx(10.0, abs=1e-12)
+        strat = LeaderStrategy(tau=(0.0, 0.0))
+        br = best_response_fixed_tech(strat, tech, model)
+        assert br.response.q == pytest.approx((10.0, 0.0), abs=1e-12)
+        assert br.optimality_tag
+        assert br.kkt_residual <= 1e-12
+        assert br.profit >= coordinate_ascent(strat, tech, model).profit - 1e-9
+
+
+@st.composite
+def _convex_instances(draw):
+    T = draw(st.integers(1, 5))
+    M = draw(st.integers(1, 5))
+    pos = st.floats(0.05, 5.0)
+    alpha = tuple(draw(st.floats(1.0, 100.0)) for _ in range(T))
+    beta = tuple(draw(pos) for _ in range(T))
+    steps = [draw(st.floats(0.0, 10.0)) for _ in range(M)]
+    slopes = tuple(float(x) for x in np.cumsum(steps))
+    tech = TechParams(
+        tech_id=1, k=1.0, alpha_er=draw(st.floats(0.0, 2.0)),
+        beta_er=draw(st.floats(0.0, 10.0)), gamma_er=draw(st.floats(0.0, 10.0)),
+        slopes=slopes,
+    )
+    amounts = tuple(draw(st.floats(0.5, 50.0)) for _ in range(M))
+    model = _one_tech_model(alpha, beta, tech, amounts)
+    tau = tuple(draw(st.floats(0.0, a)) for a in alpha)
+    return model, tech, LeaderStrategy(tau=tau)
+
+
+@given(instance=_convex_instances())
+@settings(max_examples=200, deadline=None)
+def test_exact_follower_on_generated_convex_instances(instance):
+    model, tech, strat = instance
+    exact = best_response_fixed_tech(strat, tech, model)
+    assert exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.response.q))
+    assert exact.optimality_tag
+    ca = coordinate_ascent(strat, tech, model)
+    assert exact.profit >= ca.profit - 1e-9 * max(1.0, abs(exact.profit))
