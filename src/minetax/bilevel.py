@@ -106,11 +106,6 @@ class ParetoArchive:
         return hv
 
 
-def archive_insert(archive: ParetoArchive, entry: ArchiveEntry) -> ParetoArchive:
-    archive.insert(entry)
-    return archive
-
-
 def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
     """Fast nondominated sort; returns index fronts F1, F2, ..."""
     n = len(points)

@@ -26,7 +26,6 @@ from .model import (
     load_config,
     period_profit,
 )
-from .verify import format_report, run_all_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,6 +209,10 @@ def run_extended(cfg: RunConfig) -> int:
 
 
 def run_verify(cfg: RunConfig) -> int:
+    # imported here so that a solve does not compile the battery: with no
+    # bytecode cache that is a few ms of every start-up
+    from .verify import format_report, run_all_checks
+
     models = _load(cfg)
     if models.analytical is None:
         raise ValueError("config has no 'analytical' section")

@@ -1,10 +1,17 @@
 """Follower best-response solvers for the multi-period model.
 
-For fixed taxes and a fixed technology, total profit is strictly concave in
-the extraction schedule, so the optimum is unique. At r = 0 the KKT
-conditions give it exactly, by water-filling on the multiplier of the
-cumulative cost; at r > 0 cyclic coordinate ascent with golden-section line
-searches finds it. Technology choice is a small enumeration on top.
+For fixed taxes and a fixed technology the follower maximises
+
+    sum_t d_t [g_t(q_t) - gamma_er] - sum_t w_t C(X_t),   0 <= q_t <= qbar_t,
+
+with g_t(q) = (alpha_t - tau_t - beta_er) q - (beta_t + alpha_er) q^2,
+discount factors d_t = (1 + r)^-(t-1), prefix sums X_t = q_1 + ... + q_t,
+weights w_t = d_t - d_{t+1} (d_{T+1} = 0) and the convex piecewise-linear
+cumulative cost C. The objective is strictly concave, so the optimum is
+unique, and it is found exactly: at r = 0 only X_T carries the cost, and
+water-filling on its multiplier gives the schedule; at r > 0 dynamic
+programming over the prefix sums does. Every answer carries its KKT
+residual. Technology choice is a small enumeration on top.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     ExtendedModel,
@@ -23,18 +30,16 @@ from .model import (
     leader_objectives,
 )
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 # ties in follower profit within this tolerance are broken in the leader's
 # favor (optimistic bilevel position)
 TIE_TOL = 1e-9
 
-STATIONARITY_TOL = 1e-4
-_FD_STEP = 1e-5
-
-# an r = 0 answer is tagged optimal when its KKT residual is at most this
-# times max(1, total extraction)
+# an answer is tagged optimal when its KKT residual is at most this times
+# max(1, total extraction)
 KKT_TOL = 1e-9
+# the r > 0 certificate counts q_t as on a bound, and X_t as on a stratum
+# breakpoint, within this times max(1, total extraction)
+_ACTIVE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,241 +47,13 @@ class BestResponse:
     response: FollowerResponse
     profit: float
     optimality_tag: bool
-    kkt_residual: Optional[float] = None  # r = 0 only, units of extraction
+    # KKT residual in units of extraction; set for every answer of this
+    # module, None only from the oracle's coordinate ascent
+    kkt_residual: Optional[float] = None
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-9
-) -> float:
-    """Maximizer of a unimodal f on [lo, hi] to within xtol."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    # snap to the lower boundary when it is at least as good
-    if x - lo < 10.0 * xtol and f(lo) >= f(x):
-        return lo
-    return x
-
-
-class _ProfitEvaluator:
-    """Fast repeated evaluation of total profit for fixed (tau, tech)."""
-
-    def __init__(self, tau: Sequence[float], tech: TechParams, model: ExtendedModel):
-        self.tau = tuple(tau)
-        self.tech = tech
-        self.model = model
-        self.T = model.T
-        # per-period coefficients of the separable quadratic part:
-        # (alpha_t - tau_t - beta_er) q - (beta_t + alpha_er) q^2
-        self.lin = tuple(
-            model.alpha[t] - self.tau[t] - tech.beta_er for t in range(self.T)
-        )
-        self.quad = tuple(model.beta[t] + tech.alpha_er for t in range(self.T))
-        self.fixed = -tech.gamma_er * sum(
-            model.discount(t) for t in range(1, self.T + 1)
-        )
-
-    def total(self, q: Sequence[float]) -> float:
-        m, tech = self.model, self.tech
-        if m.r == 0.0:
-            s = self.fixed
-            cum = 0.0
-            for t in range(self.T):
-                x = q[t]
-                s += (self.lin[t] - self.quad[t] * x) * x
-                cum += x
-            return s - cumulative_cost(cum, tech, m.strata)
-        total = 0.0
-        prev_cum = 0.0
-        prev_cost = 0.0
-        for t in range(self.T):
-            x = q[t]
-            cum = prev_cum + x
-            cost = cumulative_cost(cum, tech, m.strata)
-            pi = (
-                (self.lin[t] - self.quad[t] * x) * x
-                - tech.gamma_er
-                - (cost - prev_cost)
-            )
-            total += m.discount(t + 1) * pi
-            prev_cum, prev_cost = cum, cost
-        return total
-
-    def coord_objective(self, q: Sequence[float], t: int) -> Callable[[float], float]:
-        """Profit as a function of q[t] alone, up to an additive constant."""
-        m, tech = self.model, self.tech
-        if m.r == 0.0:
-            rest = sum(q) - q[t]
-            lin, quad = self.lin[t], self.quad[t]
-            strata = m.strata
-
-            def g(x: float) -> float:
-                return (lin - quad * x) * x - cumulative_cost(rest + x, tech, strata)
-
-            return g
-        work = list(q)
-
-        def g_general(x: float) -> float:
-            work[t] = x
-            return self.total(work)
-
-        return g_general
-
-
-def _stationary(
-    ev: _ProfitEvaluator, q: list[float], hi: Sequence[float]
-) -> bool:
-    """Check that no coordinate admits a first-order improving direction."""
-    base = ev.total(q)
-    for t in range(ev.T):
-        x = q[t]
-        if x + _FD_STEP <= hi[t]:
-            q[t] = x + _FD_STEP
-            if (ev.total(q) - base) / _FD_STEP > STATIONARITY_TOL:
-                q[t] = x
-                return False
-            q[t] = x
-        if x - _FD_STEP >= 0.0:
-            q[t] = x - _FD_STEP
-            if (ev.total(q) - base) / _FD_STEP > STATIONARITY_TOL:
-                q[t] = x
-                return False
-            q[t] = x
-    return True
-
-
-def _transfer_sweep(
-    ev: _ProfitEvaluator, q: list[float], hi: Sequence[float]
-) -> float:
-    """Redistribute extraction between period pairs at fixed total.
-
-    Coordinate moves alone can stall where the cumulative total sits on a
-    stratum kink; transfers stay on the kink plane, where the objective is
-    smooth, and escape those stalls. With no discounting the pair-optimal
-    transfer has a closed form (the cumulative term is constant on the
-    plane). Returns the largest transfer applied.
-    """
-    m = ev.model
-    moved = 0.0
-    for s in range(ev.T):
-        for t in range(s + 1, ev.T):
-            lo_d = max(-q[s], q[t] - hi[t])
-            hi_d = min(hi[s] - q[s], q[t])
-            if hi_d - lo_d <= 1e-12:
-                continue
-            if m.r == 0.0:
-                denom = 2.0 * (ev.quad[s] + ev.quad[t])
-                delta = (
-                    ev.lin[s]
-                    - 2.0 * ev.quad[s] * q[s]
-                    - ev.lin[t]
-                    + 2.0 * ev.quad[t] * q[t]
-                ) / denom
-                delta = min(max(delta, lo_d), hi_d)
-                q[s] += delta
-                q[t] -= delta
-                moved = max(moved, abs(delta))
-            else:
-                base = list(q)
-
-                def g(d: float) -> float:
-                    base[s] = q[s] + d
-                    base[t] = q[t] - d
-                    return ev.total(base)
-
-                delta = golden_section_max(g, lo_d, hi_d, xtol=1e-10)
-                if abs(delta) <= 1e-12:
-                    continue
-                before = ev.total(q)
-                q[s] += delta
-                q[t] -= delta
-                if ev.total(q) <= before:
-                    q[s] -= delta
-                    q[t] += delta
-                else:
-                    moved = max(moved, abs(delta))
-    return moved
-
-
-def coordinate_ascent(
-    strat: LeaderStrategy,
-    tech: TechParams,
-    model: ExtendedModel,
-    start: Optional[Sequence[float]] = None,
-    coord_tol: float = 1e-7,
-    max_sweeps: int = 200,
-) -> BestResponse:
-    """Profit-maximizing schedule for fixed taxes and technology, any r.
-
-    Cyclic coordinate ascent; each coordinate solved by golden-section
-    search over [0, q_max_t], alternated with pairwise fixed-total
-    transfers so stratum kinks cannot trap the iterate. Converged when no
-    coordinate moves more than coord_tol in a full sweep (or the profit
-    stops improving measurably, which is the double-precision limit).
-    """
-    if len(strat.tau) != model.T:
-        raise ValueError("strategy length must equal the horizon T")
-    ev = _ProfitEvaluator(strat.tau, tech, model)
-    hi = [b[1] for b in model.q_bounds]
-    q = [0.0] * model.T if start is None else [float(x) for x in start]
-    converged = False
-    sweeps_left = max_sweeps
-    while sweeps_left > 0:
-        converged = False
-        prev_profit = ev.total(q)
-        while sweeps_left > 0:
-            sweeps_left -= 1
-            move = 0.0
-            for t in range(model.T):
-                g = ev.coord_objective(q, t)
-                x = golden_section_max(g, 0.0, hi[t], xtol=1e-9)
-                move = max(move, abs(x - q[t]))
-                q[t] = x
-            profit = ev.total(q)
-            if move <= coord_tol:
-                converged = True
-                break
-            if move <= 1e-3 and abs(profit - prev_profit) <= 1e-10 * max(
-                1.0, abs(profit)
-            ):
-                converged = True
-                break
-            prev_profit = profit
-        if not converged:
-            break
-        for _ in range(50):
-            if _transfer_sweep(ev, q, hi) <= 1e-9:
-                break
-        else:
-            continue
-        # transfers settled; one more coordinate pass to confirm stability
-        stable = True
-        for t in range(model.T):
-            g = ev.coord_objective(q, t)
-            x = golden_section_max(g, 0.0, hi[t], xtol=1e-9)
-            if abs(x - q[t]) > 1e-5:
-                stable = False
-            q[t] = x
-        if stable:
-            break
-    tag = converged and _stationary(ev, q, hi)
-    resp = FollowerResponse(q=tuple(q), a=tech.tech_id)
-    return BestResponse(response=resp, profit=ev.total(q), optimality_tag=tag)
-
-
-# (lin_t, quad_t, hi_t) per period: at r = 0 period t adds
-# (lin_t - quad_t q_t) q_t to the profit, with 0 <= q_t <= hi_t
+# (lin_t, quad_t, hi_t) per period: period t adds d_t (lin_t - quad_t q_t) q_t
+# to the profit, with 0 <= q_t <= hi_t
 _Periods = Sequence[tuple[float, float, float]]
 
 
@@ -319,25 +96,194 @@ def _waterfill(
     raise AssertionError("unreachable: the last stratum is unbounded")
 
 
+# The derivative V' of a concave piecewise-quadratic V on [0, H], as the
+# vertices (x, p) of a polyline with x nondecreasing and p nonincreasing,
+# from x = 0 to x = H; a vertical piece (equal x) is a kink of V. Above its
+# first vertex the curve goes on straight up and below its last straight
+# down, so each level p has one x(p) = argmax_x V(x) - p x.
+_Curve = list[tuple[float, float]]
+
+
+def _x_at(curve: _Curve, levels: Sequence[float]) -> list[float]:
+    """x(p) at each of the (descending) levels."""
+    out = []
+    i, n = 0, len(curve)
+    for p in levels:
+        while i < n and curve[i][1] > p:
+            i += 1
+        if i == 0:
+            out.append(curve[0][0])
+        elif i == n:
+            out.append(curve[-1][0])
+        else:
+            (x0, p0), (x1, p1) = curve[i - 1], curve[i]
+            out.append(x1 if p1 == p else x0 + (p0 - p) / (p0 - p1) * (x1 - x0))
+    return out
+
+
+def _level(curve: _Curve, x: float) -> float:
+    """A level p with x(p) = x, for x on the curve's domain."""
+    x0, p0 = curve[0]
+    if x <= x0:
+        return p0
+    for x1, p1 in curve[1:]:
+        if x == x1:
+            return p1
+        if x < x1:
+            return p0 + (x - x0) / (x1 - x0) * (p1 - p0)
+        x0, p0 = x1, p1
+    return p0
+
+
+def _sup_convolve(a: _Curve, b: _Curve) -> _Curve:
+    """Curve of max_y A(y) + B(x - y): x(p) is the sum of the two x(p)."""
+    levels = sorted({p for _, p in a} | {p for _, p in b}, reverse=True)
+    return [
+        (u + v, p) for u, v, p in zip(_x_at(a, levels), _x_at(b, levels), levels)
+    ]
+
+
+def _minus_cost(
+    curve: _Curve, w: float, slopes: Sequence[float], inner: Sequence[float]
+) -> _Curve:
+    """Curve of V - w C: split at the inner breakpoints, then shift stratum
+    m down by w s_m, which leaves a vertical piece at each breakpoint."""
+    end = curve[-1][0]
+    if end == 0.0:
+        return [(0.0, curve[0][1] - w * slopes[0])]
+    cuts = [b for b in inner if b < end]
+    pts: _Curve = []
+    k = 0
+    for i, (x, p) in enumerate(curve):
+        while k < len(cuts) and cuts[k] <= x:
+            b = cuts[k]
+            if b < x:
+                x0, p0 = curve[i - 1]
+                pts.append((b, p0 + (b - x0) / (x - x0) * (p - p0)))
+            k += 1
+        pts.append((x, p))
+    xs = [x for x, _ in pts]
+    bounds = [0.0] + cuts + [end]
+    out: _Curve = []
+    for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        shift = w * slopes[m]
+        first, last = bisect.bisect_right(xs, lo) - 1, bisect.bisect_left(xs, hi)
+        out.extend((x, p - shift) for x, p in pts[first : last + 1])
+    return out
+
+
+def _discounted_schedule(
+    periods: _Periods, d: Sequence[float], w: Sequence[float],
+    slopes: Sequence[float], inner: Sequence[float],
+) -> list[float]:
+    """Exact r > 0 optimum by dynamic programming over the prefix sums.
+
+    V_1(X) = d_1 g_1(X) - w_1 C(X) and V_t(X) = max_y [V_{t-1}(y)
+    + d_t g_t(X - y)] - w_t C(X) are concave, so each is kept as its
+    derivative curve. X_T is where V_T' crosses 0; going back, the level
+    at which the sup-convolution passes through X_t splits it into X_{t-1}
+    and q_t, each read from its own curve, so bounds come out exact.
+    """
+    g = [
+        [(0.0, dt * a), (h, dt * (a - 2.0 * c * h))]
+        for (a, c, h), dt in zip(periods, d)
+    ]
+    # U_1 = d_1 g_1 and U_t = V_{t-1} (+) d_t g_t, with V_t = U_t - w_t C
+    convolved = [g[0]]
+    values = [_minus_cost(g[0], w[0], slopes, inner)]
+    for t in range(1, len(periods)):
+        convolved.append(_sup_convolve(values[-1], g[t]))
+        values.append(_minus_cost(convolved[-1], w[t], slopes, inner))
+    x = _x_at(values[-1], [0.0])[0]
+    q = [0.0] * len(periods)
+    for t in range(len(periods) - 1, 0, -1):
+        p = _level(convolved[t], x)
+        q[t] = _x_at(g[t], [p])[0]
+        x = _x_at(values[t - 1], [p])[0]
+    q[0] = min(max(x, 0.0), periods[0][2])
+    return q
+
+
+def _discounted_kkt_residual(
+    q: Sequence[float], periods: _Periods, d: Sequence[float],
+    w: Sequence[float], slopes: Sequence[float], inner: Sequence[float],
+) -> float:
+    """Largest violation of the r > 0 KKT conditions, in units of extraction.
+
+    Stationarity asks for subgradients c_s of C at X_s with S_t = sum_{s>=t}
+    w_s c_s equal to d_t g_t'(q_t) where q_t is interior, at least it where
+    q_t = 0 and at most it where q_t = qbar_t. The reachable S_t form an
+    interval, built backwards from S_{T+1} = 0; where it misses the
+    requirement, the gap over d_t g_t'' is the move of q_t it would take.
+    Within a small tolerance, q_t counts as on a bound and X_t on a
+    breakpoint.
+    """
+    eps = _ACTIVE_TOL * max(1.0, sum(q))
+    prefix, x = [], 0.0
+    for v in q:
+        x += v
+        prefix.append(x)
+    lo = hi = residual = 0.0
+    for t in range(len(q) - 1, -1, -1):
+        a, c, h = periods[t]
+        m = bisect.bisect_left(inner, prefix[t] - eps)
+        c_lo = slopes[m]
+        on_breakpoint = m < len(inner) and inner[m] <= prefix[t] + eps
+        c_hi = slopes[m + 1] if on_breakpoint else c_lo
+        lo, hi = lo + w[t] * c_lo, hi + w[t] * c_hi
+        grad = d[t] * (a - 2.0 * c * q[t])
+        need_lo = -math.inf if q[t] >= h - eps else grad
+        need_hi = math.inf if q[t] <= eps else grad
+        new_lo, new_hi = max(lo, need_lo), min(hi, need_hi)
+        if new_lo <= new_hi:
+            lo, hi = new_lo, new_hi
+        else:
+            residual = max(residual, (new_lo - new_hi) / (2.0 * d[t] * c))
+            # go on from the reachable value nearest the requirement
+            lo = hi = hi if hi < need_lo else lo
+    return residual
+
+
+def _discounted_best_response(
+    periods: _Periods, tech: TechParams, model: ExtendedModel
+) -> BestResponse:
+    d = [model.discount(t) for t in range(1, model.T + 1)]
+    w = [a - b for a, b in zip(d, d[1:] + [0.0])]
+    inner = model.strata.breakpoints[:-1]
+    q = _discounted_schedule(periods, d, w, tech.slopes, inner)
+    residual = _discounted_kkt_residual(q, periods, d, w, tech.slopes, inner)
+    profit = x = prev_cost = 0.0
+    for (a, c, _), dt, v in zip(periods, d, q):
+        x += v
+        cost = cumulative_cost(x, tech, model.strata)
+        profit += dt * ((a - c * v) * v - tech.gamma_er - (cost - prev_cost))
+        prev_cost = cost
+    return BestResponse(
+        response=FollowerResponse(q=tuple(q), a=tech.tech_id),
+        profit=profit,
+        optimality_tag=residual <= KKT_TOL * max(1.0, sum(q)),
+        kkt_residual=residual,
+    )
+
+
 def best_response_fixed_tech(
     strat: LeaderStrategy, tech: TechParams, model: ExtendedModel
 ) -> BestResponse:
-    """Unique profit-maximizing schedule for fixed taxes and technology:
-    exact at r = 0, by coordinate ascent at r > 0."""
-    if model.r > 0.0:
-        return coordinate_ascent(strat, tech, model)
+    """Unique profit-maximizing schedule for fixed taxes and technology."""
     if len(strat.tau) != model.T:
         raise ValueError("strategy length must equal the horizon T")
     slopes, breakpoints = tech.slopes, model.strata.breakpoints
     if any(b < a for a, b in zip(slopes, slopes[1:])):
         raise ValueError(
             f"technology {tech.tech_id}: stratum slopes must be nondecreasing "
-            "(convex cumulative cost) to solve the follower at r = 0"
+            "(convex cumulative cost) to solve the follower"
         )
     periods = [
         (a - x - tech.beta_er, b + tech.alpha_er, h)
         for a, b, x, (_, h) in zip(model.alpha, model.beta, strat.tau, model.q_bounds)
     ]
+    if model.r > 0.0:
+        return _discounted_best_response(periods, tech, model)
     q, lam = _waterfill(periods, slopes, breakpoints)
     total = sum(q)
     # KKT residual, in units of extraction: q must equal q(lam), and lam must

@@ -1,13 +1,17 @@
-"""Brute-force grid verifiers. Test/verification support only; the solver
-modules never call into this code."""
+"""Brute-force grid verifiers and the coordinate-ascent polish of the grid
+winner. Test/verification support only: the solver modules never call into
+this code, and of the lower solver it uses only the result type and the
+optimistic tie-break."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lower import BestResponse, _pick_optimistic, coordinate_ascent
+from .lower import BestResponse, _pick_optimistic
 from .model import (
     AnalyticalParams,
     ExtendedModel,
@@ -15,10 +19,246 @@ from .model import (
     LeaderStrategy,
     StrataTable,
     TechParams,
-    follower_total_profit,
+    cumulative_cost,
 )
 
 EVALUATION_CAP = 10**8
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+STATIONARITY_TOL = 1e-4
+_FD_STEP = 1e-5
+
+
+def golden_section_max(
+    f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-9
+) -> float:
+    """Maximizer of a unimodal f on [lo, hi] to within xtol."""
+    a, b = lo, hi
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > xtol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+    x = 0.5 * (a + b)
+    # snap to the lower boundary when it is at least as good
+    if x - lo < 10.0 * xtol and f(lo) >= f(x):
+        return lo
+    return x
+
+
+class _ProfitEvaluator:
+    """Fast repeated evaluation of total profit for fixed (tau, tech)."""
+
+    def __init__(self, tau: Sequence[float], tech: TechParams, model: ExtendedModel):
+        self.tau = tuple(tau)
+        self.tech = tech
+        self.model = model
+        self.T = model.T
+        # per-period coefficients of the separable quadratic part:
+        # (alpha_t - tau_t - beta_er) q - (beta_t + alpha_er) q^2
+        self.lin = tuple(
+            model.alpha[t] - self.tau[t] - tech.beta_er for t in range(self.T)
+        )
+        self.quad = tuple(model.beta[t] + tech.alpha_er for t in range(self.T))
+        self.fixed = -tech.gamma_er * sum(
+            model.discount(t) for t in range(1, self.T + 1)
+        )
+
+    def total(self, q: Sequence[float]) -> float:
+        m, tech = self.model, self.tech
+        if m.r == 0.0:
+            s = self.fixed
+            cum = 0.0
+            for t in range(self.T):
+                x = q[t]
+                s += (self.lin[t] - self.quad[t] * x) * x
+                cum += x
+            return s - cumulative_cost(cum, tech, m.strata)
+        total = 0.0
+        prev_cum = 0.0
+        prev_cost = 0.0
+        for t in range(self.T):
+            x = q[t]
+            cum = prev_cum + x
+            cost = cumulative_cost(cum, tech, m.strata)
+            pi = (
+                (self.lin[t] - self.quad[t] * x) * x
+                - tech.gamma_er
+                - (cost - prev_cost)
+            )
+            total += m.discount(t + 1) * pi
+            prev_cum, prev_cost = cum, cost
+        return total
+
+    def coord_objective(self, q: Sequence[float], t: int) -> Callable[[float], float]:
+        """Profit as a function of q[t] alone, up to an additive constant."""
+        m, tech = self.model, self.tech
+        if m.r == 0.0:
+            rest = sum(q) - q[t]
+            lin, quad = self.lin[t], self.quad[t]
+            strata = m.strata
+
+            def g(x: float) -> float:
+                return (lin - quad * x) * x - cumulative_cost(rest + x, tech, strata)
+
+            return g
+        work = list(q)
+
+        def g_general(x: float) -> float:
+            work[t] = x
+            return self.total(work)
+
+        return g_general
+
+
+def _stationary(
+    ev: _ProfitEvaluator, q: list[float], hi: Sequence[float]
+) -> bool:
+    """Check that no coordinate admits a first-order improving direction."""
+    base = ev.total(q)
+    for t in range(ev.T):
+        x = q[t]
+        if x + _FD_STEP <= hi[t]:
+            q[t] = x + _FD_STEP
+            if (ev.total(q) - base) / _FD_STEP > STATIONARITY_TOL:
+                q[t] = x
+                return False
+            q[t] = x
+        if x - _FD_STEP >= 0.0:
+            q[t] = x - _FD_STEP
+            if (ev.total(q) - base) / _FD_STEP > STATIONARITY_TOL:
+                q[t] = x
+                return False
+            q[t] = x
+    return True
+
+
+def _transfer_sweep(
+    ev: _ProfitEvaluator, q: list[float], hi: Sequence[float]
+) -> float:
+    """Redistribute extraction between period pairs at fixed total.
+
+    Coordinate moves alone can stall where the cumulative total sits on a
+    stratum kink; transfers stay on the kink plane, where the objective is
+    smooth, and escape those stalls. With no discounting the pair-optimal
+    transfer has a closed form (the cumulative term is constant on the
+    plane). Returns the largest transfer applied.
+    """
+    m = ev.model
+    moved = 0.0
+    for s in range(ev.T):
+        for t in range(s + 1, ev.T):
+            lo_d = max(-q[s], q[t] - hi[t])
+            hi_d = min(hi[s] - q[s], q[t])
+            if hi_d - lo_d <= 1e-12:
+                continue
+            if m.r == 0.0:
+                denom = 2.0 * (ev.quad[s] + ev.quad[t])
+                delta = (
+                    ev.lin[s]
+                    - 2.0 * ev.quad[s] * q[s]
+                    - ev.lin[t]
+                    + 2.0 * ev.quad[t] * q[t]
+                ) / denom
+                delta = min(max(delta, lo_d), hi_d)
+                q[s] += delta
+                q[t] -= delta
+                moved = max(moved, abs(delta))
+            else:
+                base = list(q)
+
+                def g(d: float) -> float:
+                    base[s] = q[s] + d
+                    base[t] = q[t] - d
+                    return ev.total(base)
+
+                delta = golden_section_max(g, lo_d, hi_d, xtol=1e-10)
+                if abs(delta) <= 1e-12:
+                    continue
+                before = ev.total(q)
+                q[s] += delta
+                q[t] -= delta
+                if ev.total(q) <= before:
+                    q[s] -= delta
+                    q[t] += delta
+                else:
+                    moved = max(moved, abs(delta))
+    return moved
+
+
+def coordinate_ascent(
+    strat: LeaderStrategy,
+    tech: TechParams,
+    model: ExtendedModel,
+    start: Optional[Sequence[float]] = None,
+    coord_tol: float = 1e-7,
+    max_sweeps: int = 200,
+) -> BestResponse:
+    """Profit-maximizing schedule for fixed taxes and technology, any r.
+
+    Cyclic coordinate ascent; each coordinate solved by golden-section
+    search over [0, q_max_t], alternated with pairwise fixed-total
+    transfers so stratum kinks cannot trap the iterate. Converged when no
+    coordinate moves more than coord_tol in a full sweep (or the profit
+    stops improving measurably, which is the double-precision limit).
+    """
+    if len(strat.tau) != model.T:
+        raise ValueError("strategy length must equal the horizon T")
+    ev = _ProfitEvaluator(strat.tau, tech, model)
+    hi = [b[1] for b in model.q_bounds]
+    q = [0.0] * model.T if start is None else [float(x) for x in start]
+    converged = False
+    sweeps_left = max_sweeps
+    while sweeps_left > 0:
+        converged = False
+        prev_profit = ev.total(q)
+        while sweeps_left > 0:
+            sweeps_left -= 1
+            move = 0.0
+            for t in range(model.T):
+                g = ev.coord_objective(q, t)
+                x = golden_section_max(g, 0.0, hi[t], xtol=1e-9)
+                move = max(move, abs(x - q[t]))
+                q[t] = x
+            profit = ev.total(q)
+            if move <= coord_tol:
+                converged = True
+                break
+            if move <= 1e-3 and abs(profit - prev_profit) <= 1e-10 * max(
+                1.0, abs(profit)
+            ):
+                converged = True
+                break
+            prev_profit = profit
+        if not converged:
+            break
+        for _ in range(50):
+            if _transfer_sweep(ev, q, hi) <= 1e-9:
+                break
+        else:
+            continue
+        # transfers settled; one more coordinate pass to confirm stability
+        stable = True
+        for t in range(model.T):
+            g = ev.coord_objective(q, t)
+            x = golden_section_max(g, 0.0, hi[t], xtol=1e-9)
+            if abs(x - q[t]) > 1e-5:
+                stable = False
+            q[t] = x
+        if stable:
+            break
+    tag = converged and _stationary(ev, q, hi)
+    resp = FollowerResponse(q=tuple(q), a=tech.tech_id)
+    return BestResponse(response=resp, profit=ev.total(q), optimality_tag=tag)
+
 
 
 @dataclass(frozen=True)
@@ -64,38 +304,33 @@ def _grid_argmax_fixed_tech(
     model: ExtendedModel,
     grid: GridSpec,
 ) -> tuple[tuple[float, ...], float]:
-    """Exhaustive argmax of total profit over the extraction grid."""
+    """Exhaustive argmax of total profit over the extraction grid.
+
+    Profit is sum_t d_t [(alpha_t - tau_t - beta_er) q_t
+    - (beta_t + alpha_er) q_t^2 - gamma_er] - sum_t w_t C(X_t), with
+    prefix sums X_t and w_t = d_t - d_{t+1} (d_{T+1} = 0); at r = 0 only
+    w_T = 1 is nonzero.
+    """
     axes = [grid.axis(i) for i in range(model.T)]
-    if model.r == 0.0:
-        # profit separates into per-period quadratics plus a cumulative term
-        total = np.zeros(1)
-        ext = np.zeros(1)
-        for t, v in enumerate(axes):
-            contrib = (
-                (model.alpha[t] - tau[t] - tech.beta_er) * v
-                - (model.beta[t] + tech.alpha_er) * v * v
-            )
-            total = np.add.outer(total, contrib)
-            ext = np.add.outer(ext, v)
-        total = (
-            total
-            - model.T * tech.gamma_er
-            - _cumulative_cost_vec(ext, tech, model.strata)
+    d = [model.discount(t) for t in range(1, model.T + 1)]
+    w = [a - b for a, b in zip(d, d[1:] + [0.0])]
+    total = np.zeros(1)
+    ext = np.zeros(1)
+    for t, v in enumerate(axes):
+        contrib = (
+            (model.alpha[t] - tau[t] - tech.beta_er) * v
+            - (model.beta[t] + tech.alpha_er) * v * v
         )
-        flat = int(np.argmax(total))
-        idx = np.unravel_index(flat, total.shape)[1:]  # drop the seed axis
-        q = tuple(float(axes[t][idx[t]]) for t in range(model.T))
-        return q, float(total.flat[flat])
-    best_q, best_profit = None, -np.inf
-    strat = LeaderStrategy(tau=tau)
-    for combo in np.ndindex(*[len(a) for a in axes]):
-        q = tuple(float(axes[t][combo[t]]) for t in range(model.T))
-        profit = follower_total_profit(
-            FollowerResponse(q=q, a=tech.tech_id), strat, model
-        )
-        if profit > best_profit:
-            best_q, best_profit = q, profit
-    return best_q, best_profit
+        total = np.add.outer(total, d[t] * contrib)
+        ext = np.add.outer(ext, v)
+        if t == model.T - 1:
+            total -= sum(d) * tech.gamma_er
+        if w[t] != 0.0:
+            total -= w[t] * _cumulative_cost_vec(ext, tech, model.strata)
+    flat = int(np.argmax(total))
+    idx = np.unravel_index(flat, total.shape)[1:]  # drop the seed axis
+    q = tuple(float(axes[t][idx[t]]) for t in range(model.T))
+    return q, float(total.flat[flat])
 
 
 def grid_best_response(

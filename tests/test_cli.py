@@ -54,6 +54,15 @@ def nonconvex_config(tmp_path):
     return str(path)
 
 
+def _discounted(path, tmp_path, r=0.05):
+    """Copy of the config at `path` with the extended model's rate set to r."""
+    cfg = json.loads(open(path).read())
+    cfg["extended"]["r"] = r
+    out = tmp_path / f"r{r}.json"
+    out.write_text(json.dumps(cfg))
+    return str(out)
+
+
 def _bundled():
     text = resources.files("minetax").joinpath("data/default_config.json")
     return json.loads(text.read_text())
@@ -112,6 +121,18 @@ class TestInvalidConfigs:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nondecreasing" in err
+
+    def test_nonconvex_costs_rejected_when_discounted(
+        self, tmp_path, nonconvex_config, capsys
+    ):
+        config = _discounted(nonconvex_config, tmp_path)
+        rc = main(["--model", "extended", "--config", config,
+                   "--pop-size", "4", "--generations", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nondecreasing" in err
+        assert "Traceback" not in err
 
 
 class TestAnalyticalRuns:
@@ -204,6 +225,17 @@ class TestExtendedRuns:
         assert (a / "frontier.csv").read_bytes() == (b / "frontier.csv").read_bytes()
         assert (a / "schedule.csv").read_bytes() == (b / "schedule.csv").read_bytes()
 
+    def test_byte_identical_discounted_reruns(self, tmp_path):
+        path = tmp_path / "bundled.json"
+        path.write_text(json.dumps(_bundled()))
+        config = _discounted(path, tmp_path)
+        args = ["--model", "extended", "--config", config, "--pop-size", "20",
+                "--generations", "10", "--seed", "5"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(a)]) == EXIT_OK
+        assert main(args + ["--out", str(b)]) == EXIT_OK
+        assert (a / "frontier.csv").read_bytes() == (b / "frontier.csv").read_bytes()
+
     def test_filter_can_empty_the_archive(self, tmp_path, capsys):
         rc = main(self.ARGS + ["--out", str(tmp_path),
                                "--min-revenue", "1e9"])
@@ -232,6 +264,15 @@ class TestVerify:
 
     def test_nonconvex_costs_fail_verification(self, nonconvex_config, capsys):
         rc = main(["--verify", "--quick", "--config", nonconvex_config])
+        out = capsys.readouterr().out
+        assert rc == EXIT_VERIFY_FAILED
+        assert "[FAIL]" in out
+
+    def test_discounted_nonconvex_costs_fail_verification(
+        self, tmp_path, nonconvex_config, capsys
+    ):
+        config = _discounted(nonconvex_config, tmp_path)
+        rc = main(["--verify", "--quick", "--config", config])
         out = capsys.readouterr().out
         assert rc == EXIT_VERIFY_FAILED
         assert "[FAIL]" in out

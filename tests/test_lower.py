@@ -13,8 +13,13 @@ from minetax import (
     best_response,
     best_response_fixed_tech,
 )
-from minetax.lower import KKT_TOL, _ProfitEvaluator, _waterfill, coordinate_ascent
-from minetax.oracle import GridSpec, grid_best_response
+from minetax.lower import KKT_TOL, _discounted_kkt_residual, _waterfill
+from minetax.oracle import (
+    GridSpec,
+    _ProfitEvaluator,
+    coordinate_ascent,
+    grid_best_response,
+)
 from minetax.verify import random_strategies
 
 
@@ -60,7 +65,7 @@ class TestBestResponseFixedTech:
         assert not br.optimality_tag
 
     def test_unique_optimum_from_any_start(self, model):
-        # r > 0, where coordinate ascent is the production solver
+        # r > 0: the exact solve against coordinate ascent from random starts
         discounted = dataclasses.replace(model, r=0.05)
         rng = np.random.default_rng(42)
         for strat in random_strategies(model, 5, seed=11):
@@ -163,18 +168,20 @@ class TestExactFollower:
         assert pairs == 2000
 
     def test_every_period_at_its_cap(self, model):
-        capped = dataclasses.replace(
-            model, q_bounds=tuple((0.0, 2.0 + t) for t in range(model.T))
-        )
         strat = LeaderStrategy(tau=(0.0,) * 5)
-        for tech in model.techs:
-            br = best_response_fixed_tech(strat, tech, capped)
-            assert br.response.q == (2.0, 3.0, 4.0, 5.0, 6.0)
-            assert br.optimality_tag
-            # golden-section search stops just short of the cap
-            ca = coordinate_ascent(strat, tech, capped)
-            assert br.profit >= ca.profit
-            assert br.profit == pytest.approx(ca.profit, abs=1e-6)
+        for r in (0.0, 0.05):
+            capped = dataclasses.replace(
+                model, r=r,
+                q_bounds=tuple((0.0, 2.0 + t) for t in range(model.T)),
+            )
+            for tech in model.techs:
+                br = best_response_fixed_tech(strat, tech, capped)
+                assert br.response.q == (2.0, 3.0, 4.0, 5.0, 6.0)
+                assert br.optimality_tag
+                # golden-section search stops just short of the cap
+                ca = coordinate_ascent(strat, tech, capped)
+                assert br.profit >= ca.profit
+                assert br.profit == pytest.approx(ca.profit, abs=1e-6)
 
     def test_total_on_breakpoint_between_slopes(self):
         # q_t(lam) = (lin_t - lam) / 2 with lin = (30, 8): S(1) = 18 > 10 and
@@ -195,8 +202,63 @@ class TestExactFollower:
         assert br.profit >= coordinate_ascent(strat, tech, model).profit - 1e-9
 
 
+class TestDiscountedFollower:
+    """The r > 0 dynamic-programming solve by hand."""
+
+    def test_prefix_sum_on_breakpoint_before_the_last_period(self):
+        # d = (1, 0.8), w = (0.2, 0.8); q_t(p) = (lin_t - p / d_t) / 2.
+        # Period 2 is interior in stratum 2: 0.8 (21 - 2 q_2) = 0.8 * 11, so
+        # q_2 = 5. Period 1 needs 30 - 2 q_1 = 0.2 c_1 + 8.8 with c_1 a
+        # subgradient of C at X_1: q_1 = 10 = b gives c_1 = 6, strictly
+        # between the slopes 1 and 11, so X_1 sits on the breakpoint.
+        tech = TechParams(tech_id=1, k=1.0, alpha_er=0.5, beta_er=0.0,
+                          gamma_er=0.0, slopes=(1.0, 11.0))
+        model = dataclasses.replace(
+            _one_tech_model((30.0, 21.0), (0.5, 0.5), tech, (10.0, 100.0)),
+            r=0.25,
+        )
+        strat = LeaderStrategy(tau=(0.0, 0.0))
+        br = best_response_fixed_tech(strat, tech, model)
+        assert br.response.q == (10.0, 5.0)
+        assert br.profit == pytest.approx(210.0, abs=1e-12)
+        assert br.optimality_tag
+        assert br.kkt_residual <= 1e-12
+        assert br.profit >= coordinate_ascent(strat, tech, model).profit
+
+    def test_zero_caps_shut_the_mine(self, model):
+        for caps in ((0.0,) * 5, (0.0, 5.0, 0.0, 5.0, 0.0)):
+            shut = dataclasses.replace(
+                model, r=0.05, q_bounds=tuple((0.0, h) for h in caps)
+            )
+            br = best_response_fixed_tech(
+                LeaderStrategy(tau=(0.0,) * 5), model.tech(4), shut
+            )
+            assert br.response.q == caps
+            assert br.optimality_tag
+
+    def test_certificate_rejects_a_perturbed_schedule(self, model):
+        discounted = dataclasses.replace(model, r=0.05)
+        strat = random_strategies(model, 1, seed=3)[0]
+        tech = model.tech(4)
+        br = best_response_fixed_tech(strat, tech, discounted)
+        q = list(br.response.q)
+        q[0] *= 1.001
+        periods = [
+            (a - x - tech.beta_er, b + tech.alpha_er, h)
+            for a, b, x, (_, h) in zip(
+                model.alpha, model.beta, strat.tau, model.q_bounds
+            )
+        ]
+        d = [discounted.discount(t) for t in range(1, 6)]
+        w = [a - b for a, b in zip(d, d[1:] + [0.0])]
+        residual = _discounted_kkt_residual(
+            q, periods, d, w, tech.slopes, model.strata.breakpoints[:-1]
+        )
+        assert residual > 1e3 * KKT_TOL * sum(q)
+
+
 @st.composite
-def _convex_instances(draw):
+def _convex_instances(draw, rates=st.just(0.0)):
     T = draw(st.integers(1, 5))
     M = draw(st.integers(1, 5))
     pos = st.floats(0.05, 5.0)
@@ -210,17 +272,29 @@ def _convex_instances(draw):
         slopes=slopes,
     )
     amounts = tuple(draw(st.floats(0.5, 50.0)) for _ in range(M))
-    model = _one_tech_model(alpha, beta, tech, amounts)
+    model = dataclasses.replace(
+        _one_tech_model(alpha, beta, tech, amounts), r=draw(rates)
+    )
     tau = tuple(draw(st.floats(0.0, a)) for a in alpha)
     return model, tech, LeaderStrategy(tau=tau)
 
 
-@given(instance=_convex_instances())
-@settings(max_examples=200, deadline=None)
-def test_exact_follower_on_generated_convex_instances(instance):
+def _check_against_coordinate_ascent(instance):
     model, tech, strat = instance
     exact = best_response_fixed_tech(strat, tech, model)
     assert exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.response.q))
     assert exact.optimality_tag
     ca = coordinate_ascent(strat, tech, model)
     assert exact.profit >= ca.profit - 1e-9 * max(1.0, abs(exact.profit))
+
+
+@given(instance=_convex_instances())
+@settings(max_examples=200, deadline=None)
+def test_exact_follower_on_generated_convex_instances(instance):
+    _check_against_coordinate_ascent(instance)
+
+
+@given(instance=_convex_instances(rates=st.floats(0.01, 0.5)))
+@settings(max_examples=200, deadline=None)
+def test_exact_follower_on_generated_discounted_instances(instance):
+    _check_against_coordinate_ascent(instance)

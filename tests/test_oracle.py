@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import pytest
 
 from minetax import (
@@ -10,7 +13,7 @@ from minetax import (
     weighted_scalar_check,
 )
 from minetax.oracle import EVALUATION_CAP
-from minetax.verify import FOC_WEIGHTS, epsilon_indicator
+from minetax.verify import FOC_WEIGHTS, check_oracle_equivalence, epsilon_indicator
 
 
 class TestGridSpec:
@@ -74,6 +77,16 @@ class TestGridBestResponse:
         assert grid.size * len(model.techs) > EVALUATION_CAP
         with pytest.raises(ValueError):
             grid_best_response(LeaderStrategy(tau=(0.0,) * 5), model, grid)
+
+    def test_discounted_equivalence_within_budget(self, model):
+        # the r > 0 grid is vectorised like the r = 0 one: about 4 s here
+        # on 2 cores, where a per-point loop took about 25 minutes
+        start = time.perf_counter()
+        result = check_oracle_equivalence(
+            dataclasses.replace(model, r=0.05), n_strategies=5
+        )
+        assert result.passed, result
+        assert time.perf_counter() - start < 60.0
 
     def test_dimension_mismatch_rejected(self, model):
         grid = GridSpec(lows=(0.0,), highs=(10.0,), step=1.0)
