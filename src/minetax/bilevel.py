@@ -9,11 +9,10 @@ frontier.
 from __future__ import annotations
 
 import bisect
+import random
 import statistics
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .lower import best_response
 from .model import (
@@ -173,18 +172,26 @@ class EaConfig:
             raise ValueError("crossover rate must lie in [0, 1]")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation rate must lie in [0, 1]")
+        # random.Random would silently seed with abs(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
-@dataclass
-class _Individual:
-    tau: np.ndarray
-    entry: ArchiveEntry
+@dataclass(frozen=True)
+class EvolveResult:
+    """The archive, its hypervolume after the initial population and after
+    each generation, and the count of untagged follower answers."""
+
+    archive: ParetoArchive
+    hv_history: tuple[float, ...]
+    generations_run: int
+    failed_evaluations: int
 
 
 def _evaluate(
-    tau: np.ndarray, model: ExtendedModel, tech_filter: Optional[int]
+    tau: Sequence[float], model: ExtendedModel, tech_filter: Optional[int]
 ) -> ArchiveEntry:
-    strat = LeaderStrategy(tau=tuple(float(x) for x in tau))
+    strat = LeaderStrategy(tau=tau)
     br = best_response(strat, model, tech_filter=tech_filter)
     obj = leader_objectives(br.response, strat, model)
     return ArchiveEntry(
@@ -208,15 +215,16 @@ def evolve(
     model: ExtendedModel,
     config: EaConfig,
     tech_filter: Optional[int] = None,
-) -> ParetoArchive:
+) -> EvolveResult:
     """NSGA-II-style evolution of tax strategies with a bilevel archive.
 
-    The returned archive additionally carries `generations_run`,
-    `hv_history`, and `failed_evaluations` attributes for reporting.
+    Every draw is `random.Random(config.seed).random()`, a sequence Python
+    keeps across versions, so a seed reproduces the archive on any
+    interpreter.
     """
-    rng = np.random.default_rng(config.seed)
-    lows = np.array([lo for lo, _ in model.tau_bounds])
-    highs = np.array([hi for _, hi in model.tau_bounds])
+    rng = random.Random(config.seed)
+    lows = [lo for lo, _ in model.tau_bounds]
+    highs = [hi for _, hi in model.tau_bounds]
     mut_rate = (
         config.mutation_rate if config.mutation_rate is not None else 1.0 / model.T
     )
@@ -224,23 +232,23 @@ def evolve(
     archive = ParetoArchive()
     failed = 0
 
-    def make(tau: np.ndarray) -> _Individual:
+    def make(tau: Sequence[float]) -> ArchiveEntry:
         nonlocal failed
-        ind = _Individual(tau=tau, entry=_evaluate(tau, model, tech_filter))
-        if ind.entry.optimality_tag:
-            archive.insert(ind.entry)
+        entry = _evaluate(tau, model, tech_filter)
+        if entry.optimality_tag:
+            archive.insert(entry)
         else:
             failed += 1
-        return ind
+        return entry
 
     pop = [
-        make(tau)
-        for tau in rng.uniform(lows, highs, size=(config.population_size, model.T))
+        make([lo + (hi - lo) * rng.random() for lo, hi in zip(lows, highs)])
+        for _ in range(config.population_size)
     ]
     hv_history = [archive.hypervolume(ref_r, ref_d)]
     gens = 0
     for _ in range(config.max_generations):
-        points = [ind.entry.objectives for ind in pop]
+        points = [e.objectives for e in pop]
         fronts = nondominated_sort(points)
         rank = [0] * len(pop)
         crowd = [0.0] * len(pop)
@@ -250,11 +258,12 @@ def evolve(
                 rank[i] = fi
                 crowd[i] = cd[i]
 
-        def tournament() -> np.ndarray:
-            i, j = rng.integers(len(pop), size=2)
+        def tournament() -> tuple[float, ...]:
+            i = int(len(pop) * rng.random())
+            j = int(len(pop) * rng.random())
             if rank[i] != rank[j]:
-                return pop[i if rank[i] < rank[j] else j].tau
-            return pop[i if crowd[i] >= crowd[j] else j].tau
+                return pop[i if rank[i] < rank[j] else j].strategy.tau
+            return pop[i if crowd[i] >= crowd[j] else j].strategy.tau
 
         offspring = []
         while len(offspring) < config.population_size:
@@ -278,9 +287,9 @@ def evolve(
         offspring = offspring[: config.population_size]
         # environmental selection on the merged population
         merged = pop + offspring
-        points = [ind.entry.objectives for ind in merged]
+        points = [e.objectives for e in merged]
         fronts = nondominated_sort(points)
-        survivors: list[_Individual] = []
+        survivors: list[ArchiveEntry] = []
         for front in fronts:
             if len(survivors) + len(front) <= config.population_size:
                 survivors.extend(merged[i] for i in front)
@@ -301,10 +310,7 @@ def evolve(
             and hv_history[-1] - hv_history[-1 - stall] < config.hv_stall_tol
         ):
             break
-    archive.generations_run = gens
-    archive.hv_history = hv_history
-    archive.failed_evaluations = failed
-    return archive
+    return EvolveResult(archive, tuple(hv_history), gens, failed)
 
 
 def detect_strata_kinks(

@@ -173,9 +173,9 @@ def run_extended(cfg: RunConfig) -> int:
         seed=cfg.seed,
     )
     start = time.perf_counter()
-    archive = evolve(model, ea, tech_filter=tech_filter)
+    result = evolve(model, ea, tech_filter=tech_filter)
     elapsed = time.perf_counter() - start
-    entries = archive.entries
+    entries = result.archive.entries
     filtered = [
         e
         for e in entries
@@ -189,17 +189,17 @@ def run_extended(cfg: RunConfig) -> int:
     meta = {
         "config": cfg.as_dict(),
         "seed": cfg.seed,
-        "generations_executed": archive.generations_run,
+        "generations_executed": result.generations_run,
         "archive_size": len(entries),
         "filtered_size": len(filtered),
-        "failed_evaluations": archive.failed_evaluations,
+        "failed_evaluations": result.failed_evaluations,
         "wall_time_seconds": elapsed,
     }
     with open(out / "meta.json", "w") as f:
         json.dump(meta, f, indent=2)
     print(
         f"wrote {out / 'frontier.csv'}: {len(filtered)} of {len(entries)} "
-        f"archive points after filtering, {archive.generations_run} generations, "
+        f"archive points after filtering, {result.generations_run} generations, "
         f"{elapsed:.1f}s"
     )
     if not filtered:

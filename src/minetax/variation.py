@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def sbx_crossover(p1, p2, lows, highs, eta, rate, rng):
     """Simulated binary crossover of two parent vectors within box bounds.
@@ -11,9 +9,7 @@ def sbx_crossover(p1, p2, lows, highs, eta, rate, rng):
     Returns two children; with probability 1-rate the parents pass through
     unchanged.
     """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    c1, c2 = p1.copy(), p2.copy()
+    c1, c2 = list(p1), list(p2)
     if rng.random() > rate:
         return c1, c2
     for i in range(len(p1)):
@@ -38,7 +34,7 @@ def sbx_crossover(p1, p2, lows, highs, eta, rate, rng):
 
 def polynomial_mutation(x, lows, highs, eta, rate, rng):
     """Polynomial mutation; each variable mutates with probability rate."""
-    y = np.asarray(x, dtype=float).copy()
+    y = list(x)
     for i in range(len(y)):
         if rng.random() > rate:
             continue

@@ -46,9 +46,12 @@ def check_closed_form(
     weights: Sequence[float] = FOC_WEIGHTS,
     grid_step: float = 1e-3,
 ) -> CheckResult:
-    """First-order conditions and grid-oracle agreement of the closed forms."""
+    """First-order conditions and grid-oracle agreement of the closed forms,
+    at the weights above the instance's feasibility threshold (below it the
+    induced extraction is clamped at 0 and the FOCs do not hold)."""
+    w_min = ana.feasibility_threshold(p)
     worst = 0.0
-    for w in weights:
+    for w in (w for w in weights if w > w_min):
         tau = ana.optimal_tax(w, p)
         q = ana.optimal_extraction(w, p)
         # follower FOC at the induced extraction
@@ -72,12 +75,17 @@ def check_closed_form(
     )
 
 
-def check_threshold(p: AnalyticalParams, expected: float = 0.01) -> CheckResult:
-    dev = abs(ana.feasibility_threshold(p) - expected)
+def check_threshold(p: AnalyticalParams, step: float = 1e-9) -> CheckResult:
+    """The threshold is the weight where induced extraction starts: 0 at
+    w_min and positive one `step` above it."""
+    w_min = ana.feasibility_threshold(p)
+    dev = ana.optimal_extraction(w_min, p) if w_min > 0 else 0.0
+    above = ana.optimal_extraction(w_min + step, p)
     return CheckResult(
         name="feasibility threshold",
-        passed=dev <= 1e-12,
+        passed=dev <= 1e-12 and above > 0,
         deviation=dev,
+        detail=f"w_min {w_min:.6g}, extraction {above:.3e} one step above",
     )
 
 
@@ -241,7 +249,7 @@ def check_frontier_convergence(
         max_generations=max_generations,
         seed=seed,
     )
-    archive = evolve(model, config)
+    archive = evolve(model, config).archive
     dist, coverage = frontier_metrics(archive.entries, p)
     return CheckResult(
         name="bilevel EA convergence to the closed-form frontier",

@@ -35,7 +35,7 @@ def tech_frontiers(model):
     """Converged single-technology frontiers for the extended model."""
     cfg = EaConfig(population_size=60, max_generations=80, seed=2)
     return {
-        tech.tech_id: evolve(model, cfg, tech_filter=tech.tech_id).entries
+        tech.tech_id: evolve(model, cfg, tech_filter=tech.tech_id).archive.entries
         for tech in model.techs
     }
 
@@ -44,7 +44,7 @@ def tech_frontiers(model):
 def full_frontier(model):
     """Frontier with the follower free to choose any technology."""
     cfg = EaConfig(population_size=60, max_generations=80, seed=2)
-    return evolve(model, cfg).entries
+    return evolve(model, cfg).archive.entries
 
 
 def test_criterion_1_closed_form_correctness(params):

@@ -144,6 +144,11 @@ class TestEaConfig:
         with pytest.raises(ValueError):
             EaConfig(population_size=2)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-1) would silently run seed 1
+        with pytest.raises(ValueError, match="seed"):
+            EaConfig(seed=-1)
+
 
 class TestEvolve:
     def test_degenerate_bounds_give_single_point(self, model):
@@ -156,7 +161,7 @@ class TestEvolve:
             population_size=4, max_generations=3,
             crossover_rate=0.0, mutation_rate=0.0, seed=1,
         )
-        arch = evolve(fixed, cfg)
+        arch = evolve(fixed, cfg).archive
         assert len(arch) == 1
         strat = LeaderStrategy(tau=(10.0,) * model.T)
         br = best_response(strat, fixed)
@@ -167,7 +172,7 @@ class TestEvolve:
 
     def test_archive_entries_reevaluate_consistently(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=3)
-        arch = evolve(model, cfg)
+        arch = evolve(model, cfg).archive
         assert len(arch) > 0
         for e in list(arch)[::5]:
             br = best_response(e.strategy, model)
@@ -180,36 +185,35 @@ class TestEvolve:
 
     def test_archive_mutually_nondominated(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=5)
-        entries = evolve(model, cfg).entries
+        entries = evolve(model, cfg).archive.entries
         for a, b in zip(entries, entries[1:]):
             assert b.objectives.damage > a.objectives.damage
             assert b.objectives.revenue > a.objectives.revenue
 
     def test_hv_history_nondecreasing(self, model):
         cfg = EaConfig(population_size=12, max_generations=10, seed=7)
-        arch = evolve(model, cfg)
-        assert arch.generations_run >= 1
-        assert len(arch.hv_history) == arch.generations_run + 1
-        for a, b in zip(arch.hv_history, arch.hv_history[1:]):
+        result = evolve(model, cfg)
+        assert result.generations_run >= 1
+        assert len(result.hv_history) == result.generations_run + 1
+        for a, b in zip(result.hv_history, result.hv_history[1:]):
             assert b >= a - 1e-12
 
     def test_seed_reproducibility(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=21)
-        a = evolve(model, cfg)
-        b = evolve(model, cfg)
+        a = evolve(model, cfg).archive
+        b = evolve(model, cfg).archive
         assert [e.strategy.tau for e in a] == [e.strategy.tau for e in b]
         assert [e.objectives for e in a] == [e.objectives for e in b]
 
     def test_tech_filter_pins_technology(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=9)
-        arch = evolve(model, cfg, tech_filter=2)
+        arch = evolve(model, cfg, tech_filter=2).archive
         assert len(arch) > 0
         assert all(e.response.a == 2 for e in arch)
 
     def test_no_failed_evaluations_in_deterministic_mode(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=11)
-        arch = evolve(model, cfg)
-        assert arch.failed_evaluations == 0
+        assert evolve(model, cfg).failed_evaluations == 0
 
 
 class TestFrontierComposition:
@@ -242,10 +246,10 @@ class TestFrontierComposition:
         # a technology-2 outcome is nondominated.
         cfg = EaConfig(population_size=30, max_generations=40, seed=2)
         tech_frontiers = {
-            t.tech_id: evolve(model, cfg, tech_filter=t.tech_id).entries
+            t.tech_id: evolve(model, cfg, tech_filter=t.tech_id).archive.entries
             for t in techs
         }
-        return model, tech_frontiers, evolve(model, cfg).entries
+        return model, tech_frontiers, evolve(model, cfg).archive.entries
 
     def test_both_inclusions_hold(self, two_tech):
         model, tech_frontiers, full = two_tech

@@ -1,10 +1,14 @@
 import csv
 import json
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from minetax import LeaderStrategy, best_response, leader_objectives
+import minetax
+from minetax import LeaderStrategy, best_response, bilevel, leader_objectives
 from minetax.cli import (
     EXIT_EMPTY,
     EXIT_OK,
@@ -253,6 +257,57 @@ class TestExtendedRuns:
         rc = main(self.ARGS + ["--out", str(tmp_path), "--tech", "9"])
         assert rc == EXIT_USAGE
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        rc = main(["--model", "extended", "--pop-size", "8", "--generations",
+                   "1", "--seed", "-1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestPinnedStream:
+    """Seeded output rests on random.Random(seed).random(), whose sequence
+    Python keeps the same across versions. A change to the draw order must
+    update these literals and say so."""
+
+    def test_first_draws_and_first_frontier_row(self, tmp_path, monkeypatch):
+        taus = []
+        solve = bilevel.best_response
+
+        def record(strat, *args, **kwargs):
+            taus.append(strat.tau)
+            return solve(strat, *args, **kwargs)
+
+        monkeypatch.setattr(bilevel, "best_response", record)
+        rc = main(["--model", "extended", "--pop-size", "8", "--generations",
+                   "3", "--seed", "0", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert taus[0] == (
+            42.2210925762524, 41.687492161716634, 25.2342948498507,
+            16.82958876904262, 35.7892304958026,
+        )
+        rows = (tmp_path / "frontier.csv").read_text().splitlines()
+        assert rows[1] == (
+            "0,4,1155.30019108,216.618644858,47.8679041178,"
+            "45.7787501886,48.0650705933,58.0261821863,53.1737702363,"
+            "64.0529173931,1.65156226424,5.04366175833,0,11.1577872046,"
+            "3.80885325863"
+        )
+
+
+def test_cli_import_leaves_out_numpy_and_verification():
+    src = str(Path(minetax.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import minetax.cli; "
+        "print([m for m in ('numpy', 'minetax.oracle', 'minetax.verify') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
 
 class TestVerify:
     def test_quick_battery_passes(self, capsys):
@@ -260,6 +315,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "all checks passed" in out
+        assert "[FAIL]" not in out
+
+    def test_unpublished_instance_passes(self, tmp_path, capsys):
+        # w_min = k / (alpha - gamma + k) = 3/51: above the smallest FOC
+        # weight 0.02 and away from the published threshold 0.01
+        cfg = _bundled()
+        cfg["analytical"].update(alpha=50, gamma=2, k=3)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--verify", "--quick", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
         assert "[FAIL]" not in out
 
     def test_nonconvex_costs_fail_verification(self, nonconvex_config, capsys):

@@ -4,16 +4,24 @@ import time
 import pytest
 
 from minetax import (
-    GridSpec,
     LeaderStrategy,
     analytical_as_extended,
     follower_best_response,
-    grid_best_response,
     optimal_tax,
+)
+from minetax.oracle import (
+    EVALUATION_CAP,
+    GridSpec,
+    grid_best_response,
     weighted_scalar_check,
 )
-from minetax.oracle import EVALUATION_CAP
-from minetax.verify import FOC_WEIGHTS, check_oracle_equivalence, epsilon_indicator
+from minetax import analytical
+from minetax.verify import (
+    FOC_WEIGHTS,
+    check_oracle_equivalence,
+    check_threshold,
+    epsilon_indicator,
+)
 
 
 class TestGridSpec:
@@ -149,3 +157,19 @@ class TestEpsilonIndicator:
         worse, better = [(10.0, 2.0)], [(12.0, 1.0)]
         assert self._eps(worse, better) == pytest.approx(0.25)
         assert self._eps(better, worse) == pytest.approx(-0.2)
+
+
+class TestThresholdCheck:
+    """The check tests the defining property of w_min, so it needs no
+    expected value and catches a threshold off in either direction."""
+
+    def test_zero_threshold_without_damage(self, params):
+        assert check_threshold(dataclasses.replace(params, k=0.0)).passed
+
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
+    def test_misplaced_threshold_fails(self, params, monkeypatch, shift):
+        w_min = analytical.feasibility_threshold(params)
+        monkeypatch.setattr(
+            analytical, "feasibility_threshold", lambda p: w_min + shift
+        )
+        assert not check_threshold(params).passed
