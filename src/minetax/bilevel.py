@@ -47,6 +47,7 @@ class ParetoArchive:
     def __init__(self):
         self._entries: list[ArchiveEntry] = []
         self._damages: list[float] = []
+        self._revenues: list[float] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,71 +68,99 @@ class ParetoArchive:
         if not entry.optimality_tag:
             raise ValueError("archive only admits lower-level-optimal entries")
         r, d = entry.objectives.revenue, entry.objectives.damage
+        revenues = self._revenues
         i = bisect.bisect_left(self._damages, d)
         # entries with strictly smaller damage sit before i; the one at i-1
         # carries the largest revenue among them
-        if i > 0 and self._entries[i - 1].objectives.revenue >= r:
+        if i > 0 and revenues[i - 1] >= r:
             return False
-        if (
-            i < len(self._entries)
-            and self._damages[i] == d
-            and self._entries[i].objectives.revenue >= r
-        ):
+        if i < len(revenues) and self._damages[i] == d and revenues[i] >= r:
             return False
         j = i
-        while j < len(self._entries) and self._entries[j].objectives.revenue <= r:
+        while j < len(revenues) and revenues[j] <= r:
             j += 1
         del self._entries[i:j]
         del self._damages[i:j]
+        del revenues[i:j]
         self._entries.insert(i, entry)
         self._damages.insert(i, d)
+        revenues.insert(i, r)
         return True
 
     def hypervolume(self, ref_revenue: float, ref_damage: float) -> float:
         """Area dominated by the archive relative to a reference point that
         is no better than any entry in either objective."""
         hv = 0.0
-        for idx, e in enumerate(self._entries):
-            d_next = (
-                self._damages[idx + 1]
-                if idx + 1 < len(self._entries)
-                else ref_damage
-            )
-            if e.objectives.damage > ref_damage:
+        damages = self._damages
+        for r, d, d_next in zip(
+            self._revenues, damages, damages[1:] + [ref_damage]
+        ):
+            if d > ref_damage:
                 break
-            hv += (e.objectives.revenue - ref_revenue) * (
-                d_next - e.objectives.damage
-            )
+            hv += (r - ref_revenue) * (d_next - d)
         return hv
 
 
 def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
-    """Fast nondominated sort; returns index fronts F1, F2, ..."""
+    """Nondominated fronts F1, F2, ... as lists of indices into `points`.
+
+    Returns exactly what the fast nondominated sort of Deb et al. (NSGA-II,
+    2002) returns, order included: F1 in index order, and F(i+1) in the
+    order its decrement queue emits points, which is by the largest
+    position in F(i) of a point that dominates it, then by index.
+    Survivors and tournaments are taken in this order, so it fixes the
+    random stream and the archive of a seeded `evolve`.
+
+    Two objectives allow O(N log N) (Jensen, 2003). Ranks come from one
+    sweep in (revenue down, damage up) order: every point seen before a
+    new one has at least its revenue, so a front dominates it exactly when
+    the front's least damage so far is no larger, and those least damages
+    rise with the front. Identical points share a rank.
+    """
     n = len(points)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    dom_count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            if dominates(points[p], points[q]):
-                dominated_by[p].append(q)
-            elif dominates(points[q], points[p]):
-                dom_count[p] += 1
-        if dom_count[p] == 0:
-            fronts[0].append(p)
-    i = 0
-    while fronts[i]:
-        nxt = []
-        for p in fronts[i]:
-            for q in dominated_by[p]:
-                dom_count[q] -= 1
-                if dom_count[q] == 0:
-                    nxt.append(q)
-        i += 1
-        fronts.append(nxt)
-    fronts.pop()
+    order = sorted(range(n), key=lambda i: (-points[i].revenue, points[i].damage))
+    rank = [0] * n
+    least_damage: list[float] = []
+    prev = None
+    f = 0
+    for i in order:
+        p = points[i]
+        if (p.revenue, p.damage) != prev:
+            prev = (p.revenue, p.damage)
+            f = bisect.bisect_right(least_damage, p.damage)
+            if f == len(least_damage):
+                least_damage.append(p.damage)
+            else:
+                least_damage[f] = p.damage
+        rank[i] = f
+    members: list[list[int]] = [[] for _ in least_damage]
+    for i in range(n):
+        members[rank[i]].append(i)
+    fronts = members[:1]
+    for nxt in members[1:]:
+        # sorted by damage, the last front also rises in revenue, so the
+        # points dominating q are one contiguous run of it
+        last = [points[i] for i in fronts[-1]]
+        by_damage = sorted(
+            range(len(last)), key=lambda k: (last[k].damage, last[k].revenue)
+        )
+        damages = [last[k].damage for k in by_damage]
+        revenues = [last[k].revenue for k in by_damage]
+        # sparse table: table[j][x] is the largest position in
+        # by_damage[x : x + 2**j]
+        table = [by_damage]
+        while 2 ** len(table) <= len(by_damage):
+            row, half = table[-1], 2 ** (len(table) - 1)
+            table.append([a if a > b else b for a, b in zip(row, row[half:])])
+        last_dominator = {}
+        for q in nxt:
+            lo = bisect.bisect_left(revenues, points[q].revenue)
+            hi = bisect.bisect_right(damages, points[q].damage)
+            j = (hi - lo).bit_length() - 1
+            a, b = table[j][lo], table[j][hi - 2**j]
+            last_dominator[q] = a if a > b else b
+        # stable, so ties keep index order
+        fronts.append(sorted(nxt, key=last_dominator.__getitem__))
     return fronts
 
 
@@ -172,6 +201,11 @@ class EaConfig:
             raise ValueError("crossover rate must lie in [0, 1]")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation rate must lie in [0, 1]")
+        # 0 is valid: the initial population only
+        if self.max_generations < 0:
+            raise ValueError("number of generations must be nonnegative")
+        if self.hv_stall_generations < 1:
+            raise ValueError("hypervolume stall window must be at least 1")
         # random.Random would silently seed with abs(seed)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -180,12 +214,14 @@ class EaConfig:
 @dataclass(frozen=True)
 class EvolveResult:
     """The archive, its hypervolume after the initial population and after
-    each generation, and the count of untagged follower answers."""
+    each generation, the count of untagged follower answers, and why the
+    run stopped: "max_generations" or "hv_stall"."""
 
     archive: ParetoArchive
     hv_history: tuple[float, ...]
     generations_run: int
     failed_evaluations: int
+    termination_reason: str
 
 
 def _evaluate(
@@ -247,6 +283,7 @@ def evolve(
     ]
     hv_history = [archive.hypervolume(ref_r, ref_d)]
     gens = 0
+    reason = "max_generations"
     for _ in range(config.max_generations):
         points = [e.objectives for e in pop]
         fronts = nondominated_sort(points)
@@ -309,8 +346,9 @@ def evolve(
             gens >= stall
             and hv_history[-1] - hv_history[-1 - stall] < config.hv_stall_tol
         ):
+            reason = "hv_stall"
             break
-    return EvolveResult(archive, tuple(hv_history), gens, failed)
+    return EvolveResult(archive, tuple(hv_history), gens, failed, reason)
 
 
 def detect_strata_kinks(

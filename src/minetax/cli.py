@@ -190,6 +190,7 @@ def run_extended(cfg: RunConfig) -> int:
         "config": cfg.as_dict(),
         "seed": cfg.seed,
         "generations_executed": result.generations_run,
+        "termination_reason": result.termination_reason,
         "archive_size": len(entries),
         "filtered_size": len(filtered),
         "failed_evaluations": result.failed_evaluations,

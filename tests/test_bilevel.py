@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import minetax.bilevel as bilevel
 from composition import frontier_composition
 from minetax import (
     ArchiveEntry,
@@ -11,6 +14,7 @@ from minetax import (
     ParetoArchive,
     StrataTable,
     TechParams,
+    analytical_as_extended,
     best_response,
     crowding_distance,
     detect_strata_kinks,
@@ -20,6 +24,44 @@ from minetax import (
     nondominated_sort,
     reference_point,
 )
+
+
+def deb_nondominated_sort(points):
+    """Reference: the O(N^2) fast nondominated sort of Deb et al. (2002).
+
+    F1 in index order; each later front in the order its decrement queue
+    emits points.
+    """
+    n = len(points)
+    dominated_by = [[] for _ in range(n)]
+    dom_count = [0] * n
+    fronts = [[]]
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            if dominates(points[p], points[q]):
+                dominated_by[p].append(q)
+            elif dominates(points[q], points[p]):
+                dom_count[p] += 1
+        if dom_count[p] == 0:
+            fronts[0].append(p)
+    i = 0
+    while fronts[i]:
+        nxt = []
+        for p in fronts[i]:
+            for q in dominated_by[p]:
+                dom_count[q] -= 1
+                if dom_count[q] == 0:
+                    nxt.append(q)
+        i += 1
+        fronts.append(nxt)
+    fronts.pop()
+    return fronts
+
+
+def _points(pairs):
+    return [ObjectivePoint(float(r), float(d), 0.0) for r, d in pairs]
 
 
 def _entry(revenue, damage, tagged=True):
@@ -120,6 +162,65 @@ class TestNondominatedSort:
         assert len(fronts) == 1
         assert sorted(fronts[0]) == list(range(5))
 
+    def test_second_front_in_queue_order(self):
+        # F1 = [2, 3]; point 0 is dominated only by 3, point 1 only by 2,
+        # so Deb's queue emits 1 before 0
+        pts = _points([(9, 11), (0.5, 2), (1, 1), (10, 10)])
+        assert nondominated_sort(pts) == [[2, 3], [1, 0]]
+        assert deb_nondominated_sort(pts) == [[2, 3], [1, 0]]
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
+    @settings(max_examples=300)
+    def test_matches_reference_on_integer_grids(self, pairs):
+        # small grids: ties in either objective and duplicate points
+        pts = _points(pairs)
+        assert nondominated_sort(pts) == deb_nondominated_sort(pts)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), max_size=60
+        )
+    )
+    @settings(max_examples=200)
+    def test_matches_reference_on_floats(self, pairs):
+        pts = _points(pairs)
+        assert nondominated_sort(pts) == deb_nondominated_sort(pts)
+
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2))
+    def test_matches_reference_on_tiny_inputs(self, pairs):
+        pts = _points(pairs)
+        assert nondominated_sort(pts) == deb_nondominated_sort(pts)
+
+    @given(st.permutations(range(30)))
+    @settings(max_examples=50)
+    def test_chain_gives_one_front_per_point(self, perm):
+        # point i has revenue -i and damage i: each dominates all later ones
+        pts = _points([(-i, i) for i in perm])
+        fronts = nondominated_sort(pts)
+        assert fronts == deb_nondominated_sort(pts)
+        assert fronts == [[perm.index(i)] for i in range(30)]
+
+
+class TestSortInEvolve:
+    """The sort's front order picks survivors and tournament entrants, so
+    the reference sort must reproduce a seeded run exactly."""
+
+    def _same_run(self, model, cfg, monkeypatch):
+        fast = evolve(model, cfg)
+        monkeypatch.setattr(bilevel, "nondominated_sort", deb_nondominated_sort)
+        slow = evolve(model, cfg)
+        assert slow.archive.entries == fast.archive.entries
+        assert slow.hv_history == fast.hv_history
+
+    def test_analytical_embedding(self, params, monkeypatch):
+        cfg = EaConfig(population_size=100, max_generations=5, seed=4)
+        self._same_run(analytical_as_extended(params), cfg, monkeypatch)
+
+    def test_bundled_model(self, model, monkeypatch):
+        assert model.r == 0.0
+        cfg = EaConfig(population_size=20, max_generations=5, seed=6)
+        self._same_run(model, cfg, monkeypatch)
+
 
 class TestCrowdingDistance:
     def test_extremes_infinite(self):
@@ -148,6 +249,14 @@ class TestEaConfig:
         # random.Random(-1) would silently run seed 1
         with pytest.raises(ValueError, match="seed"):
             EaConfig(seed=-1)
+
+    def test_negative_generations_rejected(self):
+        with pytest.raises(ValueError, match="generations"):
+            EaConfig(max_generations=-1)
+
+    def test_empty_stall_window_rejected(self):
+        with pytest.raises(ValueError, match="stall"):
+            EaConfig(hv_stall_generations=0)
 
 
 class TestEvolve:
@@ -214,6 +323,24 @@ class TestEvolve:
     def test_no_failed_evaluations_in_deterministic_mode(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=11)
         assert evolve(model, cfg).failed_evaluations == 0
+
+    def test_zero_generations_runs_initial_population(self, model):
+        cfg = EaConfig(population_size=8, max_generations=0, seed=11)
+        result = evolve(model, cfg)
+        assert result.generations_run == 0
+        assert len(result.hv_history) == 1
+        assert len(result.archive) > 0
+        assert result.termination_reason == "max_generations"
+
+    def test_stops_on_hypervolume_stall(self, model):
+        # no gain can reach this tolerance
+        cfg = EaConfig(
+            population_size=8, max_generations=10, seed=11,
+            hv_stall_tol=1e30, hv_stall_generations=2,
+        )
+        result = evolve(model, cfg)
+        assert result.generations_run == 2
+        assert result.termination_reason == "hv_stall"
 
 
 class TestFrontierComposition:

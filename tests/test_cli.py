@@ -265,6 +265,20 @@ class TestExtendedRuns:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_negative_generations_rejected(self, tmp_path, capsys):
+        rc = main(["--model", "extended", "--pop-size", "8", "--generations",
+                   "-5", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and "generations" in err
+        assert not (tmp_path / "frontier.csv").exists()
+
+    def test_meta_records_termination_reason(self, tmp_path):
+        main(self.ARGS + ["--out", str(tmp_path)])
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["termination_reason"] == "max_generations"
+        assert meta["generations_executed"] == 5
+
 
 class TestPinnedStream:
     """Seeded output rests on random.Random(seed).random(), whose sequence
