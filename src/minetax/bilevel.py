@@ -88,15 +88,15 @@ class ParetoArchive:
         return True
 
     def hypervolume(self, ref_revenue: float, ref_damage: float) -> float:
-        """Area dominated by the archive relative to a reference point that
-        is no better than any entry in either objective."""
+        """Area dominated by the archive up to a reference point whose
+        revenue is no better than any entry's. Entries at or beyond the
+        reference damage add nothing, and the area ends at ref_damage."""
         hv = 0.0
-        damages = self._damages
+        n = bisect.bisect_left(self._damages, ref_damage)
+        damages = self._damages[:n]
         for r, d, d_next in zip(
             self._revenues, damages, damages[1:] + [ref_damage]
         ):
-            if d > ref_damage:
-                break
             hv += (r - ref_revenue) * (d_next - d)
         return hv
 

@@ -22,7 +22,6 @@ from .bilevel import ArchiveEntry, EaConfig, evolve
 from .model import (
     ModelConfig,
     default_config,
-    leader_objectives,
     load_config,
     period_profit,
 )

@@ -8,6 +8,7 @@ acceptance budgets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -181,13 +182,15 @@ def check_oracle_equivalence(
     seed: int = 7,
     grid_high: float = 90.0,
     grid_step: float = 5.0,
-    refine_sweeps: int = 3,
     tol: float = 1e-2,
 ) -> CheckResult:
     """Deterministic best response vs brute-force grid plus refinement."""
-    grid = GridSpec(
-        lows=(0.0,) * model.T, highs=(grid_high,) * model.T, step=grid_step
+    # each axis ends at the last step at or below min(grid_high, q_max_t)
+    highs = tuple(
+        grid_step * math.floor(min(grid_high, hi) / grid_step)
+        for _, hi in model.q_bounds
     )
+    grid = GridSpec(lows=(0.0,) * model.T, highs=highs, step=grid_step)
     name = "lower-solver vs grid oracle profit"
     worst = 0.0
     for strat in random_strategies(model, n_strategies, seed):
@@ -196,7 +199,7 @@ def check_oracle_equivalence(
         except ValueError as e:
             # e.g. a non-convex cost, which the exact r = 0 solver refuses
             return CheckResult(name, False, float("inf"), detail=str(e))
-        oracle = grid_best_response(strat, model, grid, refine_sweeps=refine_sweeps)
+        oracle = grid_best_response(strat, model, grid)
         worst = max(worst, abs(solver.profit - oracle.profit))
     return CheckResult(
         name=name,
@@ -222,15 +225,16 @@ def frontier_metrics(
     curve_r = (p.alpha - p.gamma - 2.0 * (p.beta + p.delta) * curve_q) * curve_q
     rev_range = curve_r.max() - curve_r.min()
     dam_range = curve_d.max() - curve_d.min()
-    pts_r = np.array([e.objectives.revenue for e in entries])
-    pts_d = np.array([e.objectives.damage for e in entries])
-    if len(pts_r) == 0:
+    if not entries:
         return float("inf"), 0.0
-    dr = (pts_r[:, None] - curve_r[None, :]) / rev_range
-    dd = (pts_d[:, None] - curve_d[None, :]) / dam_range
-    dist = np.sqrt(dr * dr + dd * dd).min(axis=1)
-    coverage = (pts_d.max() - pts_d.min()) / dam_range
-    return float(dist.max()), float(coverage)
+    dist = 0.0
+    # one row of point-to-curve distances at a time, not an N x n_curve matrix
+    for e in entries:
+        dr = (e.objectives.revenue - curve_r) / rev_range
+        dd = (e.objectives.damage - curve_d) / dam_range
+        dist = max(dist, float(np.sqrt(dr * dr + dd * dd).min()))
+    damages = [e.objectives.damage for e in entries]
+    return dist, float((max(damages) - min(damages)) / dam_range)
 
 
 def check_frontier_convergence(

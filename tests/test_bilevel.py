@@ -142,6 +142,13 @@ class TestParetoArchive:
     def test_hypervolume_empty(self):
         assert ParetoArchive().hypervolume(0.0, 10.0) == 0.0
 
+    def test_hypervolume_clipped_at_reference_damage(self):
+        arch = ParetoArchive()
+        for r, d in [(0.3, 0.1), (0.7, 0.45), (1.1, 0.9), (2.0, 3.0)]:
+            arch.insert(_entry(r, d))
+        # 0.1*0.35 + 0.5*0.45 + 0.9*0.1; the entry past damage 1.0 adds nothing
+        assert arch.hypervolume(0.2, 1.0) == pytest.approx(0.35)
+
 
 class TestNondominatedSort:
     def test_layered_fronts(self):

@@ -39,7 +39,7 @@ class TestBestResponseFixedTech:
     def test_matches_refined_grid_oracle_at_zero_tax(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
         grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
-        oracle = grid_best_response(strat, model, grid, refine_sweeps=50)
+        oracle = grid_best_response(strat, model, grid)
         br = best_response_fixed_tech(strat, model.tech(oracle.response.a), model)
         for a, b in zip(br.response.q, oracle.response.q):
             assert a == pytest.approx(b, abs=1e-3)
@@ -107,7 +107,7 @@ class TestBestResponse:
     def test_zero_tax_matches_exhaustive_oracle(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
         grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
-        oracle = grid_best_response(strat, model, grid, refine_sweeps=50)
+        oracle = grid_best_response(strat, model, grid)
         br = best_response(strat, model)
         assert br.response.a == oracle.response.a
         assert br.profit == pytest.approx(oracle.profit, abs=1e-6)

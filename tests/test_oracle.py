@@ -1,17 +1,24 @@
 import dataclasses
+import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minetax import (
+    ExtendedModel,
     LeaderStrategy,
+    StrataTable,
+    TechParams,
     analytical_as_extended,
+    cumulative_cost,
     follower_best_response,
     optimal_tax,
 )
 from minetax.oracle import (
-    EVALUATION_CAP,
     GridSpec,
+    _grid_argmax_fixed_tech,
     grid_best_response,
     weighted_scalar_check,
 )
@@ -28,11 +35,6 @@ class TestGridSpec:
     def test_axis_includes_endpoints(self):
         g = GridSpec(lows=(0.0,), highs=(1.0,), step=0.25)
         assert list(g.axis(0)) == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert g.size == 5
-
-    def test_size_multiplies_axes(self):
-        g = GridSpec(lows=(0.0, 0.0), highs=(1.0, 2.0), step=1.0)
-        assert g.size == 6
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
@@ -51,11 +53,8 @@ class TestGridBestResponse:
     def test_single_period_interior_optimum(self, params):
         model = analytical_as_extended(params)
         grid = GridSpec(lows=(0.0,), highs=(20.0,), step=0.001)
-        br = grid_best_response(
-            LeaderStrategy(tau=(49.5,)), model, grid, refine_sweeps=0
-        )
-        assert br.response.q[0] == pytest.approx(12.375, abs=0.001)
-        assert not br.optimality_tag
+        q, _ = _grid_argmax_fixed_tech((49.5,), model.techs[0], model, grid)
+        assert q[0] == pytest.approx(12.375, abs=0.001)
 
     def test_single_period_choked(self, params):
         model = analytical_as_extended(params)
@@ -66,32 +65,25 @@ class TestGridBestResponse:
     def test_single_point_grid(self, params):
         model = analytical_as_extended(params)
         grid = GridSpec(lows=(3.0,), highs=(3.0,), step=1.0)
-        br = grid_best_response(
-            LeaderStrategy(tau=(10.0,)), model, grid, refine_sweeps=0
-        )
-        assert br.response.q == (3.0,)
+        q, _ = _grid_argmax_fixed_tech((10.0,), model.techs[0], model, grid)
+        assert q == (3.0,)
 
     def test_refinement_polishes_grid_winner(self, params):
         model = analytical_as_extended(params)
         grid = GridSpec(lows=(0.0,), highs=(20.0,), step=2.0)
-        br = grid_best_response(
-            LeaderStrategy(tau=(49.5,)), model, grid, refine_sweeps=50
-        )
+        br = grid_best_response(LeaderStrategy(tau=(49.5,)), model, grid)
         assert br.response.q[0] == pytest.approx(12.375, abs=1e-4)
         assert br.optimality_tag
 
     def test_evaluation_cap_enforced(self, model):
         grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=0.05)
-        assert grid.size * len(model.techs) > EVALUATION_CAP
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="DP steps"):
             grid_best_response(LeaderStrategy(tau=(0.0,) * 5), model, grid)
 
     def test_discounted_equivalence_within_budget(self, model):
-        # the r > 0 grid is vectorised like the r = 0 one: about 4 s here
-        # on 2 cores, where a per-point loop took about 25 minutes
         start = time.perf_counter()
         result = check_oracle_equivalence(
-            dataclasses.replace(model, r=0.05), n_strategies=5
+            dataclasses.replace(model, r=0.05), n_strategies=50
         )
         assert result.passed, result
         assert time.perf_counter() - start < 60.0
@@ -100,6 +92,92 @@ class TestGridBestResponse:
         grid = GridSpec(lows=(0.0,), highs=(10.0,), step=1.0)
         with pytest.raises(ValueError):
             grid_best_response(LeaderStrategy(tau=(0.0,) * 5), model, grid)
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_grid_stays_inside_extraction_caps(self, model, r):
+        caps = (2.0, 3.0, 4.0, 5.0, 6.0)
+        capped = dataclasses.replace(
+            model, r=r, q_bounds=tuple((0.0, h) for h in caps)
+        )
+        wide = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
+        with pytest.raises(ValueError, match="extraction box"):
+            grid_best_response(LeaderStrategy(tau=(0.0,) * 5), capped, wide)
+        result = check_oracle_equivalence(capped, n_strategies=5)
+        assert result.passed, result
+
+
+def _enumerated_argmax(tau, tech, model, grid):
+    """Reference for the grid DP: every schedule in lexicographic index
+    order, profit summed period by period as the DP sums it, first maximum
+    kept."""
+    axes = [grid.axis(t).tolist() for t in range(model.T)]
+    d = [model.discount(t) for t in range(1, model.T + 1)]
+    w = [a - b for a, b in zip(d, d[1:] + [0.0])]
+    best = None
+    for idx in itertools.product(*(range(len(a)) for a in axes)):
+        v = x = 0.0
+        for t, j in enumerate(idx):
+            q = axes[t][j]
+            x += q
+            lin = model.alpha[t] - tau[t] - tech.beta_er
+            v += d[t] * (lin * q - (model.beta[t] + tech.alpha_er) * q * q)
+            if t == model.T - 1:
+                v -= sum(d) * tech.gamma_er
+            if w[t] != 0.0:
+                v -= w[t] * cumulative_cost(x, tech, model.strata)
+        if best is None or v > best[0]:
+            best = (v, idx)
+    v, idx = best
+    return tuple(axes[t][j] for t, j in enumerate(idx)), v
+
+
+@st.composite
+def _grid_instances(draw):
+    T = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 3))
+    alpha = tuple(draw(st.floats(1.0, 100.0)) for _ in range(T))
+    beta = tuple(draw(st.floats(0.05, 5.0)) for _ in range(T))
+    tech = TechParams(
+        tech_id=1, k=1.0, alpha_er=draw(st.floats(0.0, 2.0)),
+        beta_er=draw(st.floats(0.0, 10.0)), gamma_er=draw(st.floats(0.0, 10.0)),
+        slopes=tuple(draw(st.floats(0.0, 20.0)) for _ in range(M)),
+    )
+    model = ExtendedModel(
+        T=T, alpha=alpha, beta=beta, techs=(tech,),
+        strata=StrataTable(amounts=tuple(
+            draw(st.floats(0.5, 20.0)) for _ in range(M)
+        )),
+        r=draw(st.just(0.0) | st.floats(0.01, 0.5)),
+    )
+    step = 2.0 ** draw(st.integers(-2, 3))
+    lows = tuple(0.25 * draw(st.integers(0, 40)) for _ in range(T))
+    highs = tuple(lo + step * draw(st.integers(0, 5)) for lo in lows)
+    tau = tuple(draw(st.floats(0.0, a)) for a in alpha)
+    return tau, tech, model, GridSpec(lows=lows, highs=highs, step=step)
+
+
+class TestGridDynamicProgram:
+    """The DP against the full enumeration: same float, same grid point."""
+
+    @given(instance=_grid_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_enumeration(self, instance):
+        assert _grid_argmax_fixed_tech(*instance) == _enumerated_argmax(*instance)
+
+    def test_exact_tie_goes_to_the_first_schedule(self):
+        # two identical periods, profit 9 q - q^2 each after the linear
+        # cost: q = 4 and q = 5 tie exactly, so four schedules share the
+        # maximum 40 and only the tie rule picks one
+        tech = TechParams(tech_id=1, k=1.0, alpha_er=0.0, beta_er=0.0,
+                          gamma_er=0.0, slopes=(1.0,))
+        model = ExtendedModel(
+            T=2, alpha=(10.0, 10.0), beta=(1.0, 1.0), techs=(tech,),
+            strata=StrataTable(amounts=(100.0,)),
+        )
+        grid = GridSpec(lows=(0.0, 0.0), highs=(8.0, 8.0), step=1.0)
+        q, v = _grid_argmax_fixed_tech((0.0, 0.0), tech, model, grid)
+        assert (q, v) == _enumerated_argmax((0.0, 0.0), tech, model, grid)
+        assert q == (4.0, 4.0)
 
 
 class TestWeightedScalarCheck:
