@@ -24,6 +24,10 @@ from .model import (
 )
 from .variation import polynomial_mutation, sbx_crossover
 
+# distribution indices of SBX crossover and polynomial mutation
+ETA_CROSSOVER = 15.0
+ETA_MUTATION = 20.0
+
 
 @dataclass(frozen=True)
 class ArchiveEntry:
@@ -188,8 +192,6 @@ class EaConfig:
     max_generations: int = 100
     crossover_rate: float = 0.9
     mutation_rate: Optional[float] = None  # default 1/T
-    eta_crossover: float = 15.0
-    eta_mutation: float = 20.0
     seed: int = 0
     hv_stall_tol: float = 1e-4
     hv_stall_generations: int = 20
@@ -309,7 +311,7 @@ def evolve(
                 tournament(),
                 lows,
                 highs,
-                config.eta_crossover,
+                ETA_CROSSOVER,
                 config.crossover_rate,
                 rng,
             )
@@ -317,7 +319,7 @@ def evolve(
                 offspring.append(
                     make(
                         polynomial_mutation(
-                            c, lows, highs, config.eta_mutation, mut_rate, rng
+                            c, lows, highs, ETA_MUTATION, mut_rate, rng
                         )
                     )
                 )

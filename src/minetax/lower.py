@@ -48,7 +48,7 @@ class BestResponse:
     profit: float
     optimality_tag: bool
     # KKT residual in units of extraction; set for every answer of this
-    # module, None only from the oracle's coordinate ascent
+    # module, None from the grid oracle, whose answers are lattice optima
     kkt_residual: Optional[float] = None
 
 

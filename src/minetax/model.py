@@ -75,8 +75,9 @@ class TechParams:
             "technology parameters",
             (self.k, self.alpha_er, self.beta_er, self.gamma_er) + self.slopes,
         )
-        if self.k <= 0:
-            raise ValueError("pollution coefficient k must be positive")
+        # k = 0, a technology that does no damage, as in AnalyticalParams
+        if self.k < 0:
+            raise ValueError("pollution coefficient k must be nonnegative")
         if min(self.alpha_er, self.beta_er, self.gamma_er) < 0:
             raise ValueError("cost coefficients must be nonnegative")
         # slope 0 is allowed so the analytical model embeds as a degenerate

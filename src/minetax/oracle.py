@@ -1,13 +1,10 @@
-"""Brute-force grid verifiers and the coordinate-ascent polish of the grid
-winner. Test/verification support only: the solver modules never call into
-this code, and of the lower solver it uses only the result type and the
-optimistic tie-break."""
+"""Brute-force grid verifiers. Test/verification support only: the solver
+modules never call into this code, and of the lower solver it uses only
+the result type and the optimistic tie-break."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,247 +18,13 @@ from .model import (
     cumulative_cost,
 )
 
-# DP steps one grid_best_response may take over all technologies: about
-# 4-7 s at the 1.4-2.3e6 steps/s measured on 2 shared cores (Python 3.11)
+# DP steps the exhaustive grid of one grid_best_response may take over all
+# technologies, before refinement: about 4-7 s at the 1.4-2.3e6 steps/s
+# measured on 2 shared cores (Python 3.11)
 EVALUATION_CAP = 10**7
 
-# coordinate-ascent sweeps that polish each grid winner
-POLISH_SWEEPS = 3
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-STATIONARITY_TOL = 1e-4
-_FD_STEP = 1e-5
-
-
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, xtol: float = 1e-9
-) -> float:
-    """Maximizer of a unimodal f on [lo, hi] to within xtol."""
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    # snap to the lower boundary when it is at least as good
-    if x - lo < 10.0 * xtol and f(lo) >= f(x):
-        return lo
-    return x
-
-
-class _ProfitEvaluator:
-    """Fast repeated evaluation of total profit for fixed (tau, tech)."""
-
-    def __init__(self, tau: Sequence[float], tech: TechParams, model: ExtendedModel):
-        self.tau = tuple(tau)
-        self.tech = tech
-        self.model = model
-        self.T = model.T
-        # per-period coefficients of the separable quadratic part:
-        # (alpha_t - tau_t - beta_er) q - (beta_t + alpha_er) q^2
-        self.lin = tuple(
-            model.alpha[t] - self.tau[t] - tech.beta_er for t in range(self.T)
-        )
-        self.quad = tuple(model.beta[t] + tech.alpha_er for t in range(self.T))
-        self.fixed = -tech.gamma_er * sum(
-            model.discount(t) for t in range(1, self.T + 1)
-        )
-
-    def total(self, q: Sequence[float]) -> float:
-        m, tech = self.model, self.tech
-        if m.r == 0.0:
-            s = self.fixed
-            cum = 0.0
-            for t in range(self.T):
-                x = q[t]
-                s += (self.lin[t] - self.quad[t] * x) * x
-                cum += x
-            return s - cumulative_cost(cum, tech, m.strata)
-        total = 0.0
-        prev_cum = 0.0
-        prev_cost = 0.0
-        for t in range(self.T):
-            x = q[t]
-            cum = prev_cum + x
-            cost = cumulative_cost(cum, tech, m.strata)
-            pi = (
-                (self.lin[t] - self.quad[t] * x) * x
-                - tech.gamma_er
-                - (cost - prev_cost)
-            )
-            total += m.discount(t + 1) * pi
-            prev_cum, prev_cost = cum, cost
-        return total
-
-    def coord_objective(self, q: Sequence[float], t: int) -> Callable[[float], float]:
-        """Profit as a function of q[t] alone, up to an additive constant."""
-        m, tech = self.model, self.tech
-        if m.r == 0.0:
-            rest = sum(q) - q[t]
-            lin, quad = self.lin[t], self.quad[t]
-            strata = m.strata
-
-            def g(x: float) -> float:
-                return (lin - quad * x) * x - cumulative_cost(rest + x, tech, strata)
-
-            return g
-        work = list(q)
-
-        def g_general(x: float) -> float:
-            work[t] = x
-            return self.total(work)
-
-        return g_general
-
-
-def _stationary(
-    ev: _ProfitEvaluator, q: list[float], hi: Sequence[float]
-) -> bool:
-    """Check that no coordinate admits a first-order improving direction."""
-    base = ev.total(q)
-    for t in range(ev.T):
-        x = q[t]
-        if x + _FD_STEP <= hi[t]:
-            q[t] = x + _FD_STEP
-            if (ev.total(q) - base) / _FD_STEP > STATIONARITY_TOL:
-                q[t] = x
-                return False
-            q[t] = x
-        if x - _FD_STEP >= 0.0:
-            q[t] = x - _FD_STEP
-            if (ev.total(q) - base) / _FD_STEP > STATIONARITY_TOL:
-                q[t] = x
-                return False
-            q[t] = x
-    return True
-
-
-def _transfer_sweep(
-    ev: _ProfitEvaluator, q: list[float], hi: Sequence[float]
-) -> float:
-    """Redistribute extraction between period pairs at fixed total.
-
-    Coordinate moves alone can stall where the cumulative total sits on a
-    stratum kink; transfers stay on the kink plane, where the objective is
-    smooth, and escape those stalls. With no discounting the pair-optimal
-    transfer has a closed form (the cumulative term is constant on the
-    plane). Returns the largest transfer applied.
-    """
-    m = ev.model
-    moved = 0.0
-    for s in range(ev.T):
-        for t in range(s + 1, ev.T):
-            lo_d = max(-q[s], q[t] - hi[t])
-            hi_d = min(hi[s] - q[s], q[t])
-            if hi_d - lo_d <= 1e-12:
-                continue
-            if m.r == 0.0:
-                denom = 2.0 * (ev.quad[s] + ev.quad[t])
-                delta = (
-                    ev.lin[s]
-                    - 2.0 * ev.quad[s] * q[s]
-                    - ev.lin[t]
-                    + 2.0 * ev.quad[t] * q[t]
-                ) / denom
-                delta = min(max(delta, lo_d), hi_d)
-                q[s] += delta
-                q[t] -= delta
-                moved = max(moved, abs(delta))
-            else:
-                base = list(q)
-
-                def g(d: float) -> float:
-                    base[s] = q[s] + d
-                    base[t] = q[t] - d
-                    return ev.total(base)
-
-                delta = golden_section_max(g, lo_d, hi_d, xtol=1e-10)
-                if abs(delta) <= 1e-12:
-                    continue
-                before = ev.total(q)
-                q[s] += delta
-                q[t] -= delta
-                if ev.total(q) <= before:
-                    q[s] -= delta
-                    q[t] += delta
-                else:
-                    moved = max(moved, abs(delta))
-    return moved
-
-
-def coordinate_ascent(
-    strat: LeaderStrategy,
-    tech: TechParams,
-    model: ExtendedModel,
-    start: Optional[Sequence[float]] = None,
-    max_sweeps: int = 200,
-) -> BestResponse:
-    """Profit-maximizing schedule for fixed taxes and technology, any r.
-
-    Cyclic coordinate ascent; each coordinate solved by golden-section
-    search over [0, q_max_t], alternated with pairwise fixed-total
-    transfers so stratum kinks cannot trap the iterate. Converged when no
-    coordinate moves more than 1e-7 in a full sweep (or the profit
-    stops improving measurably, which is the double-precision limit).
-    """
-    if len(strat.tau) != model.T:
-        raise ValueError("strategy length must equal the horizon T")
-    ev = _ProfitEvaluator(strat.tau, tech, model)
-    hi = [b[1] for b in model.q_bounds]
-    q = [0.0] * model.T if start is None else [float(x) for x in start]
-    converged = False
-    sweeps_left = max_sweeps
-    while sweeps_left > 0:
-        converged = False
-        prev_profit = ev.total(q)
-        while sweeps_left > 0:
-            sweeps_left -= 1
-            move = 0.0
-            for t in range(model.T):
-                g = ev.coord_objective(q, t)
-                x = golden_section_max(g, 0.0, hi[t], xtol=1e-9)
-                move = max(move, abs(x - q[t]))
-                q[t] = x
-            profit = ev.total(q)
-            if move <= 1e-7:
-                converged = True
-                break
-            if move <= 1e-3 and abs(profit - prev_profit) <= 1e-10 * max(
-                1.0, abs(profit)
-            ):
-                converged = True
-                break
-            prev_profit = profit
-        if not converged:
-            break
-        for _ in range(50):
-            if _transfer_sweep(ev, q, hi) <= 1e-9:
-                break
-        else:
-            continue
-        # transfers settled; one more coordinate pass to confirm stability
-        stable = True
-        for t in range(model.T):
-            g = ev.coord_objective(q, t)
-            x = golden_section_max(g, 0.0, hi[t], xtol=1e-9)
-            if abs(x - q[t]) > 1e-5:
-                stable = False
-            q[t] = x
-        if stable:
-            break
-    tag = converged and _stationary(ev, q, hi)
-    resp = FollowerResponse(q=tuple(q), a=tech.tech_id)
-    return BestResponse(response=resp, profit=ev.total(q), optimality_tag=tag)
-
+# halvings of the grid step that refine each technology's grid winner
+REFINE_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -278,8 +41,12 @@ class GridSpec:
         if any(lo > hi for lo, hi in zip(self.lows, self.highs)):
             raise ValueError("grid bounds must be ordered")
 
-    def axis(self, i: int) -> np.ndarray:
-        return np.arange(self.lows[i], self.highs[i] + self.step / 2.0, self.step)
+    def axis(self, i: int) -> list[float]:
+        """The points lows[i] + k * step, k = 0, 1, ..., up to highs[i]."""
+        lo, hi = self.lows[i], self.highs[i]
+        # one point more than the division promises, in case it rounds down
+        n = int((hi - lo) / self.step) + 2
+        return [x for x in (lo + k * self.step for k in range(n)) if x <= hi]
 
 
 def _grid_argmax_fixed_tech(
@@ -311,14 +78,15 @@ def _grid_argmax_fixed_tech(
     # largest profit and, among exact ties, the first schedule
     levels = {0.0: (0.0, ())}
     for t in range(model.T):
-        axis = grid.axis(t).tolist()
+        axis = grid.axis(t)
         lin = model.alpha[t] - tau[t] - tech.beta_er
         quad = model.beta[t] + tech.alpha_er
         gains = [d[t] * (lin * q - quad * q * q) for q in axis]
         # adding 0.0 leaves every float unchanged
         fixed = sum(d) * tech.gamma_er if t == model.T - 1 else 0.0
+        # w_t C(X) is 0.0 where w_t = 0 (every t < T at r = 0)
         costs = {
-            x: w[t] * cumulative_cost(x, tech, model.strata)
+            x: w[t] * cumulative_cost(x, tech, model.strata) if w[t] else 0.0
             for x in {x_prev + q for x_prev in levels for q in axis}
         }
         nxt = {}
@@ -334,13 +102,61 @@ def _grid_argmax_fixed_tech(
     return q, -loss
 
 
+def _refine(
+    tau: tuple[float, ...],
+    tech: TechParams,
+    model: ExtendedModel,
+    q: tuple[float, ...],
+    step: float,
+) -> tuple[tuple[float, ...], float]:
+    """Best schedule, and its profit, on the lattice of q refined to step
+    step / 2**REFINE_HALVINGS, within the extraction box.
+
+    In the prefix sums X_t the profit is sum_t d_t g_t(X_t - X_{t-1})
+    - sum_t w_t C(X_t) with concave g_t and w_t >= 0; with nondecreasing
+    slopes C is convex, and the profit is L-natural-concave on every
+    lattice h Z^T. There a schedule that no move X + h chi_S or X - h chi_S
+    improves is best on the whole lattice (Murota, Discrete Convex
+    Analysis, SIAM 2003, ch. 7), and such a move changes each q_t by at
+    most h. So each halving of h searches the window of +-2h per period
+    around the incumbent with the grid DP, and recentres while the winner
+    lies on a window edge the box does not impose. It recentres only while
+    the profit strictly rises: at fine steps float ties would let it walk.
+    """
+    box = model.q_bounds
+    q, value = _grid_argmax_fixed_tech(tau, tech, model, GridSpec(q, q, step))
+    for _ in range(REFINE_HALVINGS):
+        step /= 2.0
+        while True:
+            # +-2 steps per period, cut to the lattice points inside the box
+            lows = tuple(
+                next(x - k * step for k in (2, 1, 0) if x - k * step >= lo)
+                for x, (lo, _) in zip(q, box)
+            )
+            highs = tuple(min(x + 2.0 * step, hi) for x, (_, hi) in zip(q, box))
+            best, best_value = _grid_argmax_fixed_tech(
+                tau, tech, model, GridSpec(lows, highs, step)
+            )
+            if best_value <= value:
+                break
+            q, value = best, best_value
+            # a free edge: a neighbour inside the box but outside the window
+            if not any(
+                lo <= x - step < w_lo or w_hi < x + step <= hi
+                for x, w_lo, w_hi, (lo, hi) in zip(q, lows, highs, box)
+            ):
+                break
+    return q, value
+
+
 def grid_best_response(
     strat: LeaderStrategy,
     model: ExtendedModel,
     grid: GridSpec,
 ) -> BestResponse:
     """Exhaustive grid search over schedules and technologies, each grid
-    winner polished by POLISH_SWEEPS coordinate-ascent sweeps."""
+    winner refined on the grid's lattice by _refine. The answer is tagged
+    optimal, on the finest lattice, where the slopes are nondecreasing."""
     if len(grid.lows) != model.T:
         raise ValueError("grid dimension must equal the horizon T")
     # DP steps: the levels of X_{t-1} times |axis_t|, summed over t
@@ -357,8 +173,14 @@ def grid_best_response(
     candidates = []
     for tech in model.techs:
         q, _ = _grid_argmax_fixed_tech(strat.tau, tech, model, grid)
+        q, profit = _refine(strat.tau, tech, model, q, grid.step)
+        convex = all(a <= b for a, b in zip(tech.slopes, tech.slopes[1:]))
         candidates.append(
-            coordinate_ascent(strat, tech, model, start=q, max_sweeps=POLISH_SWEEPS)
+            BestResponse(
+                response=FollowerResponse(q=q, a=tech.tech_id),
+                profit=profit,
+                optimality_tag=convex,
+            )
         )
     return _pick_optimistic(candidates, strat, model)
 
@@ -370,7 +192,7 @@ def weighted_scalar_check(
     its closed-form best response. Returns (tau, objective value)."""
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
-    taus = grid.axis(0)
+    taus = np.array(grid.axis(0))
     qs = np.maximum(0.0, (p.alpha - p.gamma - taus) / (2.0 * (p.beta + p.delta)))
     values = w * taus * qs - (1.0 - w) * p.k * qs
     i = int(np.argmax(values))

@@ -8,7 +8,6 @@ acceptance budgets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,12 +90,19 @@ def check_threshold(p: AnalyticalParams, step: float = 1e-9) -> CheckResult:
 
 
 def check_frontier_endpoints(p: AnalyticalParams) -> CheckResult:
+    """The sweep runs from no extraction, induced at the feasibility
+    threshold, to the revenue optimum. With k = 0 the threshold is 0 and
+    every weight has the revenue optimum, so both ends are that point."""
     sweep = ana.pareto_sweep(p, 100)
     low, high = sweep[0], sweep[-1]
     expected = ana.solve_weighted(1.0, p)
+    if ana.feasibility_threshold(p) == 0.0:
+        low_revenue, low_damage = expected.revenue, expected.damage
+    else:
+        low_revenue = low_damage = 0.0
     dev = max(
-        abs(low.revenue),
-        abs(low.damage),
+        abs(low.revenue - low_revenue),
+        abs(low.damage - low_damage),
         abs(high.revenue - expected.revenue),
         abs(high.damage - expected.damage),
     )
@@ -185,11 +191,7 @@ def check_oracle_equivalence(
     tol: float = 1e-2,
 ) -> CheckResult:
     """Deterministic best response vs brute-force grid plus refinement."""
-    # each axis ends at the last step at or below min(grid_high, q_max_t)
-    highs = tuple(
-        grid_step * math.floor(min(grid_high, hi) / grid_step)
-        for _, hi in model.q_bounds
-    )
+    highs = tuple(min(grid_high, hi) for _, hi in model.q_bounds)
     grid = GridSpec(lows=(0.0,) * model.T, highs=highs, step=grid_step)
     name = "lower-solver vs grid oracle profit"
     worst = 0.0
@@ -227,13 +229,18 @@ def frontier_metrics(
     dam_range = curve_d.max() - curve_d.min()
     if not entries:
         return float("inf"), 0.0
+    # with k = 0 nothing does damage: there is no damage range to scale by,
+    # and any archive spans all of it
+    dam_scale = dam_range or 1.0
     dist = 0.0
     # one row of point-to-curve distances at a time, not an N x n_curve matrix
     for e in entries:
         dr = (e.objectives.revenue - curve_r) / rev_range
-        dd = (e.objectives.damage - curve_d) / dam_range
+        dd = (e.objectives.damage - curve_d) / dam_scale
         dist = max(dist, float(np.sqrt(dr * dr + dd * dd).min()))
     damages = [e.objectives.damage for e in entries]
+    if dam_range == 0.0:
+        return dist, 1.0
     return dist, float((max(damages) - min(damages)) / dam_range)
 
 

@@ -343,6 +343,29 @@ class TestVerify:
         assert rc == EXIT_OK
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_zero_damage_instance_passes(self, tmp_path, capsys, r):
+        # k = 0: the feasibility threshold is 0, the frontier is the revenue
+        # optimum alone, and the embedded technology does no damage
+        cfg = _bundled()
+        cfg["analytical"]["k"] = 0
+        cfg["extended"]["r"] = r
+        path = tmp_path / "k0.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--verify", "--quick", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert "[FAIL]" not in out
+
+    def test_negative_damage_is_usage_error(self, tmp_path, capsys):
+        cfg = _bundled()
+        cfg["analytical"]["k"] = -1
+        path = tmp_path / "k-1.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--verify", "--quick", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
     def test_nonconvex_costs_fail_verification(self, nonconvex_config, capsys):
         rc = main(["--verify", "--quick", "--config", nonconvex_config])
         out = capsys.readouterr().out

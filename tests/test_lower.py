@@ -7,24 +7,40 @@ from hypothesis import strategies as st
 
 from minetax import (
     ExtendedModel,
+    FollowerResponse,
     LeaderStrategy,
     StrataTable,
     TechParams,
     best_response,
     best_response_fixed_tech,
+    follower_total_profit,
 )
 from minetax.lower import KKT_TOL, _discounted_kkt_residual, _waterfill
-from minetax.oracle import (
-    GridSpec,
-    _ProfitEvaluator,
-    coordinate_ascent,
-    grid_best_response,
-)
+from minetax.oracle import GridSpec, _refine, grid_best_response
 from minetax.verify import random_strategies
+
+# the grid of criterion 5: 0, 5, ..., 90 per period
+BUNDLED_GRID = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
 
 
 def _prohibitive(model):
     return LeaderStrategy(tau=tuple(model.alpha))
+
+
+def _grid_oracle(strat, tech, model, grid=None):
+    """The refined grid oracle with the technology fixed; by default on the
+    grid of 16 steps across the widest box."""
+    if grid is None:
+        highs = tuple(hi for _, hi in model.q_bounds)
+        grid = GridSpec(lows=(0.0,) * model.T, highs=highs, step=max(highs) / 16)
+    return grid_best_response(
+        strat, dataclasses.replace(model, techs=(tech,)), grid
+    )
+
+
+def _relative_gap(exact, oracle):
+    """How far the exact profit leads the oracle's, relative to it."""
+    return (exact.profit - oracle.profit) / max(1.0, abs(exact.profit))
 
 
 class TestBestResponseFixedTech:
@@ -38,8 +54,7 @@ class TestBestResponseFixedTech:
 
     def test_matches_refined_grid_oracle_at_zero_tax(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
-        grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
-        oracle = grid_best_response(strat, model, grid)
+        oracle = grid_best_response(strat, model, BUNDLED_GRID)
         br = best_response_fixed_tech(strat, model.tech(oracle.response.a), model)
         for a, b in zip(br.response.q, oracle.response.q):
             assert a == pytest.approx(b, abs=1e-3)
@@ -59,22 +74,17 @@ class TestBestResponseFixedTech:
         assert br.response.q[1] == pytest.approx(7.0 / 1.6, abs=1e-6)
         assert br.optimality_tag
 
-    def test_iteration_cap_flags_nonconvergence(self, model):
-        strat = LeaderStrategy(tau=(0.0,) * 5)
-        br = coordinate_ascent(strat, model.tech(1), model, max_sweeps=1)
-        assert not br.optimality_tag
-
     def test_unique_optimum_from_any_start(self, model):
-        # r > 0: the exact solve against coordinate ascent from random starts
+        # r > 0: the exact solve against the grid refinement from random
+        # points of the step-5 lattice
         discounted = dataclasses.replace(model, r=0.05)
         rng = np.random.default_rng(42)
         for strat in random_strategies(model, 5, seed=11):
             for tech in model.techs:
                 a = best_response_fixed_tech(strat, tech, discounted)
-                b = coordinate_ascent(
-                    strat, tech, discounted, start=rng.uniform(0.0, 80.0, 5)
-                )
-                for x, y in zip(a.response.q, b.response.q):
+                start = tuple(5.0 * float(k) for k in rng.integers(0, 17, 5))
+                q, _ = _refine(strat.tau, tech, discounted, start, 5.0)
+                for x, y in zip(a.response.q, q):
                     assert x == pytest.approx(y, abs=1e-5)
 
     def test_tagged_solutions_satisfy_stationarity(self, model):
@@ -83,17 +93,21 @@ class TestBestResponseFixedTech:
             for tech in model.techs:
                 br = best_response_fixed_tech(strat, tech, model)
                 assert br.optimality_tag
-                ev = _ProfitEvaluator(strat.tau, tech, model)
+
+                def profit(q):
+                    resp = FollowerResponse(q=tuple(q), a=tech.tech_id)
+                    return follower_total_profit(resp, strat, model)
+
                 q = list(br.response.q)
-                base = ev.total(q)
+                base = profit(q)
                 for t in range(model.T):
                     x = q[t]
                     q[t] = x + h
-                    assert (ev.total(q) - base) / h <= 1e-4
+                    assert (profit(q) - base) / h <= 1e-4
                     q[t] = x
                     if x >= h:
                         q[t] = x - h
-                        assert (ev.total(q) - base) / h <= 1e-4
+                        assert (profit(q) - base) / h <= 1e-4
                         q[t] = x
 
 
@@ -106,8 +120,7 @@ class TestBestResponse:
 
     def test_zero_tax_matches_exhaustive_oracle(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
-        grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
-        oracle = grid_best_response(strat, model, grid)
+        oracle = grid_best_response(strat, model, BUNDLED_GRID)
         br = best_response(strat, model)
         assert br.response.a == oracle.response.a
         assert br.profit == pytest.approx(oracle.profit, abs=1e-6)
@@ -152,36 +165,35 @@ def _one_tech_model(alpha, beta, tech, amounts):
 
 
 class TestExactFollower:
-    """The r = 0 water-filling solve against coordinate ascent and by hand."""
+    """The r = 0 water-filling solve against the grid oracle and by hand."""
 
-    def test_agrees_with_coordinate_ascent(self, model):
+    def test_agrees_with_refined_grid_oracle(self, model):
         pairs = 0
         for strat in random_strategies(model, 500, seed=29):
             for tech in model.techs:
                 exact = best_response_fixed_tech(strat, tech, model)
-                ca = coordinate_ascent(strat, tech, model)
+                oracle = _grid_oracle(strat, tech, model, BUNDLED_GRID)
                 assert exact.optimality_tag
-                assert abs(exact.profit - ca.profit) <= 1e-9 * max(
-                    1.0, abs(exact.profit)
-                )
+                assert abs(_relative_gap(exact, oracle)) <= 1e-9
                 pairs += 1
         assert pairs == 2000
 
     def test_every_period_at_its_cap(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
+        caps = (2.0, 3.0, 4.0, 5.0, 6.0)
+        # the caps lie on the oracle's lattice
+        grid = GridSpec(lows=(0.0,) * 5, highs=caps, step=1.0)
         for r in (0.0, 0.05):
             capped = dataclasses.replace(
-                model, r=r,
-                q_bounds=tuple((0.0, 2.0 + t) for t in range(model.T)),
+                model, r=r, q_bounds=tuple((0.0, h) for h in caps)
             )
             for tech in model.techs:
                 br = best_response_fixed_tech(strat, tech, capped)
-                assert br.response.q == (2.0, 3.0, 4.0, 5.0, 6.0)
+                assert br.response.q == caps
                 assert br.optimality_tag
-                # golden-section search stops just short of the cap
-                ca = coordinate_ascent(strat, tech, capped)
-                assert br.profit >= ca.profit
-                assert br.profit == pytest.approx(ca.profit, abs=1e-6)
+                oracle = _grid_oracle(strat, tech, capped, grid)
+                assert oracle.response.q == br.response.q
+                assert br.profit == pytest.approx(oracle.profit, rel=1e-15)
 
     def test_total_on_breakpoint_between_slopes(self):
         # q_t(lam) = (lin_t - lam) / 2 with lin = (30, 8): S(1) = 18 > 10 and
@@ -199,7 +211,7 @@ class TestExactFollower:
         assert br.response.q == pytest.approx((10.0, 0.0), abs=1e-12)
         assert br.optimality_tag
         assert br.kkt_residual <= 1e-12
-        assert br.profit >= coordinate_ascent(strat, tech, model).profit - 1e-9
+        assert abs(_relative_gap(br, _grid_oracle(strat, tech, model))) <= 1e-9
 
 
 class TestDiscountedFollower:
@@ -223,7 +235,7 @@ class TestDiscountedFollower:
         assert br.profit == pytest.approx(210.0, abs=1e-12)
         assert br.optimality_tag
         assert br.kkt_residual <= 1e-12
-        assert br.profit >= coordinate_ascent(strat, tech, model).profit
+        assert abs(_relative_gap(br, _grid_oracle(strat, tech, model))) <= 1e-9
 
     def test_zero_caps_shut_the_mine(self, model):
         for caps in ((0.0,) * 5, (0.0, 5.0, 0.0, 5.0, 0.0)):
@@ -279,22 +291,32 @@ def _convex_instances(draw, rates=st.just(0.0)):
     return model, tech, LeaderStrategy(tau=tau)
 
 
-def _check_against_coordinate_ascent(instance):
+# two-sided bound on how far one profit may lead the other, relative to
+# max(1, |exact profit|). The oracle is best on the lattice of step
+# (widest box) / 16 / 2**REFINE_HALVINGS, so the exact solve leads it where
+# a prefix sum sits on a breakpoint off that lattice: by at most 4.1e-9
+# over 8,000 generated instances (r = 0 and r > 0, 30 halvings), against
+# 2.1e-14 for the oracle's lead, which is rounding.
+EXACT_LEAD_TOL = 1e-7
+ORACLE_LEAD_TOL = 1e-12
+
+
+def _check_against_grid_oracle(instance):
     model, tech, strat = instance
     exact = best_response_fixed_tech(strat, tech, model)
     assert exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.response.q))
     assert exact.optimality_tag
-    ca = coordinate_ascent(strat, tech, model)
-    assert exact.profit >= ca.profit - 1e-9 * max(1.0, abs(exact.profit))
+    gap = _relative_gap(exact, _grid_oracle(strat, tech, model))
+    assert -ORACLE_LEAD_TOL <= gap <= EXACT_LEAD_TOL
 
 
 @given(instance=_convex_instances())
 @settings(max_examples=200, deadline=None)
 def test_exact_follower_on_generated_convex_instances(instance):
-    _check_against_coordinate_ascent(instance)
+    _check_against_grid_oracle(instance)
 
 
 @given(instance=_convex_instances(rates=st.floats(0.01, 0.5)))
 @settings(max_examples=200, deadline=None)
 def test_exact_follower_on_generated_discounted_instances(instance):
-    _check_against_coordinate_ascent(instance)
+    _check_against_grid_oracle(instance)

@@ -34,7 +34,13 @@ from minetax.verify import (
 class TestGridSpec:
     def test_axis_includes_endpoints(self):
         g = GridSpec(lows=(0.0,), highs=(1.0,), step=0.25)
-        assert list(g.axis(0)) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert g.axis(0) == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_axis_stops_at_highs(self):
+        # highs - lows is not a whole number of steps; 3 * 0.1 rounds to
+        # 0.30000000000000004, past 0.3
+        assert GridSpec(lows=(0.0,), highs=(38.0,), step=5.0).axis(0)[-1] == 35.0
+        assert GridSpec(lows=(0.0,), highs=(0.3,), step=0.1).axis(0) == [0.0, 0.1, 0.2]
 
     def test_bad_step_rejected(self):
         with pytest.raises(ValueError):
@@ -75,6 +81,26 @@ class TestGridBestResponse:
         assert br.response.q[0] == pytest.approx(12.375, abs=1e-4)
         assert br.optimality_tag
 
+    def test_refinement_recentres_from_a_far_start(self, params):
+        # a one-point grid at q = 0: the optimum 12.375 lies ten fine steps
+        # above it, far outside the first window [0, 2]
+        model = analytical_as_extended(params)
+        grid = GridSpec(lows=(0.0,), highs=(0.0,), step=2.0)
+        br = grid_best_response(LeaderStrategy(tau=(49.5,)), model, grid)
+        assert br.response.q[0] == pytest.approx(12.375, abs=1e-6)
+
+    def test_untagged_without_convex_cost(self):
+        # the lattice certificate needs nondecreasing slopes
+        tech = TechParams(tech_id=1, k=1.0, alpha_er=0.5, beta_er=0.0,
+                          gamma_er=0.0, slopes=(2.0, 1.0))
+        model = ExtendedModel(
+            T=1, alpha=(30.0,), beta=(0.5,), techs=(tech,),
+            strata=StrataTable(amounts=(10.0, 100.0)),
+        )
+        grid = GridSpec(lows=(0.0,), highs=(30.0,), step=1.0)
+        br = grid_best_response(LeaderStrategy(tau=(0.0,)), model, grid)
+        assert not br.optimality_tag
+
     def test_evaluation_cap_enforced(self, model):
         grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=0.05)
         with pytest.raises(ValueError, match="DP steps"):
@@ -110,7 +136,7 @@ def _enumerated_argmax(tau, tech, model, grid):
     """Reference for the grid DP: every schedule in lexicographic index
     order, profit summed period by period as the DP sums it, first maximum
     kept."""
-    axes = [grid.axis(t).tolist() for t in range(model.T)]
+    axes = [grid.axis(t) for t in range(model.T)]
     d = [model.discount(t) for t in range(1, model.T + 1)]
     w = [a - b for a, b in zip(d, d[1:] + [0.0])]
     best = None
