@@ -344,8 +344,11 @@ def evolve(
         gens += 1
         hv_history.append(archive.hypervolume(ref_r, ref_d))
         stall = config.hv_stall_generations
+        # at zero reference damage every hypervolume is 0, so a flat history
+        # says nothing about progress
         if (
-            gens >= stall
+            ref_d > 0.0
+            and gens >= stall
             and hv_history[-1] - hv_history[-1 - stall] < config.hv_stall_tol
         ):
             reason = "hv_stall"

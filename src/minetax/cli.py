@@ -166,6 +166,14 @@ def run_extended(cfg: RunConfig) -> int:
     else:
         tech_filter = int(cfg.tech)
         model.tech(tech_filter)  # validate early
+    dominated = model.dominated_technologies
+    if tech_filter is None and dominated and len(dominated) == len(model.techs) - 1:
+        (top,) = set(dominated.values())
+        print(
+            f"warning: technology {top} dominates all others in cost; the mine "
+            "picks another only on a profit tie, so the free-choice frontier "
+            f"is technology {top}'s apart from ties"
+        )
     ea = EaConfig(
         population_size=cfg.pop_size,
         max_generations=cfg.generations,
@@ -190,6 +198,7 @@ def run_extended(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "generations_executed": result.generations_run,
         "termination_reason": result.termination_reason,
+        "dominated_technologies": dominated,
         "archive_size": len(entries),
         "filtered_size": len(filtered),
         "failed_evaluations": result.failed_evaluations,

@@ -10,6 +10,7 @@ All evaluation functions are pure; parameter objects are immutable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -125,6 +126,24 @@ class StrataTable:
 
 
 @dataclass(frozen=True)
+class Dominance:
+    """`dominator` is no dearer than `tech` in alpha_er, beta_er, gamma_er
+    and every stratum slope, and cheaper in at least one of them.
+
+    On every schedule, then, `tech` costs at least `fixed_gap` (the gamma_er
+    gap) more per period and at least `unit_gap` (the beta_er gap plus the
+    least slope gap) more per unit extracted, each discounted as the
+    profit is, so the mine earns at least as much with `dominator` at
+    every tax.
+    """
+
+    tech: TechParams
+    dominator: TechParams
+    fixed_gap: float
+    unit_gap: float
+
+
+@dataclass(frozen=True)
 class ExtendedModel:
     """Multi-period model: per-period prices, technologies, strata, bounds."""
 
@@ -195,6 +214,51 @@ class ExtendedModel:
     def stock(self) -> float:
         """Total resource stock; informational only (no hard constraint)."""
         return self.strata.stock
+
+    @functools.cached_property
+    def dominance(self) -> tuple[Dominance, ...]:
+        """Each technology that another one dominates, in table order, with
+        the first undominated technology (in table order) that dominates
+        it. Identical technologies dominate neither way. Computed once per
+        model."""
+        costs = [(t.alpha_er, t.beta_er, t.gamma_er) + t.slopes for t in self.techs]
+
+        def dominates(i: int, j: int) -> bool:
+            return costs[i] != costs[j] and all(
+                a <= b for a, b in zip(costs[i], costs[j])
+            )
+
+        n = len(costs)
+        top = [i for i in range(n) if not any(dominates(j, i) for j in range(n))]
+        found = []
+        for j in range(n):
+            if j in top:
+                continue
+            tech = self.techs[j]
+            dominator = self.techs[next(i for i in top if dominates(i, j))]
+            least_slope_gap = min(
+                b - a for a, b in zip(dominator.slopes, tech.slopes)
+            )
+            found.append(Dominance(
+                tech=tech,
+                dominator=dominator,
+                fixed_gap=tech.gamma_er - dominator.gamma_er,
+                unit_gap=tech.beta_er - dominator.beta_er + least_slope_gap,
+            ))
+        return tuple(found)
+
+    @functools.cached_property
+    def dominated_technologies(self) -> dict[int, int]:
+        """Id of each dominated technology: id of its dominator."""
+        return {d.tech.tech_id: d.dominator.tech_id for d in self.dominance}
+
+    @functools.cached_property
+    def convex_costs(self) -> bool:
+        """Whether every technology's stratum slopes are nondecreasing, so
+        that its cumulative cost is convex. Computed once per model."""
+        return all(
+            a <= b for t in self.techs for a, b in zip(t.slopes, t.slopes[1:])
+        )
 
     def tech(self, tech_id: int) -> TechParams:
         for t in self.techs:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,6 +350,15 @@ class TestEvolve:
         result = evolve(model, cfg)
         assert result.generations_run == 2
         assert result.termination_reason == "hv_stall"
+
+    def test_zero_damage_does_not_stall(self, params):
+        # with k = 0 the reference damage, and so every hypervolume, is 0
+        model = analytical_as_extended(dataclasses.replace(params, k=0.0))
+        cfg = EaConfig(population_size=24, max_generations=40, seed=1)
+        result = evolve(model, cfg)
+        assert set(result.hv_history) == {0.0}
+        assert result.termination_reason == "max_generations"
+        assert result.generations_run == 40
 
 
 class TestFrontierComposition:

@@ -9,6 +9,7 @@ import pytest
 
 import minetax
 from minetax import LeaderStrategy, best_response, bilevel, leader_objectives
+from test_lower import full_enumeration
 from minetax.cli import (
     EXIT_EMPTY,
     EXIT_OK,
@@ -278,6 +279,83 @@ class TestExtendedRuns:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["termination_reason"] == "max_generations"
         assert meta["generations_executed"] == 5
+
+
+def _embedding_config(tmp_path):
+    """The bundled single-period model as a T = 1 extended instance: one
+    technology, one stratum of slope gamma sized beyond any optimum."""
+    p = _bundled()["analytical"]
+    path = tmp_path / "embedding.json"
+    path.write_text(json.dumps({"extended": {
+        "T": 1, "alpha": [p["alpha"]], "beta": [p["beta"]], "r": 0.0,
+        "strata": [p["alpha"] / p["beta"]],
+        "technologies": [{"tech_id": 1, "k": p["k"], "alpha_er": p["delta"],
+                          "beta_er": 0.0, "gamma_er": 0.0,
+                          "slopes": [p["gamma"]]}],
+    }}))
+    return str(path)
+
+
+class TestDominanceReport:
+    ARGS = ["--model", "extended", "--pop-size", "8", "--generations", "5",
+            "--seed", "42"]
+
+    @staticmethod
+    def _warnings(capsys):
+        out = capsys.readouterr().out
+        return [line for line in out.splitlines() if line.startswith("warning:")]
+
+    def test_bundled_model_warns_once(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--out", str(tmp_path)]) == EXIT_OK
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["dominated_technologies"] == {"1": 4, "2": 4, "3": 4}
+        (warning,) = self._warnings(capsys)
+        assert "technology 4 dominates all others" in warning
+
+    def test_fixed_technology_run_does_not_warn(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--tech", "2", "--out", str(tmp_path)]) == EXIT_OK
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["dominated_technologies"] == {"1": 4, "2": 4, "3": 4}
+        assert self._warnings(capsys) == []
+
+    def test_analytical_embedding_reports_none(self, tmp_path, capsys):
+        config = _embedding_config(tmp_path)
+        rc = main(self.ARGS + ["--config", config, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["dominated_technologies"] == {}
+        assert self._warnings(capsys) == []
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_outputs_equal_full_enumeration(self, tmp_path, monkeypatch, r):
+        cfg = _bundled()
+        cfg["extended"]["r"] = r
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        args = ["--model", "extended", "--config", str(path), "--pop-size", "20",
+                "--generations", "10", "--seed", "3"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(a)]) == EXIT_OK
+        monkeypatch.setattr(bilevel, "best_response", full_enumeration)
+        assert main(args + ["--out", str(b)]) == EXIT_OK
+        for name in ("frontier.csv", "schedule.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_dominated_nonconvex_technology_rejected(self, tmp_path, capsys):
+        # technology 2 is dominated by technology 1, but its slopes decrease
+        cfg = _bundled()
+        cfg["extended"]["technologies"] = [
+            {"tech_id": 1, "k": 3, "alpha_er": 0.3, "beta_er": 2,
+             "gamma_er": 5, "slopes": [1, 1, 1, 1, 1]},
+            {"tech_id": 2, "k": 5, "alpha_er": 0.3, "beta_er": 4,
+             "gamma_er": 9, "slopes": [3, 3, 2, 2, 2]},
+        ]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(self.ARGS + ["--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nondecreasing" in err
 
 
 class TestPinnedStream:

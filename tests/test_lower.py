@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minetax.lower as lower
 from minetax import (
     ExtendedModel,
     FollowerResponse,
@@ -15,7 +16,14 @@ from minetax import (
     best_response_fixed_tech,
     follower_total_profit,
 )
-from minetax.lower import KKT_TOL, _discounted_kkt_residual, _waterfill
+from minetax.lower import (
+    CERT_MARGIN,
+    KKT_TOL,
+    _discounted_kkt_residual,
+    _pick_optimistic,
+    _profit_gap_bound,
+    _waterfill,
+)
 from minetax.oracle import GridSpec, _refine, grid_best_response
 from minetax.verify import random_strategies
 
@@ -320,3 +328,159 @@ def test_exact_follower_on_generated_convex_instances(instance):
 @settings(max_examples=200, deadline=None)
 def test_exact_follower_on_generated_discounted_instances(instance):
     _check_against_grid_oracle(instance)
+
+
+def _count_fixed_tech_solves(monkeypatch, tagged=True):
+    """Ids of the fixed-technology solves `best_response` makes, which it
+    looks up by module name; with tagged=False every answer is untagged."""
+    calls = []
+    solve = lower.best_response_fixed_tech
+
+    def counted(strat, tech, model):
+        calls.append(tech.tech_id)
+        br = solve(strat, tech, model)
+        return br if tagged else dataclasses.replace(br, optimality_tag=False)
+
+    monkeypatch.setattr(lower, "best_response_fixed_tech", counted)
+    return calls
+
+
+def full_enumeration(strat, model, tech_filter=None):
+    """Reference `best_response`: every technology (or the filtered one)
+    solved, the optimistic pick among them."""
+    techs = model.techs if tech_filter is None else (model.tech(tech_filter),)
+    return _pick_optimistic(
+        [best_response_fixed_tech(strat, tech, model) for tech in techs],
+        strat, model,
+    )
+
+
+class TestTechnologySkip:
+    """`best_response` solves a dominated technology only when the profit-gap
+    certificate cannot keep it out of the tie set."""
+
+    def test_prohibitive_tax_still_returns_technology_3(self, model, monkeypatch):
+        # zero extraction ties technologies 3 and 4 at profit -25, and the
+        # certificate is 0 there, so technology 3 is solved and wins the tie
+        calls = _count_fixed_tech_solves(monkeypatch)
+        br = best_response(_prohibitive(model), model)
+        assert br.response.a == 3
+        assert sorted(calls) == [3, 4]
+
+    def test_mid_range_tax_runs_one_fixed_tech_solve(self, model, monkeypatch):
+        calls = _count_fixed_tech_solves(monkeypatch)
+        strat = LeaderStrategy(tau=tuple(a / 2.0 for a in model.alpha))
+        br = best_response(strat, model)
+        assert calls == [4]
+        assert br.response.a == 4
+        assert br == full_enumeration(strat, model)
+
+    def test_untagged_dominator_certifies_nothing(self, model, monkeypatch):
+        calls = _count_fixed_tech_solves(monkeypatch, tagged=False)
+        best_response(LeaderStrategy(tau=tuple(a / 2.0 for a in model.alpha)), model)
+        assert sorted(calls) == [1, 2, 3, 4]
+
+    def test_tech_filter_solves_one_technology(self, model, monkeypatch):
+        calls = _count_fixed_tech_solves(monkeypatch)
+        best_response(_prohibitive(model), model, tech_filter=2)
+        assert calls == [2]
+
+    def test_skipped_nonconvex_technology_still_rejected(self):
+        # technology 2 is dominated by technology 1 and would be skipped,
+        # but its slopes decrease
+        convex = TechParams(tech_id=1, k=1.0, alpha_er=0.3, beta_er=1.0,
+                            gamma_er=1.0, slopes=(1.0, 1.0))
+        nonconvex = TechParams(tech_id=2, k=1.0, alpha_er=0.3, beta_er=2.0,
+                               gamma_er=9.0, slopes=(3.0, 2.0))
+        for r in (0.0, 0.05):
+            model = ExtendedModel(
+                T=2, alpha=(50.0, 55.0), beta=(0.1, 0.1),
+                techs=(convex, nonconvex), strata=StrataTable((20.0, 20.0)), r=r,
+            )
+            assert model.dominated_technologies == {2: 1}
+            with pytest.raises(ValueError, match="stratum slopes must be nondecreasing"):
+                best_response(LeaderStrategy(tau=(10.0, 10.0)), model)
+
+
+def _cost_steps(draw, n, tiny):
+    """n nonnegative cost increments: zero, tiny (near the tie tolerance)
+    or ordinary."""
+    size = st.floats(0.0, 1e-6) if tiny else st.floats(0.0, 3.0)
+    return [draw(st.one_of(st.just(0.0), size)) for _ in range(n)]
+
+
+@st.composite
+def _technology_tables(draw, rates=st.just(0.0)):
+    """Tables of 2-5 convex technologies built from one base technology:
+    each other one is the base made dearer (strict dominance, near ties
+    included), an exact duplicate, or drawn afresh (undominated mixes).
+    Taxes are drawn in the box, or prohibitive."""
+    T = draw(st.integers(1, 5))
+    M = draw(st.integers(1, 4))
+    alpha = tuple(draw(st.floats(1.0, 100.0)) for _ in range(T))
+    beta = tuple(draw(st.floats(0.05, 5.0)) for _ in range(T))
+    amounts = tuple(draw(st.floats(0.5, 50.0)) for _ in range(M))
+
+    def fresh():
+        steps = [draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))) for _ in range(M)]
+        slopes = tuple(float(x) for x in np.cumsum(steps))
+        return (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 10.0)),
+                draw(st.floats(0.0, 10.0)), slopes)
+
+    base = fresh()
+    costs = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["dearer", "duplicate", "fresh"]))
+        if kind == "fresh":
+            costs.append(fresh())
+        elif kind == "duplicate":
+            costs.append(base)
+        else:
+            tiny = draw(st.booleans())
+            extra = _cost_steps(draw, 4 + M, tiny)
+            # one shift for all slopes plus a nondecreasing extra per stratum
+            slopes = tuple(
+                s + extra[3] + e
+                for s, e in zip(base[3], np.cumsum(extra[4:]))
+            )
+            costs.append(tuple(c + e for c, e in zip(base[:3], extra[:3])) + (slopes,))
+    order = draw(st.permutations(range(len(costs))))
+    techs = tuple(
+        TechParams(tech_id=i + 1, k=draw(st.floats(0.0, 10.0)), alpha_er=costs[j][0],
+                   beta_er=costs[j][1], gamma_er=costs[j][2], slopes=costs[j][3])
+        for i, j in enumerate(order)
+    )
+    model = ExtendedModel(
+        T=T, alpha=alpha, beta=beta, techs=techs,
+        strata=StrataTable(amounts=amounts), r=draw(rates),
+    )
+    if draw(st.booleans()):
+        tau = alpha
+    else:
+        tau = tuple(draw(st.floats(0.0, a)) for a in alpha)
+    return model, LeaderStrategy(tau=tau)
+
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
+
+
+@given(instance=_technology_tables(rates=_RATES))
+@settings(max_examples=300, deadline=None)
+def test_skipping_matches_full_enumeration(instance):
+    model, strat = instance
+    assert best_response(strat, model) == full_enumeration(strat, model)
+
+
+@given(instance=_technology_tables(rates=_RATES))
+@settings(max_examples=300, deadline=None)
+def test_certificate_never_exceeds_profit_gap(instance):
+    # the bound and its fixed-cost part, which the skip also tests alone
+    model, strat = instance
+    d = [model.discount(t) for t in range(1, model.T + 1)]
+    for dom in model.dominance:
+        a = best_response_fixed_tech(strat, dom.dominator, model)
+        b = best_response_fixed_tech(strat, dom.tech, model)
+        assert a.optimality_tag
+        bound = _profit_gap_bound(a.response.q, dom, model, d)
+        margin = CERT_MARGIN * max(1.0, abs(a.profit))
+        assert max(bound, dom.fixed_gap * sum(d)) <= a.profit - b.profit + margin

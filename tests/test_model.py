@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from minetax import (
     AnalyticalParams,
+    ExtendedModel,
     FollowerResponse,
     LeaderStrategy,
     StrataTable,
@@ -99,6 +100,55 @@ class TestCumulativeCost:
     def test_table_slopes_nondecreasing(self, model):
         for tech in model.techs:
             assert list(tech.slopes) == sorted(tech.slopes)
+
+
+def _tech(tech_id, alpha_er=0.3, beta_er=2.0, gamma_er=5.0, slopes=(1.0, 2.0)):
+    return TechParams(tech_id=tech_id, k=1.0, alpha_er=alpha_er,
+                      beta_er=beta_er, gamma_er=gamma_er, slopes=slopes)
+
+
+def _table(*techs):
+    return ExtendedModel(T=1, alpha=(50.0,), beta=(0.1,), techs=techs,
+                         strata=StrataTable(amounts=(20.0, 20.0)))
+
+
+class TestTechnologyDominance:
+    def test_bundled_table(self, model):
+        # technology 4 is no dearer than any other in every coefficient
+        assert model.dominated_technologies == {1: 4, 2: 4, 3: 4}
+        assert model.convex_costs
+        # gamma_er gaps; beta_er gaps plus the least slope gaps
+        assert [d.fixed_gap for d in model.dominance] == [5.0, 3.0, 0.0]
+        assert [d.unit_gap for d in model.dominance] == pytest.approx(
+            [3.0 + 0.4, 2.0 + 0.4, 2.0 + 0.2]
+        )
+
+    def test_analytical_embedding_has_none(self, params):
+        assert analytical_as_extended(params).dominated_technologies == {}
+
+    def test_duplicates_dominate_neither_way(self):
+        assert _table(_tech(1), _tech(2)).dominated_technologies == {}
+
+    def test_tradeoff_dominates_neither_way(self):
+        cheap_rate = _tech(1, beta_er=1.0, gamma_er=6.0)
+        cheap_fixed = _tech(2, beta_er=3.0, gamma_er=4.0)
+        assert _table(cheap_rate, cheap_fixed).dominated_technologies == {}
+
+    def test_one_cheaper_coefficient_suffices(self):
+        assert _table(_tech(1, slopes=(1.0, 2.5)), _tech(2)).dominated_technologies == {1: 2}
+
+    def test_chain_maps_to_the_undominated_end(self):
+        table = _table(_tech(1, gamma_er=7.0), _tech(2, gamma_er=6.0), _tech(3))
+        assert table.dominated_technologies == {1: 3, 2: 3}
+
+    def test_first_undominated_dominator_in_table_order(self):
+        table = _table(_tech(1, gamma_er=9.0, beta_er=9.0),
+                       _tech(2, beta_er=1.0, gamma_er=6.0),
+                       _tech(3, beta_er=3.0, gamma_er=4.0))
+        assert table.dominated_technologies == {1: 2}
+
+    def test_nonconvex_slopes_detected(self):
+        assert not _table(_tech(1), _tech(2, slopes=(3.0, 2.0))).convex_costs
 
 
 class TestExtractionRateCost:
