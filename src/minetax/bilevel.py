@@ -20,7 +20,6 @@ from .model import (
     FollowerResponse,
     LeaderStrategy,
     ObjectivePoint,
-    leader_objectives,
 )
 from .variation import polynomial_mutation, sbx_crossover
 
@@ -231,7 +230,15 @@ def _evaluate(
 ) -> ArchiveEntry:
     strat = LeaderStrategy(tau=tau)
     br = best_response(strat, model, tech_filter=tech_filter)
-    obj = leader_objectives(br.response, strat, model)
+    q = br.response.q
+    # `leader_objectives`' revenue and damage, summed in its order; the
+    # profit is the solver's own
+    revenue = sum(d * x * v for d, x, v in zip(model.discount_factors, strat.tau, q))
+    obj = ObjectivePoint(
+        revenue=revenue,
+        damage=model.tech(br.response.a).k * sum(q),
+        profit=br.profit,
+    )
     return ArchiveEntry(
         strategy=strat,
         response=br.response,

@@ -270,6 +270,19 @@ class ExtendedModel:
         """Discount factor for 1-based period t."""
         return (1.0 + self.r) ** (-(t - 1))
 
+    @functools.cached_property
+    def discount_factors(self) -> tuple[float, ...]:
+        """(d_1, ..., d_T), d_t = `discount(t)`. Computed once per model."""
+        return tuple(self.discount(t) for t in range(1, self.T + 1))
+
+    @functools.cached_property
+    def cost_weights(self) -> tuple[float, ...]:
+        """(w_1, ..., w_T), w_t = d_t - d_{t+1} with d_{T+1} = 0: the
+        discounted cost is sum_t w_t C(X_t) with X_t the extraction through
+        period t. Computed once per model."""
+        d = self.discount_factors
+        return tuple(a - b for a, b in zip(d, d[1:] + (0.0,)))
+
 
 @dataclass(frozen=True)
 class LeaderStrategy:

@@ -26,6 +26,7 @@ from minetax import (
     nondominated_sort,
     reference_point,
 )
+from minetax.verify import random_strategies
 
 
 def deb_nondominated_sort(points):
@@ -300,6 +301,19 @@ class TestEvolve:
             obj = leader_objectives(e.response, e.strategy, model)
             assert obj.revenue == pytest.approx(e.objectives.revenue)
             assert obj.damage == pytest.approx(e.objectives.damage)
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_evaluate_takes_the_profit_from_the_solve(self, model, r):
+        discounted = dataclasses.replace(model, r=r)
+        for strat in random_strategies(model, 20, seed=31):
+            entry = bilevel._evaluate(strat.tau, discounted, None)
+            br = best_response(strat, discounted)
+            assert entry.response == br.response
+            assert entry.objectives.profit == br.profit
+            # revenue and damage to the bit
+            obj = leader_objectives(br.response, strat, discounted)
+            assert entry.objectives.revenue == obj.revenue
+            assert entry.objectives.damage == obj.damage
 
     def test_archive_mutually_nondominated(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=5)

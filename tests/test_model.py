@@ -308,6 +308,18 @@ class TestDiscounting:
         # damage is physical, never discounted
         assert obj.damage == obj0.damage
 
+    @pytest.mark.parametrize("r", [0.0, 0.05, 0.37])
+    def test_cached_factors_equal_discount(self, model, r):
+        discounted = ExtendedModel(
+            T=model.T, alpha=model.alpha, beta=model.beta,
+            techs=model.techs, strata=model.strata, r=r,
+        )
+        d = tuple(discounted.discount(t) for t in range(1, model.T + 1))
+        assert discounted.discount_factors == d
+        assert discounted.cost_weights == tuple(
+            a - b for a, b in zip(d, d[1:] + (0.0,))
+        )
+
 
 class TestEmbedding:
     def test_embedded_profit_matches_analytical(self, params):
