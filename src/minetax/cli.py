@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -48,20 +49,7 @@ class RunConfig:
     quick: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "config_path": self.config_path,
-            "tech": self.tech,
-            "points": self.points,
-            "pop_size": self.pop_size,
-            "generations": self.generations,
-            "seed": self.seed,
-            "out": self.out,
-            "min_revenue": self.min_revenue,
-            "max_damage": self.max_damage,
-            "verify": self.verify,
-            "quick": self.quick,
-        }
+        return asdict(self)
 
 
 def _fmt(x: float) -> str:
@@ -156,6 +144,11 @@ def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
 
 
 def run_extended(cfg: RunConfig) -> int:
+    # a NaN bound keeps no point, and meta.json cannot hold NaN or Infinity
+    for flag, bound in (("--min-revenue", cfg.min_revenue),
+                        ("--max-damage", cfg.max_damage)):
+        if bound is not None and not math.isfinite(bound):
+            raise ValueError(f"{flag} must be a finite number, got {bound}")
     models = _load(cfg)
     if models.extended is None:
         raise ValueError("config has no 'extended' section")

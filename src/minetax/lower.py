@@ -8,22 +8,27 @@ with g_t(q) = (alpha_t - tau_t - beta_er) q - (beta_t + alpha_er) q^2,
 discount factors d_t = (1 + r)^-(t-1), prefix sums X_t = q_1 + ... + q_t,
 weights w_t = d_t - d_{t+1} (d_{T+1} = 0) and the convex piecewise-linear
 cumulative cost C. The objective is strictly concave, so the optimum is
-unique, and it is found exactly: at r = 0 only X_T carries the cost, and
-water-filling on its multiplier gives the schedule. At r > 0 a guess of
-the stratum of each X_t gives the schedule in closed form, and the guess
-is refined to a fixed point; it is kept when its KKT residual certifies
-it (for 92-95% of random taxes and technologies on the bundled model, r
-from 0.01 to 0.5), and otherwise, mostly where an X_t sits on a stratum
-breakpoint, dynamic programming over the prefix sums gives the schedule.
-Every answer carries its KKT residual. Technology choice is a small
-enumeration on top; a technology that another one dominates in cost is
-solved only when a profit-gap certificate cannot rule it out of the
-follower's tie set.
+unique, and it is found exactly. At r = 0 only X_T carries the cost, and
+water-filling on its multiplier gives the schedule. At r > 0 the KKT
+conditions read q_t = clip((a_t - S_t / d_t) / (2 c_t), 0, qbar_t) and
+S_{t+1} = S_t - w_t mu_t, mu_t a subgradient of C at X_t, S_{T+1} = 0.
+Shooting on S_1 with mu_t the slope of X_t's stratum gives W(S_1) = sum_t
+w_t mu_t; a larger S_1 lowers every X_t, so S_1 - W(S_1) is increasing
+and its root is the optimum. Bounds W(lo) and W(hi) close in on the root
+until the strata agree on both sides (then the schedule is in closed
+form) or stall. Then the first X_t whose stratum differs is walked across
+its breakpoints: the root lies inside one stratum, which is fixed, or X_t
+is pinned on a breakpoint b with mu_t between its slopes, and the periods
+after t are the same problem from extraction b. Every answer carries its
+KKT residual. Technology choice is a small enumeration on top; a
+technology that another one dominates in cost is solved only when a
+profit-gap certificate cannot rule it out of the follower's tie set.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,132 +96,110 @@ def _waterfill(
     m, so lam = s_m, or it drops below the stratum's start: then the total
     sits on that breakpoint, with lam strictly between s_{m-1} and s_m.
     """
-    floor = prev_total = 0.0
+    floor = 0.0
     for m, s in enumerate(slopes):
         q = _schedule(s, periods)
         total = sum(q)
         if total < floor:
-            # S is linear between the kinks where a period meets a bound
-            ends = [v for a, c, h in periods for v in (a, a - 2.0 * c * h)]
-            lam, s_lam = slopes[m - 1], prev_total
-            for k in sorted(v for v in ends if lam < v < s) + [s]:
-                s_k = sum(_schedule(k, periods))
-                if s_k <= floor:
-                    lam += (s_lam - floor) / (s_lam - s_k) * (k - lam)
-                    return _schedule(lam, periods), lam
-                lam, s_lam = k, s_k
+            lam = _crossing(periods, floor, slopes[m - 1], s)
+            return _schedule(lam, periods), lam
         if m == len(slopes) - 1 or total <= breakpoints[m]:
             return q, s
-        floor, prev_total = breakpoints[m], total
+        floor = breakpoints[m]
     raise AssertionError("unreachable: the last stratum is unbounded")
 
 
-# The derivative V' of a concave piecewise-quadratic V on [0, H], as the
-# vertices (x, p) of a polyline with x nondecreasing and p nonincreasing,
-# from x = 0 to x = H; a vertical piece (equal x) is a kink of V. Above its
-# first vertex the curve goes on straight up and below its last straight
-# down, so each level p has one x(p) = argmax_x V(x) - p x.
-_Curve = list[tuple[float, float]]
-
-
-def _x_at(curve: _Curve, levels: Sequence[float]) -> list[float]:
-    """x(p) at each of the (descending) levels."""
-    out = []
-    i, n = 0, len(curve)
-    for p in levels:
-        while i < n and curve[i][1] > p:
-            i += 1
-        if i == 0:
-            out.append(curve[0][0])
-        elif i == n:
-            out.append(curve[-1][0])
-        else:
-            (x0, p0), (x1, p1) = curve[i - 1], curve[i]
-            out.append(x1 if p1 == p else x0 + (p0 - p) / (p0 - p1) * (x1 - x0))
-    return out
-
-
-def _level(curve: _Curve, x: float) -> float:
-    """A level p with x(p) = x, for x on the curve's domain."""
-    x0, p0 = curve[0]
-    if x <= x0:
-        return p0
-    for x1, p1 in curve[1:]:
-        if x == x1:
-            return p1
-        if x < x1:
-            return p0 + (x - x0) / (x1 - x0) * (p1 - p0)
-        x0, p0 = x1, p1
-    return p0
-
-
-def _sup_convolve(a: _Curve, b: _Curve) -> _Curve:
-    """Curve of max_y A(y) + B(x - y): x(p) is the sum of the two x(p)."""
-    levels = sorted({p for _, p in a} | {p for _, p in b}, reverse=True)
-    return [
-        (u + v, p) for u, v, p in zip(_x_at(a, levels), _x_at(b, levels), levels)
-    ]
-
-
-def _minus_cost(
-    curve: _Curve, w: float, slopes: Sequence[float], inner: Sequence[float]
-) -> _Curve:
-    """Curve of V - w C: split at the inner breakpoints, then shift stratum
-    m down by w s_m, which leaves a vertical piece at each breakpoint."""
-    end = curve[-1][0]
-    if end == 0.0:
-        return [(0.0, curve[0][1] - w * slopes[0])]
-    cuts = [b for b in inner if b < end]
-    pts: _Curve = []
-    k = 0
-    for i, (x, p) in enumerate(curve):
-        while k < len(cuts) and cuts[k] <= x:
-            b = cuts[k]
-            if b < x:
-                x0, p0 = curve[i - 1]
-                pts.append((b, p0 + (b - x0) / (x - x0) * (p - p0)))
-            k += 1
-        pts.append((x, p))
-    xs = [x for x, _ in pts]
-    bounds = [0.0] + cuts + [end]
-    out: _Curve = []
-    for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        shift = w * slopes[m]
-        first, last = bisect.bisect_right(xs, lo) - 1, bisect.bisect_left(xs, hi)
-        out.extend((x, p - shift) for x, p in pts[first : last + 1])
-    return out
-
-
-def _discounted_schedule(
-    periods: _Periods, d: Sequence[float], w: Sequence[float],
-    slopes: Sequence[float], inner: Sequence[float],
-) -> list[float]:
-    """Exact r > 0 optimum by dynamic programming over the prefix sums.
-
-    V_1(X) = d_1 g_1(X) - w_1 C(X) and V_t(X) = max_y [V_{t-1}(y)
-    + d_t g_t(X - y)] - w_t C(X) are concave, so each is kept as its
-    derivative curve. X_T is where V_T' crosses 0; going back, the level
-    at which the sup-convolution passes through X_t splits it into X_{t-1}
-    and q_t, each read from its own curve, so bounds come out exact.
+def _crossing(periods: _Periods, target: float, lo: float, hi: float) -> float:
+    """The lam in [lo, hi] at which sum_t q_t(lam) of `_schedule` falls to
+    target. The sum is nonincreasing and linear between the kinks where a
+    period meets a bound; lo or hi is returned where rounding leaves the
+    sum at lo at most target, or at hi above it.
     """
-    g = [
-        [(0.0, dt * a), (h, dt * (a - 2.0 * c * h))]
-        for (a, c, h), dt in zip(periods, d)
-    ]
-    # U_1 = d_1 g_1 and U_t = V_{t-1} (+) d_t g_t, with V_t = U_t - w_t C
-    convolved = [g[0]]
-    values = [_minus_cost(g[0], w[0], slopes, inner)]
-    for t in range(1, len(periods)):
-        convolved.append(_sup_convolve(values[-1], g[t]))
-        values.append(_minus_cost(convolved[-1], w[t], slopes, inner))
-    x = _x_at(values[-1], [0.0])[0]
-    q = [0.0] * len(periods)
-    for t in range(len(periods) - 1, 0, -1):
-        p = _level(convolved[t], x)
-        q[t] = _x_at(g[t], [p])[0]
-        x = _x_at(values[t - 1], [p])[0]
-    q[0] = min(max(x, 0.0), periods[0][2])
-    return q
+    s_lo = sum(_schedule(lo, periods))
+    if s_lo <= target:
+        return lo
+    ends = [v for a, c, h in periods for v in (a, a - 2.0 * c * h)]
+    for k in sorted(v for v in ends if lo < v < hi) + [hi]:
+        s_k = sum(_schedule(k, periods))
+        if s_k <= target:
+            return lo + (s_lo - target) / (s_lo - s_k) * (k - lo)
+        lo, s_lo = k, s_k
+    return hi
+
+
+def _shoot(
+    t0: int, x0: float, periods: _Periods, d: Sequence[float],
+    w: Sequence[float], slopes: Sequence[float], inner: Sequence[float],
+) -> tuple[list[float], float]:
+    """Optimal q_t from period t0 on, given X_{t0-1} = x0, by shooting on
+    S_{t0} (see the module docstring): the schedule to T, or, when X_{t*}
+    is pinned on a breakpoint b, the schedule to t* and b."""
+    T = len(periods)
+
+    def run(s: float, fixed: list[int]) -> tuple[list[int], float]:
+        """The strata m_t of the X_t from S_{t0} = s, the first len(fixed)
+        of them given, and W(s) = sum_t w_t slopes[m_t]."""
+        m, x, total = fixed[:], x0, 0.0
+        for t in range(t0, T):
+            a, c, h = periods[t]
+            v = (a - s / d[t]) / (2.0 * c)
+            x += 0.0 if v <= 0.0 else h if v >= h else v
+            if t - t0 == len(m):
+                m.append(bisect.bisect_left(inner, x))
+            u = w[t] * slopes[m[t - t0]]
+            s -= u
+            total += u
+        return m, total
+
+    # W is nonincreasing in s, so W(lo) and W(hi) bound the root in turn
+    base, top = slopes[bisect.bisect_left(inner, x0)], slopes[-1]
+    lo = sum(w[t] * base for t in range(t0, T))
+    hi = sum(w[t] * top for t in range(t0, T))
+    fixed: list[int] = []
+    m_lo, w_lo = run(lo, fixed)
+    m_hi, w_hi = run(hi, fixed)
+    while m_lo != m_hi:
+        if w_lo < hi:
+            hi = w_lo
+            m_hi, w_hi = run(hi, fixed)
+        elif w_hi > lo:
+            lo = w_hi
+            m_lo, w_lo = run(lo, fixed)
+        else:
+            # stalled: the strata agree before period t0 + k, whose X falls
+            # across breakpoints from lo to hi. There S_t = s - P_t, with P_t
+            # the cost terms before t, so q_t(s) is `_schedule` of head
+            k = next(i for i, (u, v) in enumerate(zip(m_lo, m_hi)) if u != v)
+            fixed = m_lo[:k]
+            cost = (w[t] * slopes[m] for t, m in zip(range(t0, T), fixed))
+            head = [
+                (dt * a + p, dt * c, h)
+                for (a, c, h), dt, p in zip(
+                    periods[t0:], d[t0:], itertools.accumulate(cost, initial=0.0)
+                )
+            ]
+            # at the crossing s of each breakpoint, s - W(s) with the slope
+            # above it and with the one below it tells where the root is
+            stratum = m_hi[k]
+            for j in range(m_lo[k] - 1, m_hi[k] - 1, -1):
+                s = _crossing(head, inner[j] - x0, lo, hi)
+                if s >= run(s, fixed + [j + 1])[1]:
+                    hi, stratum = s, j + 1  # below s
+                    break
+                if s > run(s, fixed + [j])[1]:  # at s: X is pinned
+                    return _schedule(s, head), inner[j]
+                lo = s  # above s
+            fixed.append(stratum)
+            m_lo, w_lo = run(lo, fixed)
+            m_hi, w_hi = run(hi, fixed)
+    # the strata hold on [lo, hi], so S_t = sum_{s>=t} w_s slopes[m_s]
+    q, s = [0.0] * (T - t0), 0.0
+    for t in range(T - 1, t0 - 1, -1):
+        a, c, h = periods[t]
+        s += w[t] * slopes[m_lo[t - t0]]
+        v = (a - s / d[t]) / (2.0 * c)
+        q[t - t0] = 0.0 if v <= 0.0 else h if v >= h else v
+    return q, x0
 
 
 def _discounted_kkt_residual(
@@ -241,10 +224,9 @@ def _discounted_kkt_residual(
     lo = hi = residual = 0.0
     for t in range(len(q) - 1, -1, -1):
         a, c, h = periods[t]
-        m = bisect.bisect_left(inner, prefix[t] - eps)
-        c_lo = slopes[m]
-        on_breakpoint = m < len(inner) and inner[m] <= prefix[t] + eps
-        c_hi = slopes[m + 1] if on_breakpoint else c_lo
+        # the slopes below and above every breakpoint within eps of X_t
+        c_lo = slopes[bisect.bisect_left(inner, prefix[t] - eps)]
+        c_hi = slopes[bisect.bisect_right(inner, prefix[t] + eps)]
         lo, hi = lo + w[t] * c_lo, hi + w[t] * c_hi
         grad = d[t] * (a - 2.0 * c * q[t])
         need_lo = -math.inf if q[t] >= h - eps else grad
@@ -259,49 +241,18 @@ def _discounted_kkt_residual(
     return residual
 
 
-def _stratum_fixed_point(
-    periods: _Periods, d: Sequence[float], w: Sequence[float],
-    slopes: Sequence[float], inner: Sequence[float],
-) -> list[float]:
-    """The r > 0 schedule for a guessed stratum m_t of each prefix sum X_t.
-
-    With X_t inside stratum m_t, the subgradient of C there is slopes[m_t],
-    so S_t = sum_{s>=t} w_s slopes[m_s] and stationarity gives q_t in
-    closed form. From m = 0, each round sets m_t to the stratum of the new
-    X_t. A larger m raises S, which lowers q and the X_t, so the round is
-    order-reversing: from the bottom, even rounds climb and odd rounds
-    descend, and the rounds end in a fixed point or a 2-cycle. The last
-    schedule is returned either way; only the KKT residual tells whether
-    it is the optimum (it is not when an X_t is pinned on a breakpoint).
-    """
-    T = len(periods)
-    m, prev = [0] * T, None
-    while True:
-        q, S = [0.0] * T, 0.0
-        for t in range(T - 1, -1, -1):
-            a, c, h = periods[t]
-            S += w[t] * slopes[m[t]]
-            x = (a - S / d[t]) / (2.0 * c)
-            q[t] = 0.0 if x <= 0.0 else h if x >= h else x
-        new, total = [], 0.0
-        for v in q:
-            total += v
-            new.append(bisect.bisect_left(inner, total))
-        if new == m or new == prev:
-            return q
-        m, prev = new, m
-
-
 def _discounted_best_response(
     periods: _Periods, tech: TechParams, model: ExtendedModel
 ) -> BestResponse:
     d, w = model.discount_factors, model.cost_weights
     inner = model.strata.breakpoints[:-1]
-    q = _stratum_fixed_point(periods, d, w, tech.slopes, inner)
+    # a pinned X_t leaves the periods after t as the same problem from b
+    q: list[float] = []
+    x0 = 0.0
+    while len(q) < len(periods):
+        tail, x0 = _shoot(len(q), x0, periods, d, w, tech.slopes, inner)
+        q += tail
     residual = _discounted_kkt_residual(q, periods, d, w, tech.slopes, inner)
-    if residual > KKT_TOL * max(1.0, sum(q)):
-        q = _discounted_schedule(periods, d, w, tech.slopes, inner)
-        residual = _discounted_kkt_residual(q, periods, d, w, tech.slopes, inner)
     profit = x = prev_cost = 0.0
     for (a, c, _), dt, v in zip(periods, d, q):
         x += v

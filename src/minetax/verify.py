@@ -199,7 +199,7 @@ def check_oracle_equivalence(
         try:
             solver = best_response(strat, model)
         except ValueError as e:
-            # e.g. a non-convex cost, which the exact r = 0 solver refuses
+            # e.g. a non-convex cost, which the exact solvers refuse
             return CheckResult(name, False, float("inf"), detail=str(e))
         oracle = grid_best_response(strat, model, grid)
         worst = max(worst, abs(solver.profit - oracle.profit))

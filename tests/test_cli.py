@@ -198,6 +198,10 @@ class TestExtendedRuns:
         assert meta["seed"] == 42
         assert meta["archive_size"] >= len(rows)
         assert meta["config"]["pop_size"] == 8
+        assert list(meta["config"]) == [
+            "model", "config_path", "tech", "points", "pop_size", "generations",
+            "seed", "out", "min_revenue", "max_damage", "verify", "quick",
+        ]
         assert meta["failed_evaluations"] == 0
         assert meta["wall_time_seconds"] > 0
 
@@ -247,6 +251,16 @@ class TestExtendedRuns:
         assert rc == EXIT_EMPTY
         assert _read_csv(tmp_path / "frontier.csv") == []
         assert "warning" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bound", ["--min-revenue=nan", "--max-damage=inf", "--min-revenue=-inf"]
+    )
+    def test_non_finite_bound_rejected(self, tmp_path, capsys, bound):
+        rc = main(self.ARGS + ["--out", str(tmp_path), bound])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and bound.split("=")[0] in err
+        assert not (tmp_path / "meta.json").exists()
 
     def test_tech_filter(self, tmp_path):
         rc = main(self.ARGS + ["--out", str(tmp_path), "--tech", "2"])

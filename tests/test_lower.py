@@ -1,8 +1,11 @@
+import bisect
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from curve_dp import _discounted_schedule, _stratum_fixed_point
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minetax.lower as lower
@@ -20,10 +23,9 @@ from minetax.lower import (
     CERT_MARGIN,
     KKT_TOL,
     _discounted_kkt_residual,
-    _discounted_schedule,
     _pick_optimistic,
     _profit_gap_bound,
-    _stratum_fixed_point,
+    _shoot,
     _waterfill,
 )
 from minetax.oracle import GridSpec, _refine, grid_best_response
@@ -63,8 +65,9 @@ def _periods(strat, tech, model):
 
 
 def _discounted_args(model, tech):
-    """The r > 0 solvers' arguments after the periods: d, w, slopes and the
-    inner breakpoints."""
+    """The r > 0 solvers' arguments after the periods (and, for `_shoot`,
+    after the start period and extraction): d, w, slopes and the inner
+    breakpoints."""
     return (model.discount_factors, model.cost_weights, tech.slopes,
             model.strata.breakpoints[:-1])
 
@@ -259,7 +262,9 @@ def _pinned_instance():
 
 
 class TestDiscountedFollower:
-    """The r > 0 solve by hand: the stratum fixed point and the DP behind it."""
+    """The r > 0 solve by hand: shooting on S_1, whose bounds W(lo) and
+    W(hi) close in on the root, and its pin step, which puts an X_t on a
+    breakpoint and solves the periods after t from there."""
 
     def test_prefix_sum_on_breakpoint_before_the_last_period(self):
         model, tech, strat = _pinned_instance()
@@ -270,21 +275,32 @@ class TestDiscountedFollower:
         assert br.kkt_residual <= 1e-12
         assert abs(_relative_gap(br, _grid_oracle(strat, tech, model))) <= 1e-9
 
-    def test_pinned_breakpoint_falls_back_to_the_dp(self):
-        # the strata (1, 2) and (2, 2) give X_1 = 10.5 and 9.5 in turn, so
-        # the fixed point cycles; its last guess fails the certificate and
-        # the answer is the DP's
+    def test_pinned_breakpoint_is_solved_directly(self):
+        # the bounds stall at S_1 = 9 and 11, the W of the strata (1, 2)
+        # and (2, 2), where X_1 = 10.5 and 9.5 lie across the breakpoint 10;
+        # the pin step puts X_1 on it and solves period 2 from there
         model, tech, strat = _pinned_instance()
         periods, args = _periods(strat, tech, model), _discounted_args(model, tech)
-        guess = _stratum_fixed_point(periods, *args)
-        assert guess == [10.5, 5.0]
-        assert _discounted_kkt_residual(guess, periods, *args) == pytest.approx(
-            1.0, rel=1e-12
-        )
+        assert _shoot(0, 0.0, periods, *args) == ([10.0], 10.0)
+        assert _shoot(1, 10.0, periods, *args) == ([5.0], 10.0)
         assert _discounted_schedule(periods, *args) == [10.0, 5.0]
         br = best_response_fixed_tech(strat, tech, model)
         assert br.response.q == (10.0, 5.0)
         assert br.optimality_tag
+
+    def test_certificate_spans_breakpoints_within_its_tolerance(self):
+        # the pinned instance with its kink moved to the second of two
+        # breakpoints 1e-12 apart: X_1 sits on both, and only the slope
+        # above the second lets the multiplier reach 6
+        model, tech, strat = _pinned_instance()
+        tech = dataclasses.replace(tech, slopes=(1.0, 1.0, 11.0))
+        split = dataclasses.replace(
+            model, techs=(tech,), strata=StrataTable(amounts=(10.0, 1e-12, 100.0))
+        )
+        br = best_response_fixed_tech(strat, tech, split)
+        assert br.response.q == pytest.approx((10.0, 5.0), abs=1e-9)
+        assert br.optimality_tag
+        assert br.kkt_residual == 0.0
 
     def test_zero_caps_shut_the_mine(self, model):
         for caps in ((0.0,) * 5, (0.0, 5.0, 0.0, 5.0, 0.0)):
@@ -367,11 +383,12 @@ def test_exact_follower_on_generated_discounted_instances(instance):
 
 
 # bounds relative to max(1, total extraction) and max(1, |profit|). Over
-# 16,000 generated discounted instances a certified fixed point left the
-# DP by at most 8.1e-16 in q and 2.4e-14 in profit; over 16,000 instances
-# each way the solver's profit left `follower_total_profit` by at most
-# 2.0e-14 at r = 0 and 3.2e-14 at r > 0 (another summation order)
-FIXED_POINT_Q_TOL = 1e-12
+# 4,000 generated discounted instances each, with and without a breakpoint
+# planted on an optimal prefix sum, the solve left the DP by at most
+# 5.2e-15 in q and 2.9e-14 in profit; over 16,000 instances each way the
+# solver's profit left `follower_total_profit` by at most 2.7e-14 at r = 0
+# and 3.2e-14 at r > 0 (another summation order)
+DP_Q_TOL = 1e-12
 PROFIT_TOL = 1e-12
 
 
@@ -381,21 +398,56 @@ def _profit(q, strat, tech, model):
     )
 
 
-@given(instance=_convex_instances(rates=st.floats(0.01, 0.5)))
-@settings(max_examples=200, deadline=None)
-def test_certified_fixed_point_matches_the_dp(instance):
+def _check_against_dp(instance, same_as_guess):
+    """The solve is tagged and agrees with the DP; with same_as_guess, it
+    is also the stratum fixed point's guess wherever that certifies."""
     model, tech, strat = instance
     periods, args = _periods(strat, tech, model), _discounted_args(model, tech)
-    guess = _stratum_fixed_point(periods, *args)
-    if _discounted_kkt_residual(guess, periods, *args) > KKT_TOL * max(1.0, sum(guess)):
-        return
-    assert best_response_fixed_tech(strat, tech, model).response.q == tuple(guess)
+    br = best_response_fixed_tech(strat, tech, model)
+    assert br.optimality_tag
+    q = br.response.q
     dp = _discounted_schedule(periods, *args)
-    scale = max(1.0, sum(dp))
-    assert max(abs(a - b) for a, b in zip(guess, dp)) <= FIXED_POINT_Q_TOL * scale
+    assert max(abs(a - b) for a, b in zip(q, dp)) <= DP_Q_TOL * max(1.0, sum(dp))
     p_dp = _profit(dp, strat, tech, model)
-    p_guess = _profit(guess, strat, tech, model)
-    assert abs(p_guess - p_dp) <= PROFIT_TOL * max(1.0, abs(p_dp))
+    assert abs(_profit(q, strat, tech, model) - p_dp) <= PROFIT_TOL * max(1.0, abs(p_dp))
+    guess = _stratum_fixed_point(periods, *args)
+    residual = _discounted_kkt_residual(guess, periods, *args)
+    if same_as_guess and residual <= KKT_TOL * max(1.0, sum(guess)):
+        assert q == tuple(guess)
+
+
+@given(instance=_convex_instances(rates=st.floats(0.01, 0.5)))
+@settings(max_examples=200, deadline=None)
+def test_discounted_follower_matches_the_dp(instance):
+    _check_against_dp(instance, same_as_guess=True)
+
+
+@st.composite
+def _planted_instances(draw):
+    """A discounted instance with one inner breakpoint moved onto a prefix
+    sum of the DP's optimum, so that an X_t may sit or be pinned on it."""
+    model, tech, strat = draw(_convex_instances(rates=st.floats(0.01, 0.5)))
+    periods = _periods(strat, tech, model)
+    dp = _discounted_schedule(periods, *_discounted_args(model, tech))
+    x = draw(st.sampled_from(list(itertools.accumulate(dp))))
+    cuts = list(model.strata.breakpoints)
+    # the breakpoint at or above x, or the one below it
+    j = bisect.bisect_left(cuts, x) - draw(st.integers(0, 1))
+    assume(x > 0.0 and 0 <= j < len(cuts) - 1)
+    cuts[j] = x
+    amounts = [b - a for a, b in zip([0.0] + cuts, cuts)]
+    assume(all(a > 0.0 for a in amounts))
+    planted = dataclasses.replace(model, strata=StrataTable(amounts=tuple(amounts)))
+    return planted, tech, strat
+
+
+@given(instance=_planted_instances())
+@settings(max_examples=200, deadline=None)
+def test_discounted_follower_matches_the_dp_on_planted_breakpoints(instance):
+    # here a guess certifies within KKT_TOL with X_t an ulp off the
+    # breakpoint that the solve puts it on, so the two may differ in the
+    # last bits (the q tolerance still holds)
+    _check_against_dp(instance, same_as_guess=False)
 
 
 @given(instance=_convex_instances(rates=_RATES))
