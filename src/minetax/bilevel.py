@@ -9,6 +9,7 @@ frontier.
 from __future__ import annotations
 
 import bisect
+import math
 import random
 import statistics
 from dataclasses import dataclass
@@ -170,19 +171,25 @@ def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
 def crowding_distance(
     front: Sequence[int], points: Sequence[ObjectivePoint]
 ) -> dict[int, float]:
-    dist = {i: 0.0 for i in front}
-    if len(front) <= 2:
-        return {i: float("inf") for i in front}
-    for get in (lambda p: p.revenue, lambda p: p.damage):
-        order = sorted(front, key=lambda i: get(points[i]))
-        lo, hi = get(points[order[0]]), get(points[order[-1]])
-        dist[order[0]] = dist[order[-1]] = float("inf")
+    """Crowding distance of each index in `front` (Deb et al., 2002): per
+    objective, the gap between the two neighbours in a stable sort, over
+    the objective's span; inf at both ends."""
+    n = len(front)
+    if n <= 2:
+        return {i: math.inf for i in front}
+    dist = [0.0] * n
+    for values in (
+        [points[i].revenue for i in front],
+        [points[i].damage for i in front],
+    ):
+        order = sorted(range(n), key=values.__getitem__)
+        ranked = [values[k] for k in order]
+        lo, hi = ranked[0], ranked[-1]
+        dist[order[0]] = dist[order[-1]] = math.inf
         span = hi - lo if hi > lo else 1.0
-        for k in range(1, len(order) - 1):
-            dist[order[k]] += (
-                get(points[order[k + 1]]) - get(points[order[k - 1]])
-            ) / span
-    return dist
+        for k, below, above in zip(order[1:-1], ranked, ranked[2:]):
+            dist[k] += (above - below) / span
+    return dict(zip(front, dist))
 
 
 @dataclass(frozen=True)

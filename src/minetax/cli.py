@@ -2,14 +2,16 @@
 
 Loads model parameters from JSON, runs the analytical sweep or the
 evolutionary bilevel solver, and writes plot-ready CSV/JSON artifacts.
-Exit codes: 0 success, 1 usage/config error, 2 verification failure,
-3 empty-result warning.
+`frontier.csv` and `schedule.csv` are streamed: each row is made by one
+format string and written as it is made, with the bytes `csv.writer`
+would write (floats as "%.12g", rows ending in CRLF).
+Exit codes: 0 success, 1 usage/config error (argparse errors included),
+2 verification failure, 3 empty-result warning.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -85,61 +87,47 @@ def run_analytical(cfg: RunConfig) -> int:
 
 
 def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
+    header = (
+        ["id", "tech", "revenue", "damage", "profit"]
+        + [f"tau_{t}" for t in range(1, T + 1)]
+        + [f"q_{t}" for t in range(1, T + 1)]
+    )
+    # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
+    row = "%s,%s," + ",".join(["%.12g"] * (3 + 2 * T)) + "\r\n"
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["id", "tech", "revenue", "damage", "profit"]
-            + [f"tau_{t}" for t in range(1, T + 1)]
-            + [f"q_{t}" for t in range(1, T + 1)]
-        )
-        for i, e in enumerate(entries):
-            writer.writerow(
-                [i, e.response.a]
-                + [
-                    _fmt(v)
-                    for v in (
-                        e.objectives.revenue,
-                        e.objectives.damage,
-                        e.objectives.profit,
-                    )
-                ]
-                + [_fmt(v) for v in e.strategy.tau]
-                + [_fmt(v) for v in e.response.q]
+        f.write(",".join(header) + "\r\n")
+        f.writelines(
+            row % (
+                i,
+                e.response.a,
+                e.objectives.revenue,
+                e.objectives.damage,
+                e.objectives.profit,
+                *e.strategy.tau,
+                *e.response.q,
             )
+            for i, e in enumerate(entries)
+        )
 
 
 def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
+    techs = {t.tech_id: t for t in model.techs}
+    active_stratum = model.strata.active_stratum
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "id",
-                "period",
-                "tau",
-                "q",
-                "period_profit",
-                "cumulative_extraction",
-                "active_stratum",
-            ]
+        f.write(
+            "id,period,tau,q,period_profit,cumulative_extraction,"
+            "active_stratum\r\n"
         )
         for i, e in enumerate(entries):
-            tech = model.tech(e.response.a)
+            tech = techs[e.response.a]
+            q, tau = e.response.q, e.strategy.tau
             cum = 0.0
             for t in range(1, model.T + 1):
-                cum += e.response.q[t - 1]
-                pi = period_profit(
-                    t, e.response.q[:t], e.strategy.tau[t - 1], tech, model
-                )
-                writer.writerow(
-                    [
-                        i,
-                        t,
-                        _fmt(e.strategy.tau[t - 1]),
-                        _fmt(e.response.q[t - 1]),
-                        _fmt(pi),
-                        _fmt(cum),
-                        model.strata.active_stratum(cum),
-                    ]
+                cum += q[t - 1]
+                pi = period_profit(t, q[:t], tau[t - 1], tech, model)
+                f.write(
+                    "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\r\n"
+                    % (i, t, tau[t - 1], q[t - 1], pi, cum, active_stratum(cum))
                 )
 
 
@@ -227,8 +215,16 @@ def run_verify(cfg: RunConfig) -> int:
     return EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a failed --verify."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minetax",
         description=(
             "Bilevel mining-taxation game: analytical Pareto sweep, "

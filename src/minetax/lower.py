@@ -273,8 +273,7 @@ def best_response_fixed_tech(
     """Unique profit-maximizing schedule for fixed taxes and technology."""
     if len(strat.tau) != model.T:
         raise ValueError("strategy length must equal the horizon T")
-    slopes, breakpoints = tech.slopes, model.strata.breakpoints
-    if any(b < a for a, b in zip(slopes, slopes[1:])):
+    if not tech.convex:
         raise ValueError(
             f"technology {tech.tech_id}: stratum slopes must be nondecreasing "
             "(convex cumulative cost) to solve the follower"
@@ -285,18 +284,19 @@ def best_response_fixed_tech(
     ]
     if model.r > 0.0:
         return _discounted_best_response(periods, tech, model)
-    q, lam = _waterfill(periods, slopes, breakpoints)
+    slopes, strata = tech.slopes, model.strata
+    q, lam = _waterfill(periods, slopes, strata.breakpoints)
     total = sum(q)
     # KKT residual, in units of extraction: q must equal q(lam), and lam must
     # be a subgradient of C at the total, which then covers every stratum
     # cheaper than lam and enters none dearer than it
-    starts = (0.0,) + breakpoints[:-1] + (math.inf,)
+    starts = strata.starts
     residual = max(
         max(abs(x - y) for x, y in zip(q, _schedule(lam, periods))),
         starts[bisect.bisect_left(slopes, lam)] - total,
         total - starts[bisect.bisect_right(slopes, lam)],
     )
-    profit = -model.T * tech.gamma_er - cumulative_cost(total, tech, model.strata)
+    profit = -model.T * tech.gamma_er - cumulative_cost(total, tech, strata)
     for (a, c, _), x in zip(periods, q):
         profit += (a - c * x) * x
     return BestResponse(
@@ -311,6 +311,8 @@ def _pick_optimistic(
     candidates: list[BestResponse], strat: LeaderStrategy, model: ExtendedModel
 ) -> BestResponse:
     """Among profit-tied best responses, pick the one best for the leader."""
+    if len(candidates) == 1:
+        return candidates[0]
     best_profit = max(c.profit for c in candidates)
     tol = max(TIE_TOL, TIE_TOL * abs(best_profit))
     tied = [c for c in candidates if c.profit >= best_profit - tol]
@@ -368,13 +370,12 @@ def _best_response_skipping(
     best = max(br.profit for br in answers.values())
     slack = max(TIE_TOL, TIE_TOL * abs(best)) + CERT_MARGIN * max(1.0, abs(best))
     d = model.discount_factors
-    discounted_periods = sum(d)
     for dom in model.dominance:
         ref = answers[dom.dominator.tech_id]
         need = best - ref.profit + slack
         # the bound's fixed-cost part alone often settles it
         if ref.optimality_tag and (
-            dom.fixed_gap * discounted_periods > need
+            dom.fixed_gap * model.discounted_periods > need
             or _profit_gap_bound(ref.response.q, dom, model, d) > need
         ):
             continue

@@ -88,6 +88,12 @@ class TechParams:
         if not self.slopes:
             raise ValueError("at least one stratum slope required")
 
+    @functools.cached_property
+    def convex(self) -> bool:
+        """Whether the stratum slopes are nondecreasing, so that the
+        cumulative cost is convex. Computed once per technology."""
+        return all(a <= b for a, b in zip(self.slopes, self.slopes[1:]))
+
 
 @dataclass(frozen=True)
 class StrataTable:
@@ -111,6 +117,12 @@ class StrataTable:
     @property
     def stock(self) -> float:
         return self.breakpoints[-1]
+
+    @functools.cached_property
+    def starts(self) -> tuple[float, ...]:
+        """(0, b_1, ..., b_{M-1}, inf): where each stratum starts, and inf
+        for the one past the last. Computed once per table."""
+        return (0.0,) + self.breakpoints[:-1] + (math.inf,)
 
     def active_stratum(self, x: float) -> int:
         """1-based stratum index containing cumulative extraction x.
@@ -209,6 +221,10 @@ class ExtendedModel:
         # every follower solver searches [0, hi] per period
         if any(lo != 0 for lo, _ in self.q_bounds):
             raise ValueError("extraction lower bounds must be 0")
+        # LeaderStrategy rejects a negative tax, so a negative lower bound
+        # would fail only when the EA happens to draw below 0
+        if any(lo < 0 for lo, _ in self.tau_bounds):
+            raise ValueError("tax lower bounds must be nonnegative")
 
     @property
     def stock(self) -> float:
@@ -254,11 +270,8 @@ class ExtendedModel:
 
     @functools.cached_property
     def convex_costs(self) -> bool:
-        """Whether every technology's stratum slopes are nondecreasing, so
-        that its cumulative cost is convex. Computed once per model."""
-        return all(
-            a <= b for t in self.techs for a, b in zip(t.slopes, t.slopes[1:])
-        )
+        """Whether every technology's cumulative cost is convex."""
+        return all(t.convex for t in self.techs)
 
     def tech(self, tech_id: int) -> TechParams:
         for t in self.techs:
@@ -283,6 +296,11 @@ class ExtendedModel:
         d = self.discount_factors
         return tuple(a - b for a, b in zip(d, d[1:] + (0.0,)))
 
+    @functools.cached_property
+    def discounted_periods(self) -> float:
+        """sum_t d_t. Computed once per model."""
+        return sum(self.discount_factors)
+
 
 @dataclass(frozen=True)
 class LeaderStrategy:
@@ -291,7 +309,7 @@ class LeaderStrategy:
     tau: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(float(x) for x in self.tau))
+        object.__setattr__(self, "tau", tuple(map(float, self.tau)))
         if any(x < 0 for x in self.tau):
             raise ValueError("taxes must be nonnegative")
 
@@ -304,7 +322,7 @@ class FollowerResponse:
     a: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(float(x) for x in self.q))
+        object.__setattr__(self, "q", tuple(map(float, self.q)))
         if any(x < 0 for x in self.q):
             raise ValueError("extraction must be nonnegative")
 

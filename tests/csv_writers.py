@@ -1,0 +1,73 @@
+"""The CSV writers of `minetax.cli` as they were before rows were
+streamed with one format string each: `csv.writer` with every float as
+`_fmt`. The reference the streamed writers must match byte for byte.
+"""
+
+import csv
+from pathlib import Path
+
+from minetax.bilevel import ArchiveEntry
+from minetax.model import period_profit
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            ["id", "tech", "revenue", "damage", "profit"]
+            + [f"tau_{t}" for t in range(1, T + 1)]
+            + [f"q_{t}" for t in range(1, T + 1)]
+        )
+        for i, e in enumerate(entries):
+            writer.writerow(
+                [i, e.response.a]
+                + [
+                    _fmt(v)
+                    for v in (
+                        e.objectives.revenue,
+                        e.objectives.damage,
+                        e.objectives.profit,
+                    )
+                ]
+                + [_fmt(v) for v in e.strategy.tau]
+                + [_fmt(v) for v in e.response.q]
+            )
+
+
+def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            [
+                "id",
+                "period",
+                "tau",
+                "q",
+                "period_profit",
+                "cumulative_extraction",
+                "active_stratum",
+            ]
+        )
+        for i, e in enumerate(entries):
+            tech = model.tech(e.response.a)
+            cum = 0.0
+            for t in range(1, model.T + 1):
+                cum += e.response.q[t - 1]
+                pi = period_profit(
+                    t, e.response.q[:t], e.strategy.tau[t - 1], tech, model
+                )
+                writer.writerow(
+                    [
+                        i,
+                        t,
+                        _fmt(e.strategy.tau[t - 1]),
+                        _fmt(e.response.q[t - 1]),
+                        _fmt(pi),
+                        _fmt(cum),
+                        model.strata.active_stratum(cum),
+                    ]
+                )

@@ -1,4 +1,5 @@
 import dataclasses
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,26 @@ def deb_nondominated_sort(points):
         fronts.append(nxt)
     fronts.pop()
     return fronts
+
+
+def lambda_crowding_distance(
+    front: Sequence[int], points: Sequence[ObjectivePoint]
+) -> dict[int, float]:
+    """Reference: the crowding distance as `evolve` first computed it, a
+    dict per index with one getter per objective."""
+    dist = {i: 0.0 for i in front}
+    if len(front) <= 2:
+        return {i: float("inf") for i in front}
+    for get in (lambda p: p.revenue, lambda p: p.damage):
+        order = sorted(front, key=lambda i: get(points[i]))
+        lo, hi = get(points[order[0]]), get(points[order[-1]])
+        dist[order[0]] = dist[order[-1]] = float("inf")
+        span = hi - lo if hi > lo else 1.0
+        for k in range(1, len(order) - 1):
+            dist[order[k]] += (
+                get(points[order[k + 1]]) - get(points[order[k - 1]])
+            ) / span
+    return dist
 
 
 def _points(pairs):
@@ -233,6 +254,44 @@ class TestSortInEvolve:
 
 
 class TestCrowdingDistance:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_reference_on_integer_grids(self, data):
+        # small grids: tied values, duplicate points and equal extremes
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=30)
+        )
+        pts = _points(pairs)
+        front = data.draw(st.permutations(range(len(pts))))
+        front = front[: data.draw(st.integers(0, len(front)))]
+        got = crowding_distance(front, pts)
+        assert list(got.items()) == list(lambda_crowding_distance(front, pts).items())
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, -2.5, 7.0]), st.floats(-1e6, 1e6)),
+                st.one_of(st.sampled_from([0.0, 1e-300, 3.0]), st.floats(-1e6, 1e6)),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200)
+    def test_matches_reference_on_floats(self, pairs):
+        pts = _points(pairs)
+        front = list(range(len(pts)))[::-1]
+        got = crowding_distance(front, pts)
+        assert list(got.items()) == list(lambda_crowding_distance(front, pts).items())
+
+    def test_evolve_unchanged_with_reference(self, params, monkeypatch):
+        model = analytical_as_extended(params)
+        cfg = EaConfig(population_size=100, max_generations=5, seed=4)
+        fast = evolve(model, cfg)
+        monkeypatch.setattr(bilevel, "crowding_distance", lambda_crowding_distance)
+        slow = evolve(model, cfg)
+        assert slow.archive.entries == fast.archive.entries
+        assert slow.hv_history == fast.hv_history
+
     def test_extremes_infinite(self):
         pts = [ObjectivePoint(float(i), float(i), 0.0) for i in range(4)]
         cd = crowding_distance([0, 1, 2, 3], pts)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,13 +9,27 @@ from pathlib import Path
 import pytest
 
 import minetax
-from minetax import LeaderStrategy, best_response, bilevel, leader_objectives
+import csv_writers
+from minetax import (
+    ArchiveEntry,
+    EaConfig,
+    FollowerResponse,
+    LeaderStrategy,
+    ObjectivePoint,
+    analytical_as_extended,
+    best_response,
+    bilevel,
+    evolve,
+    leader_objectives,
+)
 from test_lower import full_enumeration
 from minetax.cli import (
     EXIT_EMPTY,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    _write_frontier,
+    _write_schedules,
     main,
 )
 
@@ -119,6 +134,23 @@ class TestInvalidConfigs:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("lo", [-5, -1e-9])
+    def test_negative_tax_bound_rejected_on_load(self, tmp_path, capsys, lo):
+        # LeaderStrategy rejects a negative tax, so rejecting the bound at
+        # load is the only check that does not depend on the draws: at
+        # -1e-9 no draw of this run falls below 0
+        cfg = _bundled()
+        cfg["extended"]["tau_bounds"] = [[lo, 10]] * 5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--model", "extended", "--config", str(path), "--pop-size",
+                   "8", "--generations", "2", "--seed", "0",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "tax lower bounds" in err
+        assert not (tmp_path / "out").exists()
+
     def test_nonconvex_costs_rejected(self, tmp_path, nonconvex_config, capsys):
         rc = main(["--model", "extended", "--config", nonconvex_config,
                    "--pop-size", "4", "--generations", "1",
@@ -138,6 +170,38 @@ class TestInvalidConfigs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nondecreasing" in err
         assert "Traceback" not in err
+
+
+def _run_cli(*args):
+    src = str(Path(minetax.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); "
+         "from minetax.cli import main; sys.exit(main())", *args],
+        capture_output=True, text=True,
+    )
+
+
+class TestExitCodes:
+    """argparse's own exit code for a usage error is 2, which here means a
+    failed --verify; a script must be able to tell the two apart."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--bogus"], ["--model", "extended", "--min-revenue", "-inf"]],
+        ids=["unknown-flag", "option-like-value"],
+    )
+    def test_usage_error_exits_1(self, args):
+        done = _run_cli(*args)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("usage: minetax")
+        assert "minetax: error: " in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_failed_verification_exits_2(self, nonconvex_config):
+        done = _run_cli("--verify", "--quick", "--config", nonconvex_config)
+        assert done.returncode == EXIT_VERIFY_FAILED
+        assert "verification FAILED" in done.stdout
 
 
 class TestAnalyticalRuns:
@@ -308,6 +372,55 @@ def _embedding_config(tmp_path):
                           "slopes": [p["gamma"]]}],
     }}))
     return str(path)
+
+
+class TestStreamedWriters:
+    """The streamed writers give the bytes of the csv.writer ones."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, entries, model):
+        _write_frontier(tmp_path / "f_new.csv", entries, model.T)
+        csv_writers._write_frontier(tmp_path / "f_ref.csv", entries, model.T)
+        _write_schedules(tmp_path / "s_new.csv", entries, model)
+        csv_writers._write_schedules(tmp_path / "s_ref.csv", entries, model)
+        for name in ("f", "s"):
+            new = (tmp_path / f"{name}_new.csv").read_bytes()
+            assert new == (tmp_path / f"{name}_ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_evolve_archive(self, tmp_path, model, r):
+        model = dataclasses.replace(model, r=r)
+        cfg = EaConfig(population_size=20, max_generations=5, seed=7)
+        entries = evolve(model, cfg).archive.entries
+        assert entries
+        self._same_bytes(tmp_path, entries, model)
+
+    def test_analytical_embedding(self, tmp_path, params):
+        model = analytical_as_extended(params)
+        cfg = EaConfig(population_size=100, max_generations=3, seed=7)
+        self._same_bytes(tmp_path, evolve(model, cfg).archive.entries, model)
+
+    def test_awkward_floats(self, tmp_path, model):
+        awkward = (0.0, 5e-324, 1e16, 123456789012.5, 3.0, 1.0 / 3.0)
+
+        def entry(j, tech):
+            pick = [awkward[(j + t) % len(awkward)] for t in range(model.T)]
+            return ArchiveEntry(
+                strategy=LeaderStrategy(tau=pick),
+                response=FollowerResponse(q=pick[::-1], a=tech),
+                objectives=ObjectivePoint(
+                    revenue=awkward[j], damage=float(j), profit=-awkward[j] - 2.5
+                ),
+                optimality_tag=True,
+            )
+
+        entries = [
+            entry(j, tech.tech_id)
+            for j in range(len(awkward))
+            for tech in model.techs
+        ]
+        self._same_bytes(tmp_path, entries, model)
+        self._same_bytes(tmp_path, [], model)
 
 
 class TestDominanceReport:
