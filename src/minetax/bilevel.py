@@ -24,9 +24,12 @@ from .model import (
 )
 from .variation import polynomial_mutation, sbx_crossover
 
-# distribution indices of SBX crossover and polynomial mutation
+# distribution indices of SBX crossover and polynomial mutation, and the
+# probability that a pair of parents is crossed (each gene then mutates
+# with probability 1/T)
 ETA_CROSSOVER = 15.0
 ETA_MUTATION = 20.0
+CROSSOVER_RATE = 0.9
 
 
 @dataclass(frozen=True)
@@ -196,8 +199,6 @@ def crowding_distance(
 class EaConfig:
     population_size: int = 40
     max_generations: int = 100
-    crossover_rate: float = 0.9
-    mutation_rate: Optional[float] = None  # default 1/T
     seed: int = 0
     hv_stall_tol: float = 1e-4
     hv_stall_generations: int = 20
@@ -205,10 +206,6 @@ class EaConfig:
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population size must be even and at least 4")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover rate must lie in [0, 1]")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation rate must lie in [0, 1]")
         # 0 is valid: the initial population only
         if self.max_generations < 0:
             raise ValueError("number of generations must be nonnegative")
@@ -277,9 +274,7 @@ def evolve(
     rng = random.Random(config.seed)
     lows = [lo for lo, _ in model.tau_bounds]
     highs = [hi for _, hi in model.tau_bounds]
-    mut_rate = (
-        config.mutation_rate if config.mutation_rate is not None else 1.0 / model.T
-    )
+    mut_rate = 1.0 / model.T
     ref_r, ref_d = reference_point(model, tech_filter)
     archive = ParetoArchive()
     failed = 0
@@ -326,7 +321,7 @@ def evolve(
                 lows,
                 highs,
                 ETA_CROSSOVER,
-                config.crossover_rate,
+                CROSSOVER_RATE,
                 rng,
             )
             for c in (c1, c2):

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -35,36 +34,17 @@ EXIT_VERIFY_FAILED = 2
 EXIT_EMPTY = 3
 
 
-@dataclass
-class RunConfig:
-    model: str = "analytical"
-    config_path: Optional[str] = None
-    tech: str = "all"
-    points: int = 100
-    pop_size: int = 40
-    generations: int = 100
-    seed: int = 0
-    out: str = "."
-    min_revenue: Optional[float] = None
-    max_damage: Optional[float] = None
-    verify: bool = False
-    quick: bool = False
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load(cfg: RunConfig) -> ModelConfig:
+def _load(cfg: argparse.Namespace) -> ModelConfig:
     if cfg.config_path is None:
         return default_config()
     return load_config(cfg.config_path)
 
 
-def run_analytical(cfg: RunConfig) -> int:
+def run_analytical(cfg: argparse.Namespace) -> int:
     models = _load(cfg)
     if models.analytical is None:
         raise ValueError("config has no 'analytical' section")
@@ -131,7 +111,7 @@ def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
                 )
 
 
-def run_extended(cfg: RunConfig) -> int:
+def run_extended(cfg: argparse.Namespace) -> int:
     # a NaN bound keeps no point, and meta.json cannot hold NaN or Infinity
     for flag, bound in (("--min-revenue", cfg.min_revenue),
                         ("--max-damage", cfg.max_damage)):
@@ -175,7 +155,7 @@ def run_extended(cfg: RunConfig) -> int:
     _write_frontier(out / "frontier.csv", filtered, model.T)
     _write_schedules(out / "schedule.csv", filtered, model)
     meta = {
-        "config": cfg.as_dict(),
+        "config": vars(cfg),
         "seed": cfg.seed,
         "generations_executed": result.generations_run,
         "termination_reason": result.termination_reason,
@@ -198,7 +178,7 @@ def run_extended(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def run_verify(cfg: RunConfig) -> int:
+def run_verify(cfg: argparse.Namespace) -> int:
     # imported here so that a solve does not compile the battery: with no
     # bytecode cache that is a few ms of every start-up
     from .verify import format_report, run_all_checks
@@ -237,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="analytical",
         help="which model to run",
     )
-    parser.add_argument("--config", help="JSON parameter file (default: bundled)")
+    parser.add_argument(
+        "--config", dest="config_path", help="JSON parameter file (default: bundled)"
+    )
     parser.add_argument(
         "--tech",
         default="all",
@@ -262,21 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        model=args.model,
-        config_path=args.config,
-        tech=args.tech,
-        points=args.points,
-        pop_size=args.pop_size,
-        generations=args.generations,
-        seed=args.seed,
-        out=args.out,
-        min_revenue=args.min_revenue,
-        max_damage=args.max_damage,
-        verify=args.verify,
-        quick=args.quick,
-    )
+    cfg = build_parser().parse_args(argv)
     try:
         if cfg.verify:
             return run_verify(cfg)

@@ -268,11 +268,6 @@ class ExtendedModel:
         """Id of each dominated technology: id of its dominator."""
         return {d.tech.tech_id: d.dominator.tech_id for d in self.dominance}
 
-    @functools.cached_property
-    def convex_costs(self) -> bool:
-        """Whether every technology's cumulative cost is convex."""
-        return all(t.convex for t in self.techs)
-
     def tech(self, tech_id: int) -> TechParams:
         for t in self.techs:
             if t.tech_id == tech_id:
@@ -460,7 +455,24 @@ def analytical_as_extended(p: AnalyticalParams) -> ExtendedModel:
 # --- configuration loading -------------------------------------------------
 
 
+def _object(section: str, d) -> dict:
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be a JSON object")
+    return d
+
+
+def _integer(section: str, name: str, value) -> int:
+    # JSON has one number type: int() would truncate 5.7 and read true as 1
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{section}: {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def analytical_from_dict(d: dict) -> AnalyticalParams:
+    section = "analytical config"
+    d = _object(section, d)
     try:
         return AnalyticalParams(
             alpha=float(d["alpha"]),
@@ -471,14 +483,18 @@ def analytical_from_dict(d: dict) -> AnalyticalParams:
             k=float(d["k"]),
         )
     except KeyError as e:
-        raise ValueError(f"analytical config missing field {e.args[0]!r}") from e
+        raise ValueError(f"{section} missing field {e.args[0]!r}") from e
+    except (TypeError, OverflowError) as e:
+        raise ValueError(f"{section}: {e}") from e
 
 
 def extended_from_dict(d: dict) -> ExtendedModel:
+    section = "extended config"
+    d = _object(section, d)
     try:
         techs = tuple(
             TechParams(
-                tech_id=int(td["tech_id"]),
+                tech_id=_integer(section, "tech_id", td["tech_id"]),
                 k=float(td["k"]),
                 alpha_er=float(td["alpha_er"]),
                 beta_er=float(td["beta_er"]),
@@ -488,7 +504,7 @@ def extended_from_dict(d: dict) -> ExtendedModel:
             for td in d["technologies"]
         )
         return ExtendedModel(
-            T=int(d["T"]),
+            T=_integer(section, "T", d["T"]),
             alpha=tuple(d["alpha"]),
             beta=tuple(d["beta"]),
             techs=techs,
@@ -506,7 +522,9 @@ def extended_from_dict(d: dict) -> ExtendedModel:
             ),
         )
     except KeyError as e:
-        raise ValueError(f"extended config missing field {e.args[0]!r}") from e
+        raise ValueError(f"{section} missing field {e.args[0]!r}") from e
+    except (TypeError, OverflowError) as e:
+        raise ValueError(f"{section}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -516,6 +534,7 @@ class ModelConfig:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    d = _object("config", d)
     return ModelConfig(
         analytical=(
             analytical_from_dict(d["analytical"]) if "analytical" in d else None

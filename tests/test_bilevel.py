@@ -335,10 +335,8 @@ class TestEvolve:
             techs=model.techs, strata=model.strata,
             tau_bounds=tuple((10.0, 10.0) for _ in range(model.T)),
         )
-        cfg = EaConfig(
-            population_size=4, max_generations=3,
-            crossover_rate=0.0, mutation_rate=0.0, seed=1,
-        )
+        # the degenerate box keeps SBX and mutation from moving a gene
+        cfg = EaConfig(population_size=4, max_generations=3, seed=1)
         arch = evolve(fixed, cfg).archive
         assert len(arch) == 1
         strat = LeaderStrategy(tau=(10.0,) * model.T)

@@ -134,6 +134,36 @@ class TestInvalidConfigs:
         assert rc == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "model, edit",
+        [
+            ("extended", _set(("extended", "r"), None)),
+            ("extended", _set(("extended", "alpha"), 5)),
+            ("extended", _set(("extended", "technologies", 0, "slopes"), 3)),
+            ("extended", _set(("extended", "technologies", 0, "k"), None)),
+            ("extended", _set(("extended",), [])),
+            ("extended", _set(("extended", "T"), 5.7)),
+            ("extended", _set(("extended", "T"), True)),
+            ("extended", _set(("extended", "technologies", 0, "tech_id"), 1.5)),
+            ("analytical", _set(("analytical", "alpha"), None)),
+        ],
+        ids=[
+            "null-r", "scalar-alpha", "scalar-slopes", "null-k", "list-section",
+            "fractional-T", "bool-T", "fractional-tech-id", "null-analytical",
+        ],
+    )
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, model, edit):
+        # int() would run T = 5.7 as 5 and tech_id = 1.5 as 1
+        cfg = _bundled()
+        edit(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--model", model, "--config", str(path), "--pop-size", "4",
+                   "--generations", "1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {model} config")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("lo", [-5, -1e-9])
     def test_negative_tax_bound_rejected_on_load(self, tmp_path, capsys, lo):
         # LeaderStrategy rejects a negative tax, so rejecting the bound at

@@ -364,7 +364,7 @@ ORACLE_LEAD_TOL = 1e-12
 def _check_against_grid_oracle(instance):
     model, tech, strat = instance
     exact = best_response_fixed_tech(strat, tech, model)
-    assert exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.response.q))
+    assert 0.0 <= exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.response.q))
     assert exact.optimality_tag
     gap = _relative_gap(exact, _grid_oracle(strat, tech, model))
     assert -ORACLE_LEAD_TOL <= gap <= EXACT_LEAD_TOL

@@ -116,7 +116,7 @@ class TestTechnologyDominance:
     def test_bundled_table(self, model):
         # technology 4 is no dearer than any other in every coefficient
         assert model.dominated_technologies == {1: 4, 2: 4, 3: 4}
-        assert model.convex_costs
+        assert all(t.convex for t in model.techs)
         # gamma_er gaps; beta_er gaps plus the least slope gaps
         assert [d.fixed_gap for d in model.dominance] == [5.0, 3.0, 0.0]
         assert [d.unit_gap for d in model.dominance] == pytest.approx(
@@ -148,7 +148,8 @@ class TestTechnologyDominance:
         assert table.dominated_technologies == {1: 2}
 
     def test_nonconvex_slopes_detected(self):
-        assert not _table(_tech(1), _tech(2, slopes=(3.0, 2.0))).convex_costs
+        assert _tech(1).convex
+        assert not _tech(2, slopes=(3.0, 2.0)).convex
 
 
 class TestExtractionRateCost:
