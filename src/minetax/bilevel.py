@@ -30,6 +30,10 @@ from .variation import polynomial_mutation, sbx_crossover
 ETA_CROSSOVER = 15.0
 ETA_MUTATION = 20.0
 CROSSOVER_RATE = 0.9
+# `evolve` stops when the hypervolume gains less than HV_STALL_TOL over
+# HV_STALL_GENERATIONS generations
+HV_STALL_TOL = 1e-4
+HV_STALL_GENERATIONS = 20
 
 
 @dataclass(frozen=True)
@@ -109,20 +113,14 @@ class ParetoArchive:
 
 
 def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
-    """Nondominated fronts F1, F2, ... as lists of indices into `points`.
-
-    Returns exactly what the fast nondominated sort of Deb et al. (NSGA-II,
-    2002) returns, order included: F1 in index order, and F(i+1) in the
-    order its decrement queue emits points, which is by the largest
-    position in F(i) of a point that dominates it, then by index.
-    Survivors and tournaments are taken in this order, so it fixes the
-    random stream and the archive of a seeded `evolve`.
+    """Nondominated fronts F1, F2, ... as lists of indices into `points`,
+    each in index order. Identical points share a front.
 
     Two objectives allow O(N log N) (Jensen, 2003). Ranks come from one
     sweep in (revenue down, damage up) order: every point seen before a
     new one has at least its revenue, so a front dominates it exactly when
     the front's least damage so far is no larger, and those least damages
-    rise with the front. Identical points share a rank.
+    rise with the front.
     """
     n = len(points)
     order = sorted(range(n), key=lambda i: (-points[i].revenue, points[i].damage))
@@ -140,34 +138,9 @@ def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
             else:
                 least_damage[f] = p.damage
         rank[i] = f
-    members: list[list[int]] = [[] for _ in least_damage]
+    fronts: list[list[int]] = [[] for _ in least_damage]
     for i in range(n):
-        members[rank[i]].append(i)
-    fronts = members[:1]
-    for nxt in members[1:]:
-        # sorted by damage, the last front also rises in revenue, so the
-        # points dominating q are one contiguous run of it
-        last = [points[i] for i in fronts[-1]]
-        by_damage = sorted(
-            range(len(last)), key=lambda k: (last[k].damage, last[k].revenue)
-        )
-        damages = [last[k].damage for k in by_damage]
-        revenues = [last[k].revenue for k in by_damage]
-        # sparse table: table[j][x] is the largest position in
-        # by_damage[x : x + 2**j]
-        table = [by_damage]
-        while 2 ** len(table) <= len(by_damage):
-            row, half = table[-1], 2 ** (len(table) - 1)
-            table.append([a if a > b else b for a, b in zip(row, row[half:])])
-        last_dominator = {}
-        for q in nxt:
-            lo = bisect.bisect_left(revenues, points[q].revenue)
-            hi = bisect.bisect_right(damages, points[q].damage)
-            j = (hi - lo).bit_length() - 1
-            a, b = table[j][lo], table[j][hi - 2**j]
-            last_dominator[q] = a if a > b else b
-        # stable, so ties keep index order
-        fronts.append(sorted(nxt, key=last_dominator.__getitem__))
+        fronts[rank[i]].append(i)
     return fronts
 
 
@@ -200,8 +173,6 @@ class EaConfig:
     population_size: int = 40
     max_generations: int = 100
     seed: int = 0
-    hv_stall_tol: float = 1e-4
-    hv_stall_generations: int = 20
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
@@ -209,8 +180,6 @@ class EaConfig:
         # 0 is valid: the initial population only
         if self.max_generations < 0:
             raise ValueError("number of generations must be nonnegative")
-        if self.hv_stall_generations < 1:
-            raise ValueError("hypervolume stall window must be at least 1")
         # random.Random would silently seed with abs(seed)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -260,13 +229,41 @@ def reference_point(
     return 0.0, k_max * sum(hi for _, hi in model.q_bounds)
 
 
+def _select(
+    merged: Sequence[ArchiveEntry], n: int
+) -> tuple[list[ArchiveEntry], list[int], list[float]]:
+    """NSGA-II environmental selection (Deb et al., 2002): whole fronts in
+    rank order while they fit, then the members of the next front with the
+    largest crowding distance over that whole front, ties in index order.
+    Returns the n survivors with their front ranks and crowding distances,
+    which the next generation's tournament reads."""
+    points = [e.objectives for e in merged]
+    survivors: list[ArchiveEntry] = []
+    rank: list[int] = []
+    crowd: list[float] = []
+    for fi, front in enumerate(nondominated_sort(points)):
+        cd = crowding_distance(front, points)
+        if len(survivors) + len(front) > n:
+            front = sorted(front, key=lambda i: -cd[i])[: n - len(survivors)]
+        survivors.extend(merged[i] for i in front)
+        rank.extend([fi] * len(front))
+        crowd.extend(cd[i] for i in front)
+        if len(survivors) == n:
+            break
+    return survivors, rank, crowd
+
+
 def evolve(
     model: ExtendedModel,
     config: EaConfig,
     tech_filter: Optional[int] = None,
 ) -> EvolveResult:
-    """NSGA-II-style evolution of tax strategies with a bilevel archive.
+    """NSGA-II evolution of tax strategies with a bilevel archive.
 
+    `_select` sorts each merged population once; the ranks and crowding
+    distances it returns drive the next generation's binary tournaments.
+    The run stops after `max_generations`, or when the archive's
+    hypervolume has stalled (`HV_STALL_TOL`, `HV_STALL_GENERATIONS`).
     Every draw is `random.Random(config.seed).random()`, a sequence Python
     keeps across versions, so a seed reproduces the archive on any
     interpreter.
@@ -288,33 +285,28 @@ def evolve(
             failed += 1
         return entry
 
-    pop = [
-        make([lo + (hi - lo) * rng.random() for lo, hi in zip(lows, highs)])
-        for _ in range(config.population_size)
-    ]
+    n = config.population_size
+    pop, rank, crowd = _select(
+        [
+            make([lo + (hi - lo) * rng.random() for lo, hi in zip(lows, highs)])
+            for _ in range(n)
+        ],
+        n,
+    )
+
+    def tournament() -> tuple[float, ...]:
+        i = int(n * rng.random())
+        j = int(n * rng.random())
+        if rank[i] != rank[j]:
+            return pop[i if rank[i] < rank[j] else j].strategy.tau
+        return pop[i if crowd[i] >= crowd[j] else j].strategy.tau
+
     hv_history = [archive.hypervolume(ref_r, ref_d)]
     gens = 0
     reason = "max_generations"
     for _ in range(config.max_generations):
-        points = [e.objectives for e in pop]
-        fronts = nondominated_sort(points)
-        rank = [0] * len(pop)
-        crowd = [0.0] * len(pop)
-        for fi, front in enumerate(fronts):
-            cd = crowding_distance(front, points)
-            for i in front:
-                rank[i] = fi
-                crowd[i] = cd[i]
-
-        def tournament() -> tuple[float, ...]:
-            i = int(len(pop) * rng.random())
-            j = int(len(pop) * rng.random())
-            if rank[i] != rank[j]:
-                return pop[i if rank[i] < rank[j] else j].strategy.tau
-            return pop[i if crowd[i] >= crowd[j] else j].strategy.tau
-
         offspring = []
-        while len(offspring) < config.population_size:
+        while len(offspring) < n:
             c1, c2 = sbx_crossover(
                 tournament(),
                 tournament(),
@@ -332,33 +324,16 @@ def evolve(
                         )
                     )
                 )
-        offspring = offspring[: config.population_size]
-        # environmental selection on the merged population
-        merged = pop + offspring
-        points = [e.objectives for e in merged]
-        fronts = nondominated_sort(points)
-        survivors: list[ArchiveEntry] = []
-        for front in fronts:
-            if len(survivors) + len(front) <= config.population_size:
-                survivors.extend(merged[i] for i in front)
-            else:
-                cd = crowding_distance(front, points)
-                chosen = sorted(front, key=lambda i: -cd[i])
-                survivors.extend(
-                    merged[i]
-                    for i in chosen[: config.population_size - len(survivors)]
-                )
-                break
-        pop = survivors
+        pop, rank, crowd = _select(pop + offspring, n)
         gens += 1
         hv_history.append(archive.hypervolume(ref_r, ref_d))
-        stall = config.hv_stall_generations
         # at zero reference damage every hypervolume is 0, so a flat history
         # says nothing about progress
         if (
             ref_d > 0.0
-            and gens >= stall
-            and hv_history[-1] - hv_history[-1 - stall] < config.hv_stall_tol
+            and gens >= HV_STALL_GENERATIONS
+            and hv_history[-1] - hv_history[-1 - HV_STALL_GENERATIONS]
+            < HV_STALL_TOL
         ):
             reason = "hv_stall"
             break

@@ -461,13 +461,27 @@ def _object(section: str, d) -> dict:
     return d
 
 
+def _number(section: str, name: str, value) -> float:
+    # JSON numbers only: a string such as "5" or a bool is not read as one
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{section}: {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(section: str, name: str, value) -> int:
-    # JSON has one number type: int() would truncate 5.7 and read true as 1
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
+    # an integer-valued float such as 5.0 is accepted; 5.7 is not truncated
+    x = _number(section, name, value)
+    if not x.is_integer():
         raise ValueError(f"{section}: {name} must be an integer, got {value!r}")
-    return int(value)
+    return int(x)
+
+
+def _array(section: str, name: str, value, read=_number) -> tuple:
+    """`read` applied to each item of a JSON array. A string is iterable
+    too, but "56789" is not the array (5, 6, 7, 8, 9)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{section}: {name} must be an array, got {value!r}")
+    return tuple(read(section, f"{name}[{i}]", v) for i, v in enumerate(value))
 
 
 def analytical_from_dict(d: dict) -> AnalyticalParams:
@@ -475,55 +489,52 @@ def analytical_from_dict(d: dict) -> AnalyticalParams:
     d = _object(section, d)
     try:
         return AnalyticalParams(
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            delta=float(d["delta"]),
-            gamma=float(d["gamma"]),
-            phi=float(d.get("phi", 0.0)),
-            k=float(d["k"]),
+            alpha=_number(section, "alpha", d["alpha"]),
+            beta=_number(section, "beta", d["beta"]),
+            delta=_number(section, "delta", d["delta"]),
+            gamma=_number(section, "gamma", d["gamma"]),
+            phi=_number(section, "phi", d.get("phi", 0.0)),
+            k=_number(section, "k", d["k"]),
         )
     except KeyError as e:
         raise ValueError(f"{section} missing field {e.args[0]!r}") from e
-    except (TypeError, OverflowError) as e:
+    except OverflowError as e:
         raise ValueError(f"{section}: {e}") from e
+
+
+def _technology(section: str, name: str, td) -> TechParams:
+    td = _object(f"{section}: {name}", td)
+    return TechParams(
+        tech_id=_integer(section, f"{name}.tech_id", td["tech_id"]),
+        k=_number(section, f"{name}.k", td["k"]),
+        alpha_er=_number(section, f"{name}.alpha_er", td["alpha_er"]),
+        beta_er=_number(section, f"{name}.beta_er", td["beta_er"]),
+        gamma_er=_number(section, f"{name}.gamma_er", td["gamma_er"]),
+        slopes=_array(section, f"{name}.slopes", td["slopes"]),
+    )
 
 
 def extended_from_dict(d: dict) -> ExtendedModel:
     section = "extended config"
     d = _object(section, d)
     try:
-        techs = tuple(
-            TechParams(
-                tech_id=_integer(section, "tech_id", td["tech_id"]),
-                k=float(td["k"]),
-                alpha_er=float(td["alpha_er"]),
-                beta_er=float(td["beta_er"]),
-                gamma_er=float(td["gamma_er"]),
-                slopes=tuple(td["slopes"]),
-            )
-            for td in d["technologies"]
-        )
+        bounds = {
+            name: _array(section, name, d[name], _array)
+            for name in ("tau_bounds", "q_bounds")
+            if d.get(name) is not None
+        }
         return ExtendedModel(
             T=_integer(section, "T", d["T"]),
-            alpha=tuple(d["alpha"]),
-            beta=tuple(d["beta"]),
-            techs=techs,
-            strata=StrataTable(amounts=tuple(d["strata"])),
-            r=float(d.get("r", 0.0)),
-            tau_bounds=(
-                tuple((lo, hi) for lo, hi in d["tau_bounds"])
-                if d.get("tau_bounds") is not None
-                else None
-            ),
-            q_bounds=(
-                tuple((lo, hi) for lo, hi in d["q_bounds"])
-                if d.get("q_bounds") is not None
-                else None
-            ),
+            alpha=_array(section, "alpha", d["alpha"]),
+            beta=_array(section, "beta", d["beta"]),
+            techs=_array(section, "technologies", d["technologies"], _technology),
+            strata=StrataTable(amounts=_array(section, "strata", d["strata"])),
+            r=_number(section, "r", d.get("r", 0.0)),
+            **bounds,
         )
     except KeyError as e:
         raise ValueError(f"{section} missing field {e.args[0]!r}") from e
-    except (TypeError, OverflowError) as e:
+    except OverflowError as e:
         raise ValueError(f"{section}: {e}") from e
 
 

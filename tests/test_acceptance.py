@@ -114,10 +114,8 @@ def test_criterion_7_frontier_composition(model, tech_frontiers, full_frontier):
 
 
 def test_criterion_8_strata_discontinuities(model, tech_frontiers):
-    boundaries = [
-        b * model.strata.amounts[0]
-        for b in range(1, len(model.strata.amounts))
-    ]
+    # the inner breakpoints, whatever the stratum sizes
+    boundaries = model.strata.breakpoints[:-1]
     missing = []
     found = {}
     for tech_id, entries in tech_frontiers.items():

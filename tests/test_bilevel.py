@@ -64,6 +64,11 @@ def deb_nondominated_sort(points):
     return fronts
 
 
+def deb_fronts_in_index_order(points):
+    """The reference fronts, each listed in index order."""
+    return [sorted(f) for f in deb_nondominated_sort(points)]
+
+
 def lambda_crowding_distance(
     front: Sequence[int], points: Sequence[ObjectivePoint]
 ) -> dict[int, float]:
@@ -193,11 +198,11 @@ class TestNondominatedSort:
         assert len(fronts) == 1
         assert sorted(fronts[0]) == list(range(5))
 
-    def test_second_front_in_queue_order(self):
+    def test_second_front_in_index_order(self):
         # F1 = [2, 3]; point 0 is dominated only by 3, point 1 only by 2,
-        # so Deb's queue emits 1 before 0
+        # so Deb's queue emits 1 before 0, and the sort lists 0 first
         pts = _points([(9, 11), (0.5, 2), (1, 1), (10, 10)])
-        assert nondominated_sort(pts) == [[2, 3], [1, 0]]
+        assert nondominated_sort(pts) == [[2, 3], [0, 1]]
         assert deb_nondominated_sort(pts) == [[2, 3], [1, 0]]
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
@@ -205,7 +210,7 @@ class TestNondominatedSort:
     def test_matches_reference_on_integer_grids(self, pairs):
         # small grids: ties in either objective and duplicate points
         pts = _points(pairs)
-        assert nondominated_sort(pts) == deb_nondominated_sort(pts)
+        assert nondominated_sort(pts) == deb_fronts_in_index_order(pts)
 
     @given(
         st.lists(
@@ -215,12 +220,12 @@ class TestNondominatedSort:
     @settings(max_examples=200)
     def test_matches_reference_on_floats(self, pairs):
         pts = _points(pairs)
-        assert nondominated_sort(pts) == deb_nondominated_sort(pts)
+        assert nondominated_sort(pts) == deb_fronts_in_index_order(pts)
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=2))
     def test_matches_reference_on_tiny_inputs(self, pairs):
         pts = _points(pairs)
-        assert nondominated_sort(pts) == deb_nondominated_sort(pts)
+        assert nondominated_sort(pts) == deb_fronts_in_index_order(pts)
 
     @given(st.permutations(range(30)))
     @settings(max_examples=50)
@@ -234,11 +239,14 @@ class TestNondominatedSort:
 
 class TestSortInEvolve:
     """The sort's front order picks survivors and tournament entrants, so
-    the reference sort must reproduce a seeded run exactly."""
+    the reference sort, its fronts in index order, must reproduce a seeded
+    run exactly."""
 
     def _same_run(self, model, cfg, monkeypatch):
         fast = evolve(model, cfg)
-        monkeypatch.setattr(bilevel, "nondominated_sort", deb_nondominated_sort)
+        monkeypatch.setattr(
+            bilevel, "nondominated_sort", deb_fronts_in_index_order
+        )
         slow = evolve(model, cfg)
         assert slow.archive.entries == fast.archive.entries
         assert slow.hv_history == fast.hv_history
@@ -251,6 +259,54 @@ class TestSortInEvolve:
         assert model.r == 0.0
         cfg = EaConfig(population_size=20, max_generations=5, seed=6)
         self._same_run(model, cfg, monkeypatch)
+
+    def test_one_sort_per_generation(self, model, monkeypatch):
+        calls = []
+        sort = bilevel.nondominated_sort
+
+        def counted(points):
+            calls.append(len(points))
+            return sort(points)
+
+        monkeypatch.setattr(bilevel, "nondominated_sort", counted)
+        cfg = EaConfig(population_size=8, max_generations=5, seed=6)
+        assert evolve(model, cfg).generations_run == 5
+        # the initial population, then each merged population
+        assert calls == [8] + [16] * 5
+
+
+class TestSelect:
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_whole_fronts_then_most_crowded(self, data):
+        # small grids: ties in either objective and duplicate points
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=40,
+            )
+        )
+        n = data.draw(st.integers(1, len(pairs)))
+        merged = [_entry(float(r), float(d)) for r, d in pairs]
+        pts = [e.objectives for e in merged]
+        survivors, rank, crowd = bilevel._select(merged, n)
+        assert len(survivors) == len(rank) == len(crowd) == n
+        assert rank == sorted(rank)
+        index = {id(e): i for i, e in enumerate(merged)}
+        kept = [index[id(e)] for e in survivors]
+        fronts = deb_fronts_in_index_order(pts)
+        for i, r, c in zip(kept, rank, crowd):
+            assert i in fronts[r]
+            assert c == lambda_crowding_distance(fronts[r], pts)[i]
+        last = rank[-1]
+        for front in fronts[:last]:
+            assert set(front) <= set(kept)
+        front = fronts[last]
+        cd = lambda_crowding_distance(front, pts)
+        most_crowded = sorted(front, key=lambda i: (-cd[i], i))
+        assert sorted(kept[rank.index(last):]) == sorted(
+            most_crowded[: rank.count(last)]
+        )
 
 
 class TestCrowdingDistance:
@@ -322,10 +378,6 @@ class TestEaConfig:
     def test_negative_generations_rejected(self):
         with pytest.raises(ValueError, match="generations"):
             EaConfig(max_generations=-1)
-
-    def test_empty_stall_window_rejected(self):
-        with pytest.raises(ValueError, match="stall"):
-            EaConfig(hv_stall_generations=0)
 
 
 class TestEvolve:
@@ -412,12 +464,11 @@ class TestEvolve:
         assert len(result.archive) > 0
         assert result.termination_reason == "max_generations"
 
-    def test_stops_on_hypervolume_stall(self, model):
+    def test_stops_on_hypervolume_stall(self, model, monkeypatch):
         # no gain can reach this tolerance
-        cfg = EaConfig(
-            population_size=8, max_generations=10, seed=11,
-            hv_stall_tol=1e30, hv_stall_generations=2,
-        )
+        monkeypatch.setattr(bilevel, "HV_STALL_TOL", 1e30)
+        monkeypatch.setattr(bilevel, "HV_STALL_GENERATIONS", 2)
+        cfg = EaConfig(population_size=8, max_generations=10, seed=11)
         result = evolve(model, cfg)
         assert result.generations_run == 2
         assert result.termination_reason == "hv_stall"

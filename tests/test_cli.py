@@ -146,14 +146,26 @@ class TestInvalidConfigs:
             ("extended", _set(("extended", "T"), True)),
             ("extended", _set(("extended", "technologies", 0, "tech_id"), 1.5)),
             ("analytical", _set(("analytical", "alpha"), None)),
+            ("extended", _set(("extended", "alpha"), "56789")),
+            ("extended",
+             _set(("extended", "technologies", 0, "slopes"), "12345")),
+            ("extended", _set(("extended", "strata"), "22222")),
+            ("extended", _set(("extended", "tau_bounds"), ["05"] * 5)),
+            ("extended", _set(("extended", "alpha", 0), True)),
+            ("analytical", _set(("analytical", "k"), True)),
+            ("analytical", _set(("analytical", "k"), "1")),
+            ("extended", _set(("extended", "r"), "0.05")),
         ],
         ids=[
             "null-r", "scalar-alpha", "scalar-slopes", "null-k", "list-section",
             "fractional-T", "bool-T", "fractional-tech-id", "null-analytical",
+            "string-alpha", "string-slopes", "string-strata", "string-tau-bound",
+            "bool-alpha", "bool-k", "string-k", "string-r",
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, capsys, model, edit):
-        # int() would run T = 5.7 as 5 and tech_id = 1.5 as 1
+        # int() would run T = 5.7 as 5 and tech_id = 1.5 as 1; float() would
+        # read "1" and true as 1, and tuple() the string "56789" as digits
         cfg = _bundled()
         edit(cfg)
         path = tmp_path / "cfg.json"
