@@ -7,7 +7,6 @@ closed-form optimal tax. Sweeping w traces the exact Pareto frontier.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .model import AnalyticalParams
@@ -93,13 +92,11 @@ def pareto_sweep(p: AnalyticalParams, n_points: int) -> list[WeightedSolution]:
 
 
 def sweep_to_csv(solutions: list[WeightedSolution], path: str) -> None:
+    # one format string per row and CRLF row ends, as the cli writers write
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["w", "tau", "q", "revenue", "damage", "profit"])
-        for s in solutions:
-            writer.writerow(
-                [
-                    f"{v:.12g}"
-                    for v in (s.w, s.tau_star, s.q_star, s.revenue, s.damage, s.profit)
-                ]
-            )
+        f.write("w,tau,q,revenue,damage,profit\r\n")
+        f.writelines(
+            "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\r\n"
+            % (s.w, s.tau_star, s.q_star, s.revenue, s.damage, s.profit)
+            for s in solutions
+        )

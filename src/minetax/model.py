@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 
@@ -484,6 +484,13 @@ def _array(section: str, name: str, value, read=_number) -> tuple:
     return tuple(read(section, f"{name}[{i}]", v) for i, v in enumerate(value))
 
 
+def _pair(section: str, name: str, value) -> tuple[float, float]:
+    pair = _array(section, name, value)
+    if len(pair) != 2:
+        raise ValueError(f"{section}: {name} must be a [low, high] pair")
+    return pair
+
+
 def analytical_from_dict(d: dict) -> AnalyticalParams:
     section = "analytical config"
     d = _object(section, d)
@@ -519,7 +526,7 @@ def extended_from_dict(d: dict) -> ExtendedModel:
     d = _object(section, d)
     try:
         bounds = {
-            name: _array(section, name, d[name], _array)
+            name: _array(section, name, d[name], _pair)
             for name in ("tau_bounds", "q_bounds")
             if d.get(name) is not None
         }
@@ -554,12 +561,11 @@ def config_from_dict(d: dict) -> ModelConfig:
     )
 
 
-def load_config(path: str) -> ModelConfig:
+def load_config(path: str | Path) -> ModelConfig:
     with open(path) as f:
         return config_from_dict(json.load(f))
 
 
 def default_config() -> ModelConfig:
     """Bundled parameters: the published single- and multi-period instances."""
-    text = resources.files("minetax").joinpath("data/default_config.json").read_text()
-    return config_from_dict(json.loads(text))
+    return load_config(Path(__file__).with_name("data") / "default_config.json")

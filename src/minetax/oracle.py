@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .lower import BestResponse, _pick_optimistic
 from .model import (
     AnalyticalParams,
@@ -192,8 +190,10 @@ def weighted_scalar_check(
     its closed-form best response. Returns (tau, objective value)."""
     if not 0.0 < w <= 1.0:
         raise ValueError("weight must lie in (0, 1]")
-    taus = np.array(grid.axis(0))
-    qs = np.maximum(0.0, (p.alpha - p.gamma - taus) / (2.0 * (p.beta + p.delta)))
-    values = w * taus * qs - (1.0 - w) * p.k * qs
-    i = int(np.argmax(values))
-    return float(taus[i]), float(values[i])
+    taus = grid.axis(0)
+    # left-to-right evaluation groups these factors so anyway: same floats
+    margin, slope, harm = p.alpha - p.gamma, 2.0 * (p.beta + p.delta), (1.0 - w) * p.k
+    qs = [max(0.0, (margin - t) / slope) for t in taus]
+    values = [w * t * q - harm * q for t, q in zip(taus, qs)]
+    i = values.index(max(values))  # the first of equal maxima
+    return taus[i], values[i]

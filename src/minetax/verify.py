@@ -8,10 +8,11 @@ acceptance budgets.
 
 from __future__ import annotations
 
+import bisect
+import math
+import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import analytical as ana
 from .bilevel import EaConfig, evolve
@@ -117,11 +118,10 @@ def check_telescoping(
     model: ExtendedModel, n_schedules: int = 1000, seed: int = 0
 ) -> CheckResult:
     """Per-period cost increments must sum exactly to the cumulative cost."""
-    rng = np.random.default_rng(seed)
-    highs = np.array([hi for _, hi in model.q_bounds])
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(n_schedules):
-        q = rng.uniform(0.0, highs)
+        q = [hi * rng.random() for _, hi in model.q_bounds]
         for tech in model.techs:
             total = 0.0
             cum = 0.0
@@ -150,10 +150,10 @@ def check_cost_convexity(
             if b < a:
                 ok = False
                 worst = max(worst, a - b)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     span = 1.5 * model.strata.stock
     for _ in range(n_pairs):
-        x, y = rng.uniform(0.0, span, size=2)
+        x, y = span * rng.random(), span * rng.random()
         for tech in model.techs:
             mid = cumulative_cost((x + y) / 2.0, tech, model.strata)
             avg = 0.5 * (
@@ -174,11 +174,11 @@ def check_cost_convexity(
 def random_strategies(
     model: ExtendedModel, n: int, seed: int
 ) -> list[LeaderStrategy]:
-    rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in model.tau_bounds])
-    highs = np.array([hi for _, hi in model.tau_bounds])
+    rng = random.Random(seed)
+    bounds = model.tau_bounds
     return [
-        LeaderStrategy(tau=tuple(rng.uniform(lows, highs))) for _ in range(n)
+        LeaderStrategy(tau=tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds))
+        for _ in range(n)
     ]
 
 
@@ -222,26 +222,37 @@ def frontier_metrics(
     2(beta+delta)q, so revenue follows in closed form.
     """
     q_top = ana.optimal_extraction(1.0, p)
-    curve_q = np.linspace(0.0, q_top, n_curve)
-    curve_d = p.k * curve_q
-    curve_r = (p.alpha - p.gamma - 2.0 * (p.beta + p.delta) * curve_q) * curve_q
-    rev_range = curve_r.max() - curve_r.min()
-    dam_range = curve_d.max() - curve_d.min()
+    step = q_top / (n_curve - 1)
+    curve_q = [i * step for i in range(n_curve - 1)] + [q_top]
+    curve_d = [p.k * q for q in curve_q]
+    curve_r = [(p.alpha - p.gamma - 2.0 * (p.beta + p.delta) * q) * q for q in curve_q]
+    rev_range = max(curve_r) - min(curve_r)
+    dam_range = max(curve_d) - min(curve_d)
     if not entries:
         return float("inf"), 0.0
     # with k = 0 nothing does damage: there is no damage range to scale by,
     # and any archive spans all of it
     dam_scale = dam_range or 1.0
     dist = 0.0
-    # one row of point-to-curve distances at a time, not an N x n_curve matrix
     for e in entries:
-        dr = (e.objectives.revenue - curve_r) / rev_range
-        dd = (e.objectives.damage - curve_d) / dam_scale
-        dist = max(dist, float(np.sqrt(dr * dr + dd * dd).min()))
+        rev, dam = e.objectives.revenue, e.objectives.damage
+        # curve_d is nondecreasing (k >= 0): scan outward from the point's
+        # damage, and stop a direction once the damage gap alone, which
+        # only grows along it, is no nearer than the best sample
+        best = math.inf
+        start = bisect.bisect_left(curve_d, dam)
+        for side in (range(start, n_curve), range(start - 1, -1, -1)):
+            for j in side:
+                dd = (dam - curve_d[j]) / dam_scale
+                if math.sqrt(dd * dd) >= best:
+                    break
+                dr = (rev - curve_r[j]) / rev_range
+                best = min(best, math.sqrt(dr * dr + dd * dd))
+        dist = max(dist, best)
     damages = [e.objectives.damage for e in entries]
     if dam_range == 0.0:
         return dist, 1.0
-    return dist, float((max(damages) - min(damages)) / dam_range)
+    return dist, (max(damages) - min(damages)) / dam_range
 
 
 def check_frontier_convergence(
@@ -279,13 +290,11 @@ def epsilon_indicator(
     """Additive epsilon indicator for (maximize revenue, minimize damage),
     normalized per objective: smallest shift making `approx` weakly
     dominate every reference point."""
-    ar = np.array([x[0] for x in approx])
-    ad = np.array([x[1] for x in approx])
-    eps = -np.inf
+    eps = -math.inf
     for r, d in reference:
-        shift = np.maximum((r - ar) / rev_scale, (ad - d) / dam_scale).min()
+        shift = min(max((r - a) / rev_scale, (b - d) / dam_scale) for a, b in approx)
         eps = max(eps, shift)
-    return float(eps)
+    return eps
 
 
 def run_all_checks(

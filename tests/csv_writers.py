@@ -1,11 +1,13 @@
-"""The CSV writers of `minetax.cli` as they were before rows were
-streamed with one format string each: `csv.writer` with every float as
-`_fmt`. The reference the streamed writers must match byte for byte.
+"""The CSV writers of `minetax.cli` and `minetax.analytical` as they were
+before rows were written with one format string each: `csv.writer` with
+every float as `_fmt`. The reference the new writers must match byte for
+byte.
 """
 
 import csv
 from pathlib import Path
 
+from minetax.analytical import WeightedSolution
 from minetax.bilevel import ArchiveEntry
 from minetax.model import period_profit
 
@@ -71,3 +73,16 @@ def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
                         model.strata.active_stratum(cum),
                     ]
                 )
+
+
+def sweep_to_csv(solutions: list[WeightedSolution], path: str) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["w", "tau", "q", "revenue", "damage", "profit"])
+        for s in solutions:
+            writer.writerow(
+                [
+                    f"{v:.12g}"
+                    for v in (s.w, s.tau_star, s.q_star, s.revenue, s.damage, s.profit)
+                ]
+            )

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -10,6 +11,7 @@ import pytest
 
 import minetax
 import csv_writers
+from minetax import analytical as ana
 from minetax import (
     ArchiveEntry,
     EaConfig,
@@ -155,12 +157,16 @@ class TestInvalidConfigs:
             ("analytical", _set(("analytical", "k"), True)),
             ("analytical", _set(("analytical", "k"), "1")),
             ("extended", _set(("extended", "r"), "0.05")),
+            ("extended",
+             _set(("extended", "tau_bounds"), [[0, 1, 2]] + [[0, 50]] * 4)),
+            ("extended", _set(("extended", "q_bounds"), [[0]] + [[0, 90]] * 4)),
         ],
         ids=[
             "null-r", "scalar-alpha", "scalar-slopes", "null-k", "list-section",
             "fractional-T", "bool-T", "fractional-tech-id", "null-analytical",
             "string-alpha", "string-slopes", "string-strata", "string-tau-bound",
             "bool-alpha", "bool-k", "string-k", "string-r",
+            "triple-tau-bound", "single-q-bound",
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, capsys, model, edit):
@@ -429,6 +435,13 @@ class TestStreamedWriters:
             new = (tmp_path / f"{name}_new.csv").read_bytes()
             assert new == (tmp_path / f"{name}_ref.csv").read_bytes()
 
+    @staticmethod
+    def _same_sweep_bytes(tmp_path, sweep):
+        ana.sweep_to_csv(sweep, str(tmp_path / "w_new.csv"))
+        csv_writers.sweep_to_csv(sweep, str(tmp_path / "w_ref.csv"))
+        new = (tmp_path / "w_new.csv").read_bytes()
+        assert new == (tmp_path / "w_ref.csv").read_bytes()
+
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_evolve_archive(self, tmp_path, model, r):
         model = dataclasses.replace(model, r=r)
@@ -441,6 +454,11 @@ class TestStreamedWriters:
         model = analytical_as_extended(params)
         cfg = EaConfig(population_size=100, max_generations=3, seed=7)
         self._same_bytes(tmp_path, evolve(model, cfg).archive.entries, model)
+
+    @pytest.mark.parametrize("k", [1.0, 0.0])
+    def test_analytical_sweep(self, tmp_path, params, k):
+        sweep = ana.pareto_sweep(dataclasses.replace(params, k=k), 100)
+        self._same_sweep_bytes(tmp_path, sweep)
 
     def test_awkward_floats(self, tmp_path, model):
         awkward = (0.0, 5e-324, 1e16, 123456789012.5, 3.0, 1.0 / 3.0)
@@ -463,6 +481,12 @@ class TestStreamedWriters:
         ]
         self._same_bytes(tmp_path, entries, model)
         self._same_bytes(tmp_path, [], model)
+        sweep = [
+            ana.WeightedSolution(*(awkward[(j + i) % len(awkward)] for i in range(6)))
+            for j in range(len(awkward))
+        ]
+        self._same_sweep_bytes(tmp_path, sweep)
+        self._same_sweep_bytes(tmp_path, [])
 
 
 class TestDominanceReport:
@@ -558,16 +582,21 @@ class TestPinnedStream:
 
 
 def test_cli_import_leaves_out_numpy_and_verification():
+    # -S: no site-packages, so nothing is imported that the package does
+    # not import itself
     src = str(Path(minetax.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import minetax.cli; "
-        "print([m for m in ('numpy', 'minetax.oracle', 'minetax.verify') "
-        "if m in sys.modules])"
+        "minetax.cli.default_config(); "
+        "print([m for m in ('numpy', 'minetax.oracle', 'minetax.verify', 'csv', "
+        "'importlib.resources') if m in sys.modules]); "
+        "import minetax.verify; print('numpy' in sys.modules)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["[]", "False", ""]
 
 
 class TestVerify:
@@ -577,6 +606,17 @@ class TestVerify:
         assert rc == EXIT_OK
         assert "all checks passed" in out
         assert "[FAIL]" not in out
+
+    def test_quick_battery_needs_no_site_packages(self):
+        # python -S leaves site-packages off sys.path: the battery runs on
+        # the standard library alone
+        src = str(Path(minetax.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-S", "-m", "minetax.cli", "--verify", "--quick"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "all checks passed" in done.stdout
 
     def test_unpublished_instance_passes(self, tmp_path, capsys):
         # w_min = k / (alpha - gamma + k) = 3/51: above the smallest FOC

@@ -1,8 +1,8 @@
 import bisect
 import dataclasses
 import itertools
+import random
 
-import numpy as np
 import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
 from hypothesis import assume, given, settings
@@ -107,11 +107,11 @@ class TestBestResponseFixedTech:
         # r > 0: the exact solve against the grid refinement from random
         # points of the step-5 lattice
         discounted = dataclasses.replace(model, r=0.05)
-        rng = np.random.default_rng(42)
+        rng = random.Random(42)
         for strat in random_strategies(model, 5, seed=11):
             for tech in model.techs:
                 a = best_response_fixed_tech(strat, tech, discounted)
-                start = tuple(5.0 * float(k) for k in rng.integers(0, 17, 5))
+                start = tuple(5.0 * rng.randrange(17) for _ in range(5))
                 q, _ = _refine(strat.tau, tech, discounted, start, 5.0)
                 for x, y in zip(a.response.q, q):
                     assert x == pytest.approx(y, abs=1e-5)
@@ -334,7 +334,7 @@ def _convex_instances(draw, rates=st.just(0.0)):
     alpha = tuple(draw(st.floats(1.0, 100.0)) for _ in range(T))
     beta = tuple(draw(pos) for _ in range(T))
     steps = [draw(st.floats(0.0, 10.0)) for _ in range(M)]
-    slopes = tuple(float(x) for x in np.cumsum(steps))
+    slopes = tuple(itertools.accumulate(steps))
     tech = TechParams(
         tech_id=1, k=1.0, alpha_er=draw(st.floats(0.0, 2.0)),
         beta_er=draw(st.floats(0.0, 10.0)), gamma_er=draw(st.floats(0.0, 10.0)),
@@ -552,7 +552,7 @@ def _technology_tables(draw, rates=st.just(0.0)):
 
     def fresh():
         steps = [draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))) for _ in range(M)]
-        slopes = tuple(float(x) for x in np.cumsum(steps))
+        slopes = tuple(itertools.accumulate(steps))
         return (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 10.0)),
                 draw(st.floats(0.0, 10.0)), slopes)
 
@@ -570,7 +570,7 @@ def _technology_tables(draw, rates=st.just(0.0)):
             # one shift for all slopes plus a nondecreasing extra per stratum
             slopes = tuple(
                 s + extra[3] + e
-                for s, e in zip(base[3], np.cumsum(extra[4:]))
+                for s, e in zip(base[3], itertools.accumulate(extra[4:]))
             )
             costs.append(tuple(c + e for c, e in zip(base[:3], extra[:3])) + (slopes,))
     order = draw(st.permutations(range(len(costs))))

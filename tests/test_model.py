@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -385,3 +386,16 @@ class TestConfig:
     def test_missing_field_named_in_error(self):
         with pytest.raises(ValueError, match="delta"):
             config_from_dict({"analytical": {"alpha": 1, "beta": 1, "k": 1}})
+
+    @pytest.mark.parametrize(
+        "field, pair", [("tau_bounds", [0, 1, 2]), ("q_bounds", [0])],
+        ids=["triple-tau-bound", "single-q-bound"],
+    )
+    def test_bound_pair_of_wrong_length_named_in_error(self, field, pair):
+        doc = {"T": 2, "alpha": [10, 11], "beta": [0.5, 0.5], "strata": [5],
+               "technologies": [{"tech_id": 1, "k": 1, "alpha_er": 0.1,
+                                 "beta_er": 0.2, "gamma_er": 0.3, "slopes": [1]}],
+               field: [[0, 10], pair]}
+        message = f"extended config: {field}[1] must be a [low, high] pair"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({"extended": doc})

@@ -1,18 +1,24 @@
 import dataclasses
 import itertools
+import math
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minetax import (
+    EaConfig,
     ExtendedModel,
     LeaderStrategy,
+    ObjectivePoint,
     StrataTable,
     TechParams,
     analytical_as_extended,
     cumulative_cost,
+    evolve,
     follower_best_response,
     optimal_tax,
 )
@@ -28,6 +34,7 @@ from minetax.verify import (
     check_oracle_equivalence,
     check_threshold,
     epsilon_indicator,
+    frontier_metrics,
 )
 
 
@@ -261,6 +268,56 @@ class TestEpsilonIndicator:
         worse, better = [(10.0, 2.0)], [(12.0, 1.0)]
         assert self._eps(worse, better) == pytest.approx(0.25)
         assert self._eps(better, worse) == pytest.approx(-0.2)
+
+
+def frontier_distance_by_definition(entries, p, n_curve=4001):
+    """The distance frontier_metrics reports, as defined: the largest, over
+    archive points, of the least normalized distance to any of the n_curve
+    samples of the closed-form frontier. Every sample is visited."""
+    q_top = analytical.optimal_extraction(1.0, p)
+    step = q_top / (n_curve - 1)
+    curve_q = [i * step for i in range(n_curve - 1)] + [q_top]
+    revenues = [(p.alpha - p.gamma - 2.0 * (p.beta + p.delta) * q) * q for q in curve_q]
+    damages = [p.k * q for q in curve_q]
+    rev_range = max(revenues) - min(revenues)
+    dam_scale = (max(damages) - min(damages)) or 1.0
+
+    def distance(e, r, d):
+        dr = (e.objectives.revenue - r) / rev_range
+        dd = (e.objectives.damage - d) / dam_scale
+        return math.sqrt(dr * dr + dd * dd)
+
+    curve = list(zip(revenues, damages))
+    return max(min(distance(e, r, d) for r, d in curve) for e in entries)
+
+
+class TestFrontierMetrics:
+    """The pruned nearest-sample scan of frontier_metrics gives the float of
+    the min over every sample, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1.0, 0.0])
+    def test_quick_archive(self, params, k):
+        p = dataclasses.replace(params, k=k)
+        config = EaConfig(population_size=24, max_generations=40, seed=1)
+        entries = evolve(analytical_as_extended(p), config).archive.entries
+        dist, _ = frontier_metrics(entries, p)
+        assert dist.hex() == frontier_distance_by_definition(entries, p).hex()
+
+    @pytest.mark.parametrize("k", [1.0, 0.0])
+    def test_points_off_the_frontier(self, params, k):
+        # points around and beyond both ends of the curve's damage range
+        p = dataclasses.replace(params, k=k)
+        rng = random.Random(5)
+        entries = [
+            SimpleNamespace(objectives=ObjectivePoint(
+                revenue=1000.0 * rng.random() - 200.0,
+                damage=25.0 * rng.random() - 5.0,
+                profit=0.0,
+            ))
+            for _ in range(60)
+        ]
+        dist, _ = frontier_metrics(entries, p)
+        assert dist.hex() == frontier_distance_by_definition(entries, p).hex()
 
 
 class TestThresholdCheck:
