@@ -21,6 +21,7 @@ from .model import (
     FollowerResponse,
     LeaderStrategy,
     ObjectivePoint,
+    leader_objectives,
 )
 from .variation import polynomial_mutation, sbx_crossover
 
@@ -203,19 +204,11 @@ def _evaluate(
 ) -> ArchiveEntry:
     strat = LeaderStrategy(tau=tau)
     br = best_response(strat, model, tech_filter=tech_filter)
-    q = br.response.q
-    # `leader_objectives`' revenue and damage, summed in its order; the
-    # profit is the solver's own
-    revenue = sum(d * x * v for d, x, v in zip(model.discount_factors, strat.tau, q))
-    obj = ObjectivePoint(
-        revenue=revenue,
-        damage=model.tech(br.response.a).k * sum(q),
-        profit=br.profit,
-    )
+    revenue, damage = leader_objectives(br.response, strat, model)
     return ArchiveEntry(
         strategy=strat,
         response=br.response,
-        objectives=obj,
+        objectives=ObjectivePoint(revenue, damage, br.profit),
         optimality_tag=br.optimality_tag,
     )
 
@@ -341,17 +334,14 @@ def evolve(
 
 
 def detect_strata_kinks(
-    entries: Sequence[ArchiveEntry],
-    boundaries: Sequence[float],
-    gap_factor: float = 5.0,
-    slope_change: float = 0.5,
+    entries: Sequence[ArchiveEntry], boundaries: Sequence[float]
 ) -> list[float]:
     """Boundaries in cumulative extraction where the frontier shows a kink.
 
     For each boundary, finds the consecutive frontier pair (sorted by
     damage) whose total extraction brackets it and flags the boundary when
-    the damage gap there is an outlier or the local revenue-vs-damage slope
-    changes by more than `slope_change` relative.
+    the damage gap there is over 5 times the median gap or the local
+    revenue-vs-damage slope changes by more than half, relative.
     """
     pts = sorted(
         (
@@ -380,7 +370,7 @@ def detect_strata_kinks(
         d0, r0, _ = pts[hit]
         d1, r1, _ = pts[hit + 1]
         gap = d1 - d0
-        if median_gap > 0 and gap > gap_factor * median_gap:
+        if median_gap > 0 and gap > 5.0 * median_gap:
             detected.append(b)
             continue
         if hit >= 1 and gap > 0:
@@ -389,6 +379,6 @@ def detect_strata_kinks(
                 slope_before = (r0 - rm) / (d0 - dm)
                 slope_across = (r1 - r0) / (d1 - d0)
                 scale = max(abs(slope_before), abs(slope_across), 1e-12)
-                if abs(slope_across - slope_before) / scale > slope_change:
+                if abs(slope_across - slope_before) / scale > 0.5:
                     detected.append(b)
     return detected

@@ -6,8 +6,9 @@ For fixed taxes and a fixed technology the follower maximises
 
 with g_t(q) = (alpha_t - tau_t - beta_er) q - (beta_t + alpha_er) q^2,
 discount factors d_t = (1 + r)^-(t-1), prefix sums X_t = q_1 + ... + q_t,
-weights w_t = d_t - d_{t+1} (d_{T+1} = 0) and the convex piecewise-linear
-cumulative cost C. The objective is strictly concave, so the optimum is
+weights w_t = d_t - d_{t+1} (d_{T+1} = 0) and the piecewise-linear
+cumulative cost C, convex because `TechParams` admits only nondecreasing
+slopes. The objective is strictly concave, so the optimum is
 unique, and it is found exactly. At r = 0 only X_T carries the cost, and
 water-filling on its multiplier gives the schedule. At r > 0 the KKT
 conditions read q_t = clip((a_t - S_t / d_t) / (2 c_t), 0, qbar_t) and
@@ -256,11 +257,6 @@ def best_response_fixed_tech(
     """Unique profit-maximizing schedule for fixed taxes and technology."""
     if len(strat.tau) != model.T:
         raise ValueError("strategy length must equal the horizon T")
-    if not tech.convex:
-        raise ValueError(
-            f"technology {tech.tech_id}: stratum slopes must be nondecreasing "
-            "(convex cumulative cost) to solve the follower"
-        )
     periods = [
         (a - x - tech.beta_er, b + tech.alpha_er, h)
         for a, b, x, (_, h) in zip(model.alpha, model.beta, strat.tau, model.q_bounds)
@@ -321,8 +317,8 @@ def _pick_optimistic(
         return tied[0]
 
     def key(c: BestResponse):
-        obj = leader_objectives(c.response, strat, model)
-        return (-obj.revenue, obj.damage, c.response.a)
+        revenue, damage = leader_objectives(c.response, strat, model)
+        return (-revenue, damage, c.response.a)
 
     return min(tied, key=key)
 
@@ -365,8 +361,7 @@ def best_response(
     With a filter, only that technology is solved. Without one, a
     technology that another one dominates (`ExtendedModel.dominance`) is
     solved only when `_profit_gap_bound` cannot show it out of the profit
-    tie; the answer is the one the full enumeration gives. A nonconvex
-    technology is always solved, which rejects it.
+    tie; the answer is the one the full enumeration gives.
     """
     if tech_filter is not None:
         return best_response_fixed_tech(strat, model.tech(tech_filter), model)
@@ -388,7 +383,7 @@ def best_response(
             ref = solved[dom.dominator.tech_id]
             need = best - ref.profit + slack
             # the bound's fixed-cost part alone often settles it
-            if dom.tech.convex and ref.optimality_tag and (
+            if ref.optimality_tag and (
                 dom.fixed_gap * model.discounted_periods > need
                 or _profit_gap_bound(ref.response.q, dom, model, d) > need
             ):

@@ -60,7 +60,7 @@ class TechParams:
     """One technology alternative: pollution coefficient and cost structure.
 
     slopes[m] is the marginal extraction/purification cost while mining
-    stratum m+1.
+    stratum m+1; the slopes must be nondecreasing.
     """
 
     tech_id: int
@@ -87,12 +87,12 @@ class TechParams:
             raise ValueError("stratum slopes must be nonnegative")
         if not self.slopes:
             raise ValueError("at least one stratum slope required")
-
-    @functools.cached_property
-    def convex(self) -> bool:
-        """Whether the stratum slopes are nondecreasing, so that the
-        cumulative cost is convex. Computed once per technology."""
-        return all(a <= b for a, b in zip(self.slopes, self.slopes[1:]))
+        # strata get dearer with depth, so the cumulative cost is convex:
+        # every follower solver and the grid oracle's certificate rest on it
+        if any(a > b for a, b in zip(self.slopes, self.slopes[1:])):
+            raise ValueError(
+                f"technology {self.tech_id}: stratum slopes must be nondecreasing"
+            )
 
 
 @dataclass(frozen=True)
@@ -403,25 +403,18 @@ def follower_total_profit(
 
 def leader_objectives(
     resp: FollowerResponse, strat: LeaderStrategy, model: ExtendedModel
-) -> ObjectivePoint:
-    """Leader's revenue (discounted) and damage (undiscounted) objectives.
+) -> tuple[float, float]:
+    """Leader's (revenue, damage): revenue discounted, damage not.
 
     Damage is a physical quantity and is never discounted; only monetary
     flows carry the discount factor.
     """
     if len(resp.q) != model.T or len(strat.tau) != model.T:
         raise ValueError("schedule lengths must equal the horizon T")
-    tech = model.tech(resp.a)
     revenue = sum(
-        model.discount(t) * strat.tau[t - 1] * resp.q[t - 1]
-        for t in range(1, model.T + 1)
+        d * x * v for d, x, v in zip(model.discount_factors, strat.tau, resp.q)
     )
-    damage = tech.k * sum(resp.q)
-    return ObjectivePoint(
-        revenue=revenue,
-        damage=damage,
-        profit=follower_total_profit(resp, strat, model),
-    )
+    return revenue, model.tech(resp.a).k * sum(resp.q)
 
 
 def analytical_as_extended(p: AnalyticalParams) -> ExtendedModel:

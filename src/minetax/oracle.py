@@ -5,6 +5,7 @@ the result type and the optimistic tie-break."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .lower import BestResponse, _pick_optimistic
 from .model import (
@@ -111,8 +112,8 @@ def _refine(
     step / 2**REFINE_HALVINGS, within the extraction box.
 
     In the prefix sums X_t the profit is sum_t d_t g_t(X_t - X_{t-1})
-    - sum_t w_t C(X_t) with concave g_t and w_t >= 0; with nondecreasing
-    slopes C is convex, and the profit is L-natural-concave on every
+    - sum_t w_t C(X_t) with concave g_t, w_t >= 0 and C convex (its
+    slopes are nondecreasing), so the profit is L-natural-concave on every
     lattice h Z^T. There a schedule that no move X + h chi_S or X - h chi_S
     improves is best on the whole lattice (Murota, Discrete Convex
     Analysis, SIAM 2003, ch. 7), and such a move changes each q_t by at
@@ -154,7 +155,7 @@ def grid_best_response(
 ) -> BestResponse:
     """Exhaustive grid search over schedules and technologies, each grid
     winner refined on the grid's lattice by _refine. The answer is tagged
-    optimal, on the finest lattice, where the slopes are nondecreasing."""
+    optimal: it is the optimum on the finest lattice."""
     if len(grid.lows) != model.T:
         raise ValueError("grid dimension must equal the horizon T")
     # DP steps: the levels of X_{t-1} times |axis_t|, summed over t
@@ -172,28 +173,32 @@ def grid_best_response(
     for tech in model.techs:
         q, _ = _grid_argmax_fixed_tech(strat.tau, tech, model, grid)
         q, profit = _refine(strat.tau, tech, model, q, grid.step)
-        convex = all(a <= b for a, b in zip(tech.slopes, tech.slopes[1:]))
         candidates.append(
             BestResponse(
                 response=FollowerResponse(q=q, a=tech.tech_id),
                 profit=profit,
-                optimality_tag=convex,
+                optimality_tag=True,
             )
         )
     return _pick_optimistic(candidates, strat, model)
 
 
 def weighted_scalar_check(
-    p: AnalyticalParams, w: float, grid: GridSpec
-) -> tuple[float, float]:
+    p: AnalyticalParams, weights: Sequence[float], grid: GridSpec
+) -> list[tuple[float, float]]:
     """Grid argmax of the leader's weighted objective with the follower on
-    its closed-form best response. Returns (tau, objective value)."""
-    if not 0.0 < w <= 1.0:
-        raise ValueError("weight must lie in (0, 1]")
+    its closed-form best response: one (tau, objective value) per weight.
+    The tax axis and the follower's responses on it are built once."""
+    if not all(0.0 < w <= 1.0 for w in weights):
+        raise ValueError("weights must lie in (0, 1]")
     taus = grid.axis(0)
     # left-to-right evaluation groups these factors so anyway: same floats
-    margin, slope, harm = p.alpha - p.gamma, 2.0 * (p.beta + p.delta), (1.0 - w) * p.k
+    margin, slope = p.alpha - p.gamma, 2.0 * (p.beta + p.delta)
     qs = [max(0.0, (margin - t) / slope) for t in taus]
-    values = [w * t * q - harm * q for t, q in zip(taus, qs)]
-    i = values.index(max(values))  # the first of equal maxima
-    return taus[i], values[i]
+    best = []
+    for w in weights:
+        harm = (1.0 - w) * p.k
+        values = [w * t * q - harm * q for t, q in zip(taus, qs)]
+        i = values.index(max(values))  # the first of equal maxima
+        best.append((taus[i], values[i]))
+    return best

@@ -36,23 +36,25 @@ class CheckResult:
 
 
 FOC_WEIGHTS = (0.02, 0.1, 0.25, 0.5, 0.75, 1.0)
+# tax grid step of the closed-form check, and its tolerance
+FOC_GRID_STEP = 1e-3
+# samples of the closed-form frontier, uniform in damage
+FRONTIER_SAMPLES = 4001
 
 
 def _fd_central(f, x: float, h: float = 1e-4) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def check_closed_form(
-    p: AnalyticalParams,
-    weights: Sequence[float] = FOC_WEIGHTS,
-    grid_step: float = 1e-3,
-) -> CheckResult:
+def check_closed_form(p: AnalyticalParams) -> CheckResult:
     """First-order conditions and grid-oracle agreement of the closed forms,
     at the weights above the instance's feasibility threshold (below it the
     induced extraction is clamped at 0 and the FOCs do not hold)."""
     w_min = ana.feasibility_threshold(p)
+    weights = [w for w in FOC_WEIGHTS if w > w_min]
+    grid = GridSpec(lows=(0.0,), highs=(p.alpha,), step=FOC_GRID_STEP)
     worst = 0.0
-    for w in (w for w in weights if w > w_min):
+    for w, (tau_grid, _) in zip(weights, weighted_scalar_check(p, weights, grid)):
         tau = ana.optimal_tax(w, p)
         q = ana.optimal_extraction(w, p)
         # follower FOC at the induced extraction
@@ -64,11 +66,9 @@ def check_closed_form(
 
         d_f = _fd_central(leader, tau)
         worst = max(worst, abs(d_pi), abs(d_f))
-        grid = GridSpec(lows=(0.0,), highs=(p.alpha,), step=grid_step)
-        tau_grid, _ = weighted_scalar_check(p, w, grid)
-        worst = max(worst, abs(tau_grid - tau) - grid_step)
+        worst = max(worst, abs(tau_grid - tau) - FOC_GRID_STEP)
         q_grid = ana.follower_best_response(tau_grid, p)
-        worst = max(worst, abs(q_grid - q) - grid_step)
+        worst = max(worst, abs(q_grid - q) - FOC_GRID_STEP)
     return CheckResult(
         name="closed-form first-order conditions and grid oracle",
         passed=worst <= 1e-6,
@@ -76,12 +76,12 @@ def check_closed_form(
     )
 
 
-def check_threshold(p: AnalyticalParams, step: float = 1e-9) -> CheckResult:
+def check_threshold(p: AnalyticalParams) -> CheckResult:
     """The threshold is the weight where induced extraction starts: 0 at
-    w_min and positive one `step` above it."""
+    w_min and positive one step of 1e-9 above it."""
     w_min = ana.feasibility_threshold(p)
     dev = ana.optimal_extraction(w_min, p) if w_min > 0 else 0.0
-    above = ana.optimal_extraction(w_min + step, p)
+    above = ana.optimal_extraction(w_min + 1e-9, p)
     return CheckResult(
         name="feasibility threshold",
         passed=dev <= 1e-12 and above > 0,
@@ -114,11 +114,9 @@ def check_frontier_endpoints(p: AnalyticalParams) -> CheckResult:
     )
 
 
-def check_telescoping(
-    model: ExtendedModel, n_schedules: int = 1000, seed: int = 0
-) -> CheckResult:
+def check_telescoping(model: ExtendedModel, n_schedules: int = 1000) -> CheckResult:
     """Per-period cost increments must sum exactly to the cumulative cost."""
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst = 0.0
     for _ in range(n_schedules):
         q = [hi * rng.random() for _, hi in model.q_bounds]
@@ -139,20 +137,14 @@ def check_telescoping(
     )
 
 
-def check_cost_convexity(
-    model: ExtendedModel, n_pairs: int = 200, seed: int = 0
-) -> CheckResult:
-    """Slopes nondecreasing per technology plus a random midpoint test."""
+def check_cost_convexity(model: ExtendedModel) -> CheckResult:
+    """Midpoint convexity of `cumulative_cost` at 200 random pairs, per
+    technology. `TechParams` already rejects decreasing slopes; this tests
+    that the cost function computes the convex curve they define."""
     worst = 0.0
-    ok = True
-    for tech in model.techs:
-        for a, b in zip(tech.slopes, tech.slopes[1:]):
-            if b < a:
-                ok = False
-                worst = max(worst, a - b)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     span = 1.5 * model.strata.stock
-    for _ in range(n_pairs):
+    for _ in range(200):
         x, y = span * rng.random(), span * rng.random()
         for tech in model.techs:
             mid = cumulative_cost((x + y) / 2.0, tech, model.strata)
@@ -162,11 +154,10 @@ def check_cost_convexity(
             )
             gap = mid - avg
             if gap > 1e-9:
-                ok = False
                 worst = max(worst, gap)
     return CheckResult(
         name="convexity of the piecewise-linear cost",
-        passed=ok,
+        passed=worst == 0.0,
         deviation=worst,
     )
 
@@ -183,37 +174,26 @@ def random_strategies(
 
 
 def check_oracle_equivalence(
-    model: ExtendedModel,
-    n_strategies: int = 50,
-    seed: int = 7,
-    grid_high: float = 90.0,
-    grid_step: float = 5.0,
-    tol: float = 1e-2,
+    model: ExtendedModel, n_strategies: int = 50
 ) -> CheckResult:
-    """Deterministic best response vs brute-force grid plus refinement."""
-    highs = tuple(min(grid_high, hi) for _, hi in model.q_bounds)
-    grid = GridSpec(lows=(0.0,) * model.T, highs=highs, step=grid_step)
-    name = "lower-solver vs grid oracle profit"
+    """Deterministic best response vs brute-force grid plus refinement, on
+    the grid 0, 5, ..., 90 per period cut to the extraction box."""
+    highs = tuple(min(90.0, hi) for _, hi in model.q_bounds)
+    grid = GridSpec(lows=(0.0,) * model.T, highs=highs, step=5.0)
     worst = 0.0
-    for strat in random_strategies(model, n_strategies, seed):
-        try:
-            solver = best_response(strat, model)
-        except ValueError as e:
-            # e.g. a non-convex cost, which the exact solvers refuse
-            return CheckResult(name, False, float("inf"), detail=str(e))
+    for strat in random_strategies(model, n_strategies, 7):
+        solver = best_response(strat, model)
         oracle = grid_best_response(strat, model, grid)
         worst = max(worst, abs(solver.profit - oracle.profit))
     return CheckResult(
-        name=name,
-        passed=worst <= tol,
+        name="lower-solver vs grid oracle profit",
+        passed=worst <= 1e-2,
         deviation=worst,
         detail=f"{n_strategies} random strategies",
     )
 
 
-def frontier_metrics(
-    entries, p: AnalyticalParams, n_curve: int = 4001
-) -> tuple[float, float]:
+def frontier_metrics(entries, p: AnalyticalParams) -> tuple[float, float]:
     """Max normalized distance of archive points to the closed-form
     frontier, and the fraction of the damage range the archive spans.
 
@@ -222,8 +202,8 @@ def frontier_metrics(
     2(beta+delta)q, so revenue follows in closed form.
     """
     q_top = ana.optimal_extraction(1.0, p)
-    step = q_top / (n_curve - 1)
-    curve_q = [i * step for i in range(n_curve - 1)] + [q_top]
+    step = q_top / (FRONTIER_SAMPLES - 1)
+    curve_q = [i * step for i in range(FRONTIER_SAMPLES - 1)] + [q_top]
     curve_d = [p.k * q for q in curve_q]
     curve_r = [(p.alpha - p.gamma - 2.0 * (p.beta + p.delta) * q) * q for q in curve_q]
     rev_range = max(curve_r) - min(curve_r)
@@ -241,7 +221,7 @@ def frontier_metrics(
         # only grows along it, is no nearer than the best sample
         best = math.inf
         start = bisect.bisect_left(curve_d, dam)
-        for side in (range(start, n_curve), range(start - 1, -1, -1)):
+        for side in (range(start, FRONTIER_SAMPLES), range(start - 1, -1, -1)):
             for j in side:
                 dd = (dam - curve_d[j]) / dam_scale
                 if math.sqrt(dd * dd) >= best:
@@ -256,26 +236,22 @@ def frontier_metrics(
 
 
 def check_frontier_convergence(
-    p: AnalyticalParams,
-    population_size: int = 60,
-    max_generations: int = 200,
-    seed: int = 1,
-    dist_tol: float = 0.01,
-    coverage_min: float = 0.9,
+    p: AnalyticalParams, population_size: int = 60, max_generations: int = 200
 ) -> CheckResult:
-    """The bilevel EA on the embedded single-period instance must land on
-    the closed-form frontier and span most of the damage range."""
+    """The bilevel EA on the embedded single-period instance must land
+    within normalised distance 0.01 of the closed-form frontier and span 90%
+    of its damage range."""
     model = analytical_as_extended(p)
     config = EaConfig(
         population_size=population_size,
         max_generations=max_generations,
-        seed=seed,
+        seed=1,
     )
     archive = evolve(model, config).archive
     dist, coverage = frontier_metrics(archive.entries, p)
     return CheckResult(
         name="bilevel EA convergence to the closed-form frontier",
-        passed=dist <= dist_tol and coverage >= coverage_min,
+        passed=dist <= 0.01 and coverage >= 0.9,
         deviation=dist,
         detail=f"damage coverage {coverage:.3f}, archive {len(archive)}",
     )

@@ -393,10 +393,10 @@ class TestEvolve:
         assert len(arch) == 1
         strat = LeaderStrategy(tau=(10.0,) * model.T)
         br = best_response(strat, fixed)
-        expected = leader_objectives(br.response, strat, fixed)
+        revenue, damage = leader_objectives(br.response, strat, fixed)
         got = arch.entries[0].objectives
-        assert got.revenue == pytest.approx(expected.revenue)
-        assert got.damage == pytest.approx(expected.damage)
+        assert got.revenue == pytest.approx(revenue)
+        assert got.damage == pytest.approx(damage)
 
     def test_archive_entries_reevaluate_consistently(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=3)
@@ -407,9 +407,9 @@ class TestEvolve:
             assert br.profit == pytest.approx(
                 e.objectives.profit, rel=1e-9, abs=1e-6
             )
-            obj = leader_objectives(e.response, e.strategy, model)
-            assert obj.revenue == pytest.approx(e.objectives.revenue)
-            assert obj.damage == pytest.approx(e.objectives.damage)
+            revenue, damage = leader_objectives(e.response, e.strategy, model)
+            assert revenue == pytest.approx(e.objectives.revenue)
+            assert damage == pytest.approx(e.objectives.damage)
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_evaluate_takes_the_profit_from_the_solve(self, model, r):
@@ -420,9 +420,9 @@ class TestEvolve:
             assert entry.response == br.response
             assert entry.objectives.profit == br.profit
             # revenue and damage to the bit
-            obj = leader_objectives(br.response, strat, discounted)
-            assert entry.objectives.revenue == obj.revenue
-            assert entry.objectives.damage == obj.damage
+            assert (entry.objectives.revenue, entry.objectives.damage) == (
+                leader_objectives(br.response, strat, discounted)
+            )
 
     def test_archive_mutually_nondominated(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=5)

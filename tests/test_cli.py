@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import minetax
 import csv_writers
 from minetax import analytical as ana
+from minetax import verify
 from minetax import (
     ArchiveEntry,
     EaConfig,
@@ -78,7 +80,7 @@ def nonconvex_config(tmp_path):
 
 def _discounted(path, tmp_path, r=0.05):
     """Copy of the config at `path` with the extended model's rate set to r."""
-    cfg = json.loads(open(path).read())
+    cfg = json.loads(Path(path).read_text())
     cfg["extended"]["r"] = r
     out = tmp_path / f"r{r}.json"
     out.write_text(json.dumps(cfg))
@@ -119,11 +121,15 @@ class TestInvalidConfigs:
             ("extended",
              _set(("extended", "tau_bounds"), [[0, float("nan")]] * 5)),
             ("analytical", _set(("analytical", "alpha"), float("nan"))),
+            ("extended",
+             _set(("extended", "technologies", 1, "slopes"), [3, 3, 2, 2, 2])),
+            ("analytical",
+             _set(("extended", "technologies", 1, "slopes"), [3, 3, 2, 2, 2])),
         ],
         ids=[
             "nan-alpha", "inf-r", "nan-stratum", "inf-slope", "short-q-bounds",
             "long-tau-bounds", "nonzero-q-lower-bound", "nan-tau-bound",
-            "nan-analytical",
+            "nan-analytical", "decreasing-slopes", "decreasing-slopes-analytical",
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, model, edit):
@@ -205,7 +211,7 @@ class TestInvalidConfigs:
                    "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "nondecreasing" in err
+        assert err.startswith("error: technology 1: ") and "nondecreasing" in err
 
     def test_nonconvex_costs_rejected_when_discounted(
         self, tmp_path, nonconvex_config, capsys
@@ -216,7 +222,7 @@ class TestInvalidConfigs:
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "nondecreasing" in err
+        assert err.startswith("error: technology 1: ") and "nondecreasing" in err
         assert "Traceback" not in err
 
 
@@ -246,10 +252,12 @@ class TestExitCodes:
         assert "minetax: error: " in done.stderr
         assert "Traceback" not in done.stderr
 
-    def test_failed_verification_exits_2(self, nonconvex_config):
-        done = _run_cli("--verify", "--quick", "--config", nonconvex_config)
-        assert done.returncode == EXIT_VERIFY_FAILED
-        assert "verification FAILED" in done.stdout
+    def test_failed_verification_exits_2(self, monkeypatch, capsys):
+        failed = verify.CheckResult("stand-in check", False, 1.0)
+        monkeypatch.setattr(verify, "run_all_checks", lambda *args, **kw: [failed])
+        assert main(["--verify", "--quick"]) == EXIT_VERIFY_FAILED
+        out = capsys.readouterr().out
+        assert "[FAIL] stand-in check" in out and "verification FAILED" in out
 
 
 class TestAnalyticalRuns:
@@ -323,11 +331,11 @@ class TestExtendedRuns:
             tau = tuple(float(row[f"tau_{t}"]) for t in range(1, 6))
             strat = LeaderStrategy(tau=tau)
             br = best_response(strat, model)
-            obj = leader_objectives(br.response, strat, model)
+            revenue, damage = leader_objectives(br.response, strat, model)
             # CSV keeps 12 significant digits and the lower solver is only
             # accurate to its own tolerance, so allow a small slack
-            assert obj.revenue == pytest.approx(float(row["revenue"]), abs=1e-4)
-            assert obj.damage == pytest.approx(float(row["damage"]), abs=1e-4)
+            assert revenue == pytest.approx(float(row["revenue"]), abs=1e-4)
+            assert damage == pytest.approx(float(row["damage"]), abs=1e-4)
 
     def test_schedule_cumulative_column(self, tmp_path):
         main(self.ARGS + ["--out", str(tmp_path)])
@@ -535,7 +543,8 @@ class TestDominanceReport:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_dominated_nonconvex_technology_rejected(self, tmp_path, capsys):
-        # technology 2 is dominated by technology 1, but its slopes decrease
+        # technology 2 is dominated by technology 1, but its slopes decrease:
+        # the table is rejected on load, also for a run of technology 1 alone
         cfg = _bundled()
         cfg["extended"]["technologies"] = [
             {"tech_id": 1, "k": 3, "alpha_er": 0.3, "beta_er": 2,
@@ -544,11 +553,15 @@ class TestDominanceReport:
              "gamma_er": 9, "slopes": [3, 3, 2, 2, 2]},
         ]
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        rc = main(self.ARGS + ["--config", str(path), "--out", str(tmp_path / "out")])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "nondecreasing" in err
+        for r, tech in itertools.product((0.0, 0.05), ("all", "1")):
+            cfg["extended"]["r"] = r
+            path.write_text(json.dumps(cfg))
+            rc = main(self.ARGS + ["--config", str(path), "--tech", tech,
+                                   "--out", str(tmp_path / "out")])
+            assert rc == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == "error: technology 2: stratum slopes must be nondecreasing\n"
+            assert not (tmp_path / "out").exists()
 
 
 class TestPinnedStream:
@@ -654,16 +667,19 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
     def test_nonconvex_costs_fail_verification(self, nonconvex_config, capsys):
+        # rejected on load, as every other invalid config: no check runs
         rc = main(["--verify", "--quick", "--config", nonconvex_config])
-        out = capsys.readouterr().out
-        assert rc == EXIT_VERIFY_FAILED
-        assert "[FAIL]" in out
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: technology 1: ") and "nondecreasing" in err
 
     def test_discounted_nonconvex_costs_fail_verification(
         self, tmp_path, nonconvex_config, capsys
     ):
         config = _discounted(nonconvex_config, tmp_path)
         rc = main(["--verify", "--quick", "--config", config])
-        out = capsys.readouterr().out
-        assert rc == EXIT_VERIFY_FAILED
-        assert "[FAIL]" in out
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: technology 1: ") and "nondecreasing" in err

@@ -514,22 +514,6 @@ class TestTechnologySkip:
         best_response(_prohibitive(model), model, tech_filter=2)
         assert calls == [2]
 
-    def test_skipped_nonconvex_technology_still_rejected(self):
-        # technology 2 is dominated by technology 1 and would be skipped,
-        # but its slopes decrease
-        convex = TechParams(tech_id=1, k=1.0, alpha_er=0.3, beta_er=1.0,
-                            gamma_er=1.0, slopes=(1.0, 1.0))
-        nonconvex = TechParams(tech_id=2, k=1.0, alpha_er=0.3, beta_er=2.0,
-                               gamma_er=9.0, slopes=(3.0, 2.0))
-        for r in (0.0, 0.05):
-            model = ExtendedModel(
-                T=2, alpha=(50.0, 55.0), beta=(0.1, 0.1),
-                techs=(convex, nonconvex), strata=StrataTable((20.0, 20.0)), r=r,
-            )
-            assert model.dominated_technologies == {2: 1}
-            with pytest.raises(ValueError, match="stratum slopes must be nondecreasing"):
-                best_response(LeaderStrategy(tau=(10.0, 10.0)), model)
-
 
 def _cost_steps(draw, n, tiny):
     """n nonnegative cost increments: zero, tiny (near the tie tolerance)

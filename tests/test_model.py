@@ -39,9 +39,10 @@ class TestValidation:
             AnalyticalParams(beta=0.0)
 
     def test_tech_rejects_negative_slope(self):
-        with pytest.raises(ValueError):
-            TechParams(tech_id=1, k=1, alpha_er=1, beta_er=1, gamma_er=0,
-                       slopes=(1.0, -0.5))
+        for slopes in ((1.0, -0.5), (3.0, 2.0)):
+            with pytest.raises(ValueError):
+                TechParams(tech_id=1, k=1, alpha_er=1, beta_er=1, gamma_er=0,
+                           slopes=slopes)
 
     def test_strata_breakpoints_are_prefix_sums(self):
         s = StrataTable(amounts=(20, 20, 20))
@@ -117,7 +118,6 @@ class TestTechnologyDominance:
     def test_bundled_table(self, model):
         # technology 4 is no dearer than any other in every coefficient
         assert model.dominated_technologies == {1: 4, 2: 4, 3: 4}
-        assert all(t.convex for t in model.techs)
         # gamma_er gaps; beta_er gaps plus the least slope gaps
         assert [d.fixed_gap for d in model.dominance] == [5.0, 3.0, 0.0]
         assert [d.unit_gap for d in model.dominance] == pytest.approx(
@@ -149,8 +149,11 @@ class TestTechnologyDominance:
         assert table.dominated_technologies == {1: 2}
 
     def test_nonconvex_slopes_detected(self):
-        assert _tech(1).convex
-        assert not _tech(2, slopes=(3.0, 2.0)).convex
+        _tech(1, slopes=(1.0, 1.0))
+        with pytest.raises(
+            ValueError, match="^technology 2: stratum slopes must be nondecreasing$"
+        ):
+            _tech(2, slopes=(3.0, 2.0))
 
 
 class TestExtractionRateCost:
@@ -247,9 +250,7 @@ class TestLeaderObjectives:
     def test_flat_schedule(self, model):
         resp = FollowerResponse(q=(10.0,) * 5, a=1)
         strat = LeaderStrategy(tau=(5.0,) * 5)
-        obj = leader_objectives(resp, strat, model)
-        assert obj.revenue == pytest.approx(250.0)
-        assert obj.damage == pytest.approx(150.0)
+        assert leader_objectives(resp, strat, model) == pytest.approx((250.0, 150.0))
 
     def test_idle_mine(self, model):
         obj = leader_objectives(
@@ -257,37 +258,36 @@ class TestLeaderObjectives:
             LeaderStrategy(tau=(9.0,) * 5),
             model,
         )
-        assert obj.revenue == 0.0
-        assert obj.damage == 0.0
+        assert obj == (0.0, 0.0)
 
     def test_dirtiest_technology(self, model):
-        obj = leader_objectives(
+        _, damage = leader_objectives(
             FollowerResponse(q=(10.0,) * 5, a=4),
             LeaderStrategy(tau=(5.0,) * 5),
             model,
         )
-        assert obj.damage == pytest.approx(500.0)
+        assert damage == pytest.approx(500.0)
 
     @given(q=schedules, c=st.floats(0.0, 3.0))
     @settings(max_examples=50)
     def test_damage_scales_linearly(self, model, q, c):
         strat = LeaderStrategy(tau=(1.0,) * 5)
-        base = leader_objectives(FollowerResponse(q=tuple(q), a=2), strat, model)
-        scaled = leader_objectives(
+        _, base = leader_objectives(FollowerResponse(q=tuple(q), a=2), strat, model)
+        _, scaled = leader_objectives(
             FollowerResponse(q=tuple(c * x for x in q), a=2), strat, model
         )
-        assert scaled.damage == pytest.approx(c * base.damage, rel=1e-9, abs=1e-9)
+        assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9)
 
     @given(q=schedules, c=st.floats(0.0, 3.0))
     @settings(max_examples=50)
     def test_revenue_linear_in_taxes(self, model, q, c):
         resp = FollowerResponse(q=tuple(q), a=1)
         tau = (4.0, 3.0, 2.0, 1.0, 5.0)
-        base = leader_objectives(resp, LeaderStrategy(tau=tau), model)
-        scaled = leader_objectives(
+        base, _ = leader_objectives(resp, LeaderStrategy(tau=tau), model)
+        scaled, _ = leader_objectives(
             resp, LeaderStrategy(tau=tuple(c * t for t in tau)), model
         )
-        assert scaled.revenue == pytest.approx(c * base.revenue, rel=1e-9, abs=1e-9)
+        assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9)
 
 
 class TestDiscounting:
@@ -304,11 +304,11 @@ class TestDiscounting:
         )
         resp = FollowerResponse(q=(10.0,) * 5, a=1)
         strat = LeaderStrategy(tau=(5.0,) * 5)
-        obj0 = leader_objectives(resp, strat, model)
-        obj = leader_objectives(resp, strat, discounted)
-        assert obj.revenue < obj0.revenue
+        revenue0, damage0 = leader_objectives(resp, strat, model)
+        revenue, damage = leader_objectives(resp, strat, discounted)
+        assert revenue < revenue0
         # damage is physical, never discounted
-        assert obj.damage == obj0.damage
+        assert damage == damage0
 
     @pytest.mark.parametrize("r", [0.0, 0.05, 0.37])
     def test_cached_factors_equal_discount(self, model, r):

