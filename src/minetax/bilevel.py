@@ -11,9 +11,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
-import statistics
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
 
 from .lower import best_response
 from .model import (
@@ -25,12 +24,6 @@ from .model import (
 )
 from .variation import polynomial_mutation, sbx_crossover
 
-# distribution indices of SBX crossover and polynomial mutation, and the
-# probability that a pair of parents is crossed (each gene then mutates
-# with probability 1/T)
-ETA_CROSSOVER = 15.0
-ETA_MUTATION = 20.0
-CROSSOVER_RATE = 0.9
 # `evolve` stops when the hypervolume gains less than HV_STALL_TOL over
 # HV_STALL_GENERATIONS generations
 HV_STALL_TOL = 1e-4
@@ -199,11 +192,9 @@ class EvolveResult:
     termination_reason: str
 
 
-def _evaluate(
-    tau: Sequence[float], model: ExtendedModel, tech_filter: Optional[int]
-) -> ArchiveEntry:
+def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
     strat = LeaderStrategy(tau=tau)
-    br = best_response(strat, model, tech_filter=tech_filter)
+    br = best_response(strat, model)
     revenue, damage = leader_objectives(br.response, strat, model)
     return ArchiveEntry(
         strategy=strat,
@@ -213,12 +204,10 @@ def _evaluate(
     )
 
 
-def reference_point(
-    model: ExtendedModel, tech_filter: Optional[int] = None
-) -> tuple[float, float]:
-    """Fixed hypervolume reference: zero revenue, worst-case damage."""
-    techs = model.techs if tech_filter is None else (model.tech(tech_filter),)
-    k_max = max(t.k for t in techs)
+def reference_point(model: ExtendedModel) -> tuple[float, float]:
+    """Fixed hypervolume reference: zero revenue, and the worst-case
+    damage over the model's technologies."""
+    k_max = max(t.k for t in model.techs)
     return 0.0, k_max * sum(hi for _, hi in model.q_bounds)
 
 
@@ -246,13 +235,11 @@ def _select(
     return survivors, rank, crowd
 
 
-def evolve(
-    model: ExtendedModel,
-    config: EaConfig,
-    tech_filter: Optional[int] = None,
-) -> EvolveResult:
+def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
     """NSGA-II evolution of tax strategies with a bilevel archive.
 
+    The follower chooses among the model's technologies; a frontier for
+    one technology is the run on a model whose table holds only that one.
     `_select` sorts each merged population once; the ranks and crowding
     distances it returns drive the next generation's binary tournaments.
     The run stops after `max_generations`, or when the archive's
@@ -264,14 +251,13 @@ def evolve(
     rng = random.Random(config.seed)
     lows = [lo for lo, _ in model.tau_bounds]
     highs = [hi for _, hi in model.tau_bounds]
-    mut_rate = 1.0 / model.T
-    ref_r, ref_d = reference_point(model, tech_filter)
+    ref_r, ref_d = reference_point(model)
     archive = ParetoArchive()
     failed = 0
 
     def make(tau: Sequence[float]) -> ArchiveEntry:
         nonlocal failed
-        entry = _evaluate(tau, model, tech_filter)
+        entry = _evaluate(tau, model)
         if entry.optimality_tag:
             archive.insert(entry)
         else:
@@ -300,23 +286,8 @@ def evolve(
     for _ in range(config.max_generations):
         offspring = []
         while len(offspring) < n:
-            c1, c2 = sbx_crossover(
-                tournament(),
-                tournament(),
-                lows,
-                highs,
-                ETA_CROSSOVER,
-                CROSSOVER_RATE,
-                rng,
-            )
-            for c in (c1, c2):
-                offspring.append(
-                    make(
-                        polynomial_mutation(
-                            c, lows, highs, ETA_MUTATION, mut_rate, rng
-                        )
-                    )
-                )
+            for c in sbx_crossover(tournament(), tournament(), lows, highs, rng):
+                offspring.append(make(polynomial_mutation(c, lows, highs, rng)))
         pop, rank, crowd = _select(pop + offspring, n)
         gens += 1
         hv_history.append(archive.hypervolume(ref_r, ref_d))
@@ -356,8 +327,9 @@ def detect_strata_kinks(
     )
     if len(pts) < 3:
         return []
-    gaps = [pts[i + 1][0] - pts[i][0] for i in range(len(pts) - 1)]
-    median_gap = statistics.median(gaps)
+    gaps = sorted(pts[i + 1][0] - pts[i][0] for i in range(len(pts) - 1))
+    i = len(gaps) // 2
+    median_gap = gaps[i] if len(gaps) % 2 else (gaps[i - 1] + gaps[i]) / 2
     detected = []
     for b in boundaries:
         hit = None

@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 usage/config error (argparse errors included),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 from . import analytical as ana
 from .bilevel import ArchiveEntry, EaConfig, evolve
@@ -121,14 +121,20 @@ def run_extended(cfg: argparse.Namespace) -> int:
     if models.extended is None:
         raise ValueError("config has no 'extended' section")
     model = models.extended
-    tech_filter: Optional[int]
-    if cfg.tech == "all":
-        tech_filter = None
-    else:
-        tech_filter = int(cfg.tech)
-        model.tech(tech_filter)  # validate early
+    # read from the full table, also for a run of one technology
     dominated = model.dominated_technologies
-    if tech_filter is None and dominated and len(dominated) == len(model.techs) - 1:
+    if cfg.tech != "all":
+        try:
+            tech = model.tech(int(cfg.tech))
+        except (ValueError, KeyError):
+            ids = ", ".join(str(t.tech_id) for t in model.techs)
+            raise ValueError(
+                "--tech must be 'all' or one of the technology ids "
+                f"{ids}, got {cfg.tech!r}"
+            ) from None
+        # a run of technology k is the model with k alone in its table
+        model = dataclasses.replace(model, techs=(tech,))
+    elif dominated and len(dominated) == len(model.techs) - 1:
         (top,) = set(dominated.values())
         print(
             f"warning: technology {top} dominates all others in cost; the mine "
@@ -141,7 +147,7 @@ def run_extended(cfg: argparse.Namespace) -> int:
         seed=cfg.seed,
     )
     start = time.perf_counter()
-    result = evolve(model, ea, tech_filter=tech_filter)
+    result = evolve(model, ea)
     elapsed = time.perf_counter() - start
     entries = result.archive.entries
     filtered = [
@@ -223,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tech",
         default="all",
-        help="technology filter for the extended model ('all' or an id)",
+        help="technology of the extended model ('all' or an id)",
     )
     parser.add_argument(
         "--points", type=int, default=100, help="analytical sweep size"
@@ -243,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     cfg = build_parser().parse_args(argv)
     try:
         if cfg.verify:

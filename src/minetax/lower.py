@@ -40,8 +40,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .model import (
     Dominance,
@@ -79,7 +79,7 @@ class BestResponse:
     optimality_tag: bool
     # KKT residual in units of extraction; set for every answer of this
     # module, None from the grid oracle, whose answers are lattice optima
-    kkt_residual: Optional[float] = None
+    kkt_residual: float | None = None
 
 
 # (lin_t, quad_t, hi_t) per period: period t adds d_t (lin_t - quad_t q_t) q_t
@@ -324,10 +324,11 @@ def _pick_optimistic(
 
 
 def _profit_gap_bound(
-    q: Sequence[float], dom: Dominance, model: ExtendedModel, d: Sequence[float]
+    q: Sequence[float], dom: Dominance, model: ExtendedModel
 ) -> float:
     """Lower bound G on profit_A* - profit_B* for A = dom.dominator and
-    B = dom.tech, from A's optimal schedule q*; d holds the discount factors.
+    B = dom.tech, from A's optimal schedule q*; d_t are the model's
+    discount factors.
 
     On any schedule q, B costs at least d_t (fixed_gap + unit_gap q_t) more
     than A per period (`Dominance`; the cumulative cost enters through
@@ -341,7 +342,7 @@ def _profit_gap_bound(
     """
     delta = dom.unit_gap
     bound = 0.0
-    for dt, beta, x in zip(d, model.beta, q):
+    for dt, beta, x in zip(model.discount_factors, model.beta, q):
         c = beta + dom.dominator.alpha_er
         if 2.0 * c * x >= delta:
             m = delta * x - delta * delta / (4.0 * c)
@@ -351,20 +352,14 @@ def _profit_gap_bound(
     return bound
 
 
-def best_response(
-    strat: LeaderStrategy,
-    model: ExtendedModel,
-    tech_filter: Optional[int] = None,
-) -> BestResponse:
-    """Follower optimum over schedule and technology choice.
+def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
+    """Follower optimum over schedule and the model's technologies.
 
-    With a filter, only that technology is solved. Without one, a
-    technology that another one dominates (`ExtendedModel.dominance`) is
+    A technology that another one dominates (`ExtendedModel.dominance`) is
     solved only when `_profit_gap_bound` cannot show it out of the profit
-    tie; the answer is the one the full enumeration gives.
+    tie; the answer is the one the full enumeration gives. A model with
+    one technology has no dominance, so that technology is solved once.
     """
-    if tech_filter is not None:
-        return best_response_fixed_tech(strat, model.tech(tech_filter), model)
     dominated = model.dominated_technologies
     answers = [
         best_response_fixed_tech(strat, tech, model)
@@ -378,14 +373,13 @@ def best_response(
         best = max(br.profit for br in answers)
         slack = max(TIE_TOL, TIE_TOL * abs(best)) + CERT_MARGIN * max(1.0, abs(best))
         solved = {br.response.a: br for br in answers}
-        d = model.discount_factors
         for dom in model.dominance:
             ref = solved[dom.dominator.tech_id]
             need = best - ref.profit + slack
             # the bound's fixed-cost part alone often settles it
             if ref.optimality_tag and (
                 dom.fixed_gap * model.discounted_periods > need
-                or _profit_gap_bound(ref.response.q, dom, model, d) > need
+                or _profit_gap_bound(ref.response.q, dom, model) > need
             ):
                 continue
             answers.append(best_response_fixed_tech(strat, dom.tech, model))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
 
 
 def _require_finite(what: str, values: Iterable[float]) -> None:
@@ -165,8 +165,8 @@ class ExtendedModel:
     techs: tuple[TechParams, ...]
     strata: StrataTable
     r: float = 0.0
-    tau_bounds: Optional[tuple[tuple[float, float], ...]] = None
-    q_bounds: Optional[tuple[tuple[float, float], ...]] = None
+    tau_bounds: tuple[tuple[float, float], ...] | None = None
+    q_bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
@@ -225,11 +225,6 @@ class ExtendedModel:
         # would fail only when the EA happens to draw below 0
         if any(lo < 0 for lo, _ in self.tau_bounds):
             raise ValueError("tax lower bounds must be nonnegative")
-
-    @property
-    def stock(self) -> float:
-        """Total resource stock; informational only (no hard constraint)."""
-        return self.strata.stock
 
     @functools.cached_property
     def dominance(self) -> tuple[Dominance, ...]:
@@ -540,8 +535,8 @@ def extended_from_dict(d: dict) -> ExtendedModel:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    analytical: Optional[AnalyticalParams]
-    extended: Optional[ExtendedModel]
+    analytical: AnalyticalParams | None
+    extended: ExtendedModel | None
 
 
 def config_from_dict(d: dict) -> ModelConfig:

@@ -4,8 +4,8 @@ the result type and the optimistic tie-break."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .lower import BestResponse, _pick_optimistic
 from .model import (

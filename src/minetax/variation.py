@@ -1,16 +1,25 @@
-"""Real-coded variation operators: SBX crossover and polynomial mutation."""
+"""Real-coded variation operators, SBX crossover and polynomial mutation,
+with the constants they use."""
 
 from __future__ import annotations
 
+# distribution indices of SBX crossover and polynomial mutation, and the
+# probability that a pair of parents is crossed (each gene then mutates
+# with probability 1 / len(x))
+ETA_CROSSOVER = 15.0
+ETA_MUTATION = 20.0
+CROSSOVER_RATE = 0.9
 
-def sbx_crossover(p1, p2, lows, highs, eta, rate, rng):
+
+def sbx_crossover(p1, p2, lows, highs, rng):
     """Simulated binary crossover of two parent vectors within box bounds.
 
-    Returns two children; with probability 1-rate the parents pass through
-    unchanged.
+    Returns two children; with probability 1 - CROSSOVER_RATE the parents
+    pass through unchanged.
     """
+    eta = ETA_CROSSOVER
     c1, c2 = list(p1), list(p2)
-    if rng.random() > rate:
+    if rng.random() > CROSSOVER_RATE:
         return c1, c2
     for i in range(len(p1)):
         if rng.random() > 0.5:
@@ -32,8 +41,11 @@ def sbx_crossover(p1, p2, lows, highs, eta, rate, rng):
     return c1, c2
 
 
-def polynomial_mutation(x, lows, highs, eta, rate, rng):
-    """Polynomial mutation; each variable mutates with probability rate."""
+def polynomial_mutation(x, lows, highs, rng):
+    """Polynomial mutation; each variable mutates with probability
+    1 / len(x)."""
+    eta = ETA_MUTATION
+    rate = 1.0 / len(x)
     y = list(x)
     for i in range(len(y)):
         if rng.random() > rate:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from . import analytical as ana
 from .bilevel import EaConfig, evolve
@@ -42,8 +42,8 @@ FOC_GRID_STEP = 1e-3
 FRONTIER_SAMPLES = 4001
 
 
-def _fd_central(f, x: float, h: float = 1e-4) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def _fd_central(f, x: float) -> float:
+    return (f(x + 1e-4) - f(x - 1e-4)) / 2e-4
 
 
 def check_closed_form(p: AnalyticalParams) -> CheckResult:
@@ -275,7 +275,7 @@ def epsilon_indicator(
 
 def run_all_checks(
     p: AnalyticalParams,
-    model: Optional[ExtendedModel],
+    model: ExtendedModel | None,
     quick: bool = False,
 ) -> list[CheckResult]:
     """Execute the verification battery; `quick` trims the slow budgets."""

@@ -2,6 +2,7 @@
 pass/fail line with the measured deviation and enforcing its runtime
 budget."""
 
+import dataclasses
 import time
 
 import pytest
@@ -35,7 +36,9 @@ def tech_frontiers(model):
     """Converged single-technology frontiers for the extended model."""
     cfg = EaConfig(population_size=60, max_generations=80, seed=2)
     return {
-        tech.tech_id: evolve(model, cfg, tech_filter=tech.tech_id).archive.entries
+        tech.tech_id: evolve(
+            dataclasses.replace(model, techs=(tech,)), cfg
+        ).archive.entries
         for tech in model.techs
     }
 

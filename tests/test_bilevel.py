@@ -415,7 +415,7 @@ class TestEvolve:
     def test_evaluate_takes_the_profit_from_the_solve(self, model, r):
         discounted = dataclasses.replace(model, r=r)
         for strat in random_strategies(model, 20, seed=31):
-            entry = bilevel._evaluate(strat.tau, discounted, None)
+            entry = bilevel._evaluate(strat.tau, discounted)
             br = best_response(strat, discounted)
             assert entry.response == br.response
             assert entry.objectives.profit == br.profit
@@ -448,7 +448,8 @@ class TestEvolve:
 
     def test_tech_filter_pins_technology(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=9)
-        arch = evolve(model, cfg, tech_filter=2).archive
+        single = dataclasses.replace(model, techs=(model.tech(2),))
+        arch = evolve(single, cfg).archive
         assert len(arch) > 0
         assert all(e.response.a == 2 for e in arch)
 
@@ -513,7 +514,9 @@ class TestFrontierComposition:
         # a technology-2 outcome is nondominated.
         cfg = EaConfig(population_size=30, max_generations=40, seed=2)
         tech_frontiers = {
-            t.tech_id: evolve(model, cfg, tech_filter=t.tech_id).archive.entries
+            t.tech_id: evolve(
+                dataclasses.replace(model, techs=(t,)), cfg
+            ).archive.entries
             for t in techs
         }
         return model, tech_frontiers, evolve(model, cfg).archive.entries
@@ -543,7 +546,8 @@ class TestReferencePoint:
         assert ref_d == pytest.approx(k_max * total)
 
     def test_filtered_uses_single_tech(self, model):
-        _, ref_d = reference_point(model, tech_filter=1)
+        single = dataclasses.replace(model, techs=(model.tech(1),))
+        _, ref_d = reference_point(single)
         total = sum(hi for _, hi in model.q_bounds)
         assert ref_d == pytest.approx(model.tech(1).k * total)
 

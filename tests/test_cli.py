@@ -388,9 +388,16 @@ class TestExtendedRuns:
         rows = _read_csv(tmp_path / "frontier.csv")
         assert rows and all(r["tech"] == "2" for r in rows)
 
-    def test_unknown_tech_rejected(self, tmp_path):
-        rc = main(self.ARGS + ["--out", str(tmp_path), "--tech", "9"])
+    @pytest.mark.parametrize("tech", ["9", "x"])
+    def test_unknown_tech_rejected(self, tmp_path, capsys, tech):
+        out = tmp_path / "out"
+        rc = main(self.ARGS + ["--out", str(out), "--tech", tech])
         assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: --tech must be 'all' or one of the technology ids "
+            f"1, 2, 3, 4, got '{tech}'\n"
+        )
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         rc = main(["--model", "extended", "--pop-size", "8", "--generations",
@@ -542,6 +549,28 @@ class TestDominanceReport:
         for name in ("frontier.csv", "schedule.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_fixed_technology_run_equals_its_one_technology_table(self, tmp_path, r):
+        # --tech k solves the model with k alone in its table
+        cfg = _bundled()
+        cfg["extended"]["r"] = r
+        full = tmp_path / "full.json"
+        full.write_text(json.dumps(cfg))
+        args = ["--model", "extended", "--pop-size", "20", "--generations", "10",
+                "--seed", "5"]
+        for tech in cfg["extended"]["technologies"]:
+            k = tech["tech_id"]
+            single = tmp_path / f"only{k}.json"
+            single.write_text(json.dumps(
+                {**cfg, "extended": {**cfg["extended"], "technologies": [tech]}}
+            ))
+            a, b = tmp_path / f"a{k}", tmp_path / f"b{k}"
+            assert main(args + ["--config", str(full), "--tech", str(k),
+                                "--out", str(a)]) == EXIT_OK
+            assert main(args + ["--config", str(single), "--out", str(b)]) == EXIT_OK
+            for name in ("frontier.csv", "schedule.csv"):
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_dominated_nonconvex_technology_rejected(self, tmp_path, capsys):
         # technology 2 is dominated by technology 1, but its slopes decrease:
         # the table is rejected on load, also for a run of technology 1 alone
@@ -602,7 +631,7 @@ def test_cli_import_leaves_out_numpy_and_verification():
         f"import sys; sys.path.insert(0, {src!r}); import minetax.cli; "
         "minetax.cli.default_config(); "
         "print([m for m in ('numpy', 'minetax.oracle', 'minetax.verify', 'csv', "
-        "'importlib.resources') if m in sys.modules]); "
+        "'importlib.resources', 'statistics', 'typing') if m in sys.modules]); "
         "import minetax.verify; print('numpy' in sys.modules)"
     )
     done = subprocess.run(

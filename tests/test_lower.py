@@ -164,11 +164,6 @@ class TestBestResponse:
             strat, model.tech(2), single
         ).response
 
-    def test_tech_filter_restricts_enumeration(self, model):
-        strat = LeaderStrategy(tau=(10.0,) * 5)
-        br = best_response(strat, model, tech_filter=2)
-        assert br.response.a == 2
-
     def test_profit_monotone_in_taxes(self, model):
         for strat in random_strategies(model, 5, seed=17):
             base = best_response(strat, model).profit
@@ -474,12 +469,11 @@ def _count_fixed_tech_solves(monkeypatch, tagged=True):
     return calls
 
 
-def full_enumeration(strat, model, tech_filter=None):
-    """Reference `best_response`: every technology (or the filtered one)
-    solved, the optimistic pick among them."""
-    techs = model.techs if tech_filter is None else (model.tech(tech_filter),)
+def full_enumeration(strat, model):
+    """Reference `best_response`: every technology solved, the optimistic
+    pick among them."""
     return _pick_optimistic(
-        [best_response_fixed_tech(strat, tech, model) for tech in techs],
+        [best_response_fixed_tech(strat, tech, model) for tech in model.techs],
         strat, model,
     )
 
@@ -511,7 +505,8 @@ class TestTechnologySkip:
 
     def test_tech_filter_solves_one_technology(self, model, monkeypatch):
         calls = _count_fixed_tech_solves(monkeypatch)
-        best_response(_prohibitive(model), model, tech_filter=2)
+        single = dataclasses.replace(model, techs=(model.tech(2),))
+        best_response(_prohibitive(single), single)
         assert calls == [2]
 
 
@@ -591,6 +586,6 @@ def test_certificate_never_exceeds_profit_gap(instance):
         a = best_response_fixed_tech(strat, dom.dominator, model)
         b = best_response_fixed_tech(strat, dom.tech, model)
         assert a.optimality_tag
-        bound = _profit_gap_bound(a.response.q, dom, model, d)
+        bound = _profit_gap_bound(a.response.q, dom, model)
         margin = CERT_MARGIN * max(1.0, abs(a.profit))
         assert max(bound, dom.fixed_gap * sum(d)) <= a.profit - b.profit + margin

@@ -353,7 +353,7 @@ class TestConfig:
         assert model.beta == (0.1,) * 5
         assert model.r == 0.0
         assert model.strata.amounts == (20.0,) * 5
-        assert model.stock == 100.0
+        assert model.strata.stock == 100.0
         t1 = model.tech(1)
         assert (t1.k, t1.alpha_er, t1.beta_er, t1.gamma_er) == (3.0, 0.5, 5.0, 10.0)
         assert t1.slopes == (1.0, 1.5, 2.25, 3.375, 5.063)
