@@ -9,6 +9,7 @@ frontier.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from collections.abc import Iterator, Sequence
@@ -30,7 +31,7 @@ HV_STALL_TOL = 1e-4
 HV_STALL_GENERATIONS = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArchiveEntry:
     strategy: LeaderStrategy
     response: FollowerResponse
@@ -47,22 +48,21 @@ def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
 
 
 class ParetoArchive:
-    """Nondominated set kept sorted by damage (and hence by revenue)."""
+    """Nondominated set kept as one list of (damage, revenue, entry) rows,
+    sorted by damage (and hence by revenue)."""
 
     def __init__(self):
-        self._entries: list[ArchiveEntry] = []
-        self._damages: list[float] = []
-        self._revenues: list[float] = []
+        self._rows: list[tuple[float, float, ArchiveEntry]] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[ArchiveEntry]:
-        return iter(self._entries)
+        return (e for _, _, e in self._rows)
 
     @property
     def entries(self) -> list[ArchiveEntry]:
-        return list(self._entries)
+        return [e for _, _, e in self._rows]
 
     def insert(self, entry: ArchiveEntry) -> bool:
         """Insert if nondominated; evict entries the newcomer dominates.
@@ -73,37 +73,39 @@ class ParetoArchive:
         if not entry.optimality_tag:
             raise ValueError("archive only admits lower-level-optimal entries")
         r, d = entry.objectives.revenue, entry.objectives.damage
-        revenues = self._revenues
-        i = bisect.bisect_left(self._damages, d)
-        # entries with strictly smaller damage sit before i; the one at i-1
+        rows = self._rows
+        # (d,) sorts before every row of damage d, so rows compare by damage
+        # alone and entries are never compared
+        i = bisect.bisect_left(rows, (d,))
+        # rows with strictly smaller damage sit before i; the one at i-1
         # carries the largest revenue among them
-        if i > 0 and revenues[i - 1] >= r:
+        if i > 0 and rows[i - 1][1] >= r:
             return False
-        if i < len(revenues) and self._damages[i] == d and revenues[i] >= r:
+        n = len(rows)
+        if i < n and rows[i][0] == d and rows[i][1] >= r:
             return False
         j = i
-        while j < len(revenues) and revenues[j] <= r:
+        while j < n and rows[j][1] <= r:
             j += 1
-        del self._entries[i:j]
-        del self._damages[i:j]
-        del revenues[i:j]
-        self._entries.insert(i, entry)
-        self._damages.insert(i, d)
-        revenues.insert(i, r)
+        rows[i:j] = [(d, r, entry)]
         return True
 
     def hypervolume(self, ref_revenue: float, ref_damage: float) -> float:
         """Area dominated by the archive up to a reference point whose
         revenue is no better than any entry's. Entries at or beyond the
         reference damage add nothing, and the area ends at ref_damage."""
+        rows = self._rows
+        n = bisect.bisect_left(rows, (ref_damage,))
+        if not n:
+            return 0.0
+        # each row's revenue times the damage gap to the next row, in row
+        # order; subscripts beat unpacking here
         hv = 0.0
-        n = bisect.bisect_left(self._damages, ref_damage)
-        damages = self._damages[:n]
-        for r, d, d_next in zip(
-            self._revenues, damages, damages[1:] + [ref_damage]
-        ):
-            hv += (r - ref_revenue) * (d_next - d)
-        return hv
+        prev = rows[0]
+        for row in itertools.islice(rows, 1, n):
+            hv += (prev[1] - ref_revenue) * (row[0] - prev[0])
+            prev = row
+        return hv + (prev[1] - ref_revenue) * (ref_damage - prev[0])
 
 
 def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
@@ -117,20 +119,22 @@ def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
     rise with the front.
     """
     n = len(points)
-    order = sorted(range(n), key=lambda i: (-points[i].revenue, points[i].damage))
+    keys = [(-p.revenue, p.damage) for p in points]
+    order = sorted(range(n), key=keys.__getitem__)
     rank = [0] * n
     least_damage: list[float] = []
     prev = None
     f = 0
     for i in order:
-        p = points[i]
-        if (p.revenue, p.damage) != prev:
-            prev = (p.revenue, p.damage)
-            f = bisect.bisect_right(least_damage, p.damage)
+        key = keys[i]
+        if key != prev:
+            prev = key
+            damage = key[1]
+            f = bisect.bisect_right(least_damage, damage)
             if f == len(least_damage):
-                least_damage.append(p.damage)
+                least_damage.append(damage)
             else:
-                least_damage[f] = p.damage
+                least_damage[f] = damage
         rank[i] = f
     fronts: list[list[int]] = [[] for _ in least_damage]
     for i in range(n):
@@ -226,7 +230,10 @@ def _select(
     for fi, front in enumerate(nondominated_sort(points)):
         cd = crowding_distance(front, points)
         if len(survivors) + len(front) > n:
-            front = sorted(front, key=lambda i: -cd[i])[: n - len(survivors)]
+            # the sort is stable, so equal distances stay in index order
+            front = sorted(front, key=cd.__getitem__, reverse=True)[
+                : n - len(survivors)
+            ]
         survivors.extend(merged[i] for i in front)
         rank.extend([fi] * len(front))
         crowd.extend(cd[i] for i in front)

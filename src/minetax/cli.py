@@ -25,7 +25,7 @@ from .model import (
     ModelConfig,
     default_config,
     load_config,
-    period_profit,
+    period_profits,
 )
 
 EXIT_OK = 0
@@ -93,22 +93,19 @@ def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
 def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
     techs = {t.tech_id: t for t in model.techs}
     active_stratum = model.strata.active_stratum
+    row = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\r\n"
     with open(path, "w", newline="") as f:
         f.write(
             "id,period,tau,q,period_profit,cumulative_extraction,"
             "active_stratum\r\n"
         )
         for i, e in enumerate(entries):
-            tech = techs[e.response.a]
             q, tau = e.response.q, e.strategy.tau
+            profits = period_profits(q, tau, techs[e.response.a], model)
             cum = 0.0
-            for t in range(1, model.T + 1):
-                cum += q[t - 1]
-                pi = period_profit(t, q[:t], tau[t - 1], tech, model)
-                f.write(
-                    "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\r\n"
-                    % (i, t, tau[t - 1], q[t - 1], pi, cum, active_stratum(cum))
-                )
+            for t, (x, v, pi) in enumerate(zip(tau, q, profits), 1):
+                cum += v
+                f.write(row % (i, t, x, v, pi, cum, active_stratum(cum)))
 
 
 def run_extended(cfg: argparse.Namespace) -> int:

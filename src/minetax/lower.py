@@ -72,7 +72,7 @@ KKT_TOL = 1e-9
 _ACTIVE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BestResponse:
     response: FollowerResponse
     profit: float
@@ -257,8 +257,9 @@ def best_response_fixed_tech(
     """Unique profit-maximizing schedule for fixed taxes and technology."""
     if len(strat.tau) != model.T:
         raise ValueError("strategy length must equal the horizon T")
+    beta_er, alpha_er = tech.beta_er, tech.alpha_er
     periods = [
-        (a - x - tech.beta_er, b + tech.alpha_er, h)
+        (a - x - beta_er, b + alpha_er, h)
         for a, b, x, (_, h) in zip(model.alpha, model.beta, strat.tau, model.q_bounds)
     ]
     slopes, strata = tech.slopes, model.strata
@@ -296,7 +297,7 @@ def best_response_fixed_tech(
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse(
-        response=FollowerResponse(q=tuple(q), a=tech.tech_id),
+        response=FollowerResponse(q=q, a=tech.tech_id),
         profit=profit,
         optimality_tag=residual <= KKT_TOL * max(1.0, total),
         kkt_residual=residual,

@@ -10,6 +10,7 @@ All evaluation functions are pure; parameter objects are immutable.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -131,10 +132,7 @@ class StrataTable:
         """
         if x < 0:
             raise ValueError("cumulative extraction must be nonnegative")
-        for i, b in enumerate(self.breakpoints):
-            if x <= b:
-                return i + 1
-        return len(self.amounts)
+        return min(bisect.bisect_left(self.breakpoints, x) + 1, len(self.amounts))
 
 
 @dataclass(frozen=True)
@@ -292,19 +290,26 @@ class ExtendedModel:
         return sum(self.discount_factors)
 
 
-@dataclass(frozen=True)
+def _nonnegative_floats(what: str, values: Iterable[float]) -> tuple[float, ...]:
+    """`values` as a tuple of floats, each finite and at least 0 (-0.0
+    included). 0.0 <= x is false for NaN and -inf, and +inf is looked for."""
+    v = tuple(map(float, values))
+    if not all(map((0.0).__le__, v)) or math.inf in v:
+        raise ValueError(f"{what} must be finite and nonnegative")
+    return v
+
+
+@dataclass(frozen=True, slots=True)
 class LeaderStrategy:
     """Per-period tax vector of the regulator."""
 
     tau: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(map(float, self.tau)))
-        if any(x < 0 for x in self.tau):
-            raise ValueError("taxes must be nonnegative")
+        object.__setattr__(self, "tau", _nonnegative_floats("taxes tau", self.tau))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowerResponse:
     """Per-period extraction schedule plus chosen technology."""
 
@@ -312,12 +317,10 @@ class FollowerResponse:
     a: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(map(float, self.q)))
-        if any(x < 0 for x in self.q):
-            raise ValueError("extraction must be nonnegative")
+        object.__setattr__(self, "q", _nonnegative_floats("extraction q", self.q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectivePoint:
     """Leader objectives plus the follower's profit at the same point."""
 
@@ -354,6 +357,29 @@ def extraction_rate_cost(q_t: float, tech: TechParams) -> float:
     return tech.alpha_er * q_t * q_t + tech.beta_er * q_t + tech.gamma_er
 
 
+def _period_profits(
+    q: Sequence[float], taus: Sequence[float], tech: TechParams,
+    model: ExtendedModel,
+) -> list[float]:
+    """Mine profit in each of the last len(taus) periods of schedule q,
+    which starts in period 1, under taxes taus; unchecked. The
+    extraction/purification charge is the increment of the cumulative cost
+    curve over the period."""
+    alpha, beta, strata = model.alpha, model.beta, model.strata
+    profits = []
+    for t, tau_t in enumerate(taus, len(q) - len(taus) + 1):
+        q_t = q[t - 1]
+        # X_t is sum(q[:t]): from Python 3.12 a float sum is compensated, so
+        # a running total could be another float
+        x_t = sum(q[:t])
+        revenue = (alpha[t - 1] - beta[t - 1] * q_t) * q_t
+        ep = cumulative_cost(x_t, tech, strata) - cumulative_cost(
+            x_t - q_t, tech, strata
+        )
+        profits.append(revenue - extraction_rate_cost(q_t, tech) - ep - tau_t * q_t)
+    return profits
+
+
 def period_profit(
     t: int,
     q_prefix: Sequence[float],
@@ -361,38 +387,39 @@ def period_profit(
     tech: TechParams,
     model: ExtendedModel,
 ) -> float:
-    """Mine profit in period t (1-based) given extraction through period t.
-
-    The extraction/purification charge is the increment of the cumulative
-    cost curve between the previous and current cumulative totals.
-    """
+    """Mine profit in period t (1-based) given extraction through period t."""
     if not 1 <= t <= model.T:
         raise ValueError(f"period {t} out of range 1..{model.T}")
     if len(q_prefix) != t:
         raise ValueError("q_prefix must cover periods 1..t")
-    q_t = q_prefix[-1]
     if any(q < 0 for q in q_prefix):
         raise ValueError("extraction must be nonnegative")
-    cum = sum(q_prefix)
-    revenue = (model.alpha[t - 1] - model.beta[t - 1] * q_t) * q_t
-    ep = cumulative_cost(cum, tech, model.strata) - cumulative_cost(
-        cum - q_t, tech, model.strata
-    )
-    return revenue - extraction_rate_cost(q_t, tech) - ep - tau_t * q_t
+    return _period_profits(q_prefix, (tau_t,), tech, model)[0]
+
+
+def period_profits(
+    q: Sequence[float], tau: Sequence[float], tech: TechParams,
+    model: ExtendedModel,
+) -> list[float]:
+    """Undiscounted mine profit of every period of schedule q under taxes
+    tau: `period_profit` of each prefix, checked once."""
+    if len(q) != model.T or len(tau) != model.T:
+        raise ValueError("schedule lengths must equal the horizon T")
+    if any(v < 0 for v in q):
+        raise ValueError("extraction must be nonnegative")
+    return _period_profits(q, tau, tech, model)
 
 
 def follower_total_profit(
     resp: FollowerResponse, strat: LeaderStrategy, model: ExtendedModel
 ) -> float:
     """Discounted sum of per-period mine profits."""
-    if len(resp.q) != model.T or len(strat.tau) != model.T:
-        raise ValueError("schedule lengths must equal the horizon T")
-    tech = model.tech(resp.a)
     total = 0.0
-    for t in range(1, model.T + 1):
-        total += model.discount(t) * period_profit(
-            t, resp.q[:t], strat.tau[t - 1], tech, model
-        )
+    for d, pi in zip(
+        model.discount_factors,
+        period_profits(resp.q, strat.tau, model.tech(resp.a), model),
+    ):
+        total += d * pi
     return total
 
 

@@ -1,0 +1,69 @@
+"""The Pareto archive and the NSGA-II truncation of `minetax.bilevel` as
+they were before the archive kept one list of (damage, revenue, entry) rows:
+three parallel lists, and a truncation sorted on -cd[i]. The references
+the one-list archive and `_select` must match exactly.
+"""
+
+import bisect
+
+from minetax.bilevel import ArchiveEntry, crowding_distance, nondominated_sort
+
+
+class ThreeListArchive:
+    """Nondominated set kept sorted by damage (and hence by revenue)."""
+
+    def __init__(self):
+        self._entries: list[ArchiveEntry] = []
+        self._damages: list[float] = []
+        self._revenues: list[float] = []
+
+    @property
+    def entries(self) -> list[ArchiveEntry]:
+        return list(self._entries)
+
+    def insert(self, entry: ArchiveEntry) -> bool:
+        if not entry.optimality_tag:
+            raise ValueError("archive only admits lower-level-optimal entries")
+        r, d = entry.objectives.revenue, entry.objectives.damage
+        revenues = self._revenues
+        i = bisect.bisect_left(self._damages, d)
+        if i > 0 and revenues[i - 1] >= r:
+            return False
+        if i < len(revenues) and self._damages[i] == d and revenues[i] >= r:
+            return False
+        j = i
+        while j < len(revenues) and revenues[j] <= r:
+            j += 1
+        del self._entries[i:j]
+        del self._damages[i:j]
+        del revenues[i:j]
+        self._entries.insert(i, entry)
+        self._damages.insert(i, d)
+        revenues.insert(i, r)
+        return True
+
+    def hypervolume(self, ref_revenue: float, ref_damage: float) -> float:
+        hv = 0.0
+        n = bisect.bisect_left(self._damages, ref_damage)
+        damages = self._damages[:n]
+        for r, d, d_next in zip(
+            self._revenues, damages, damages[1:] + [ref_damage]
+        ):
+            hv += (r - ref_revenue) * (d_next - d)
+        return hv
+
+
+def negated_key_select(merged, n):
+    """`bilevel._select` with the last front truncated on -cd[i]."""
+    points = [e.objectives for e in merged]
+    survivors, rank, crowd = [], [], []
+    for fi, front in enumerate(nondominated_sort(points)):
+        cd = crowding_distance(front, points)
+        if len(survivors) + len(front) > n:
+            front = sorted(front, key=lambda i: -cd[i])[: n - len(survivors)]
+        survivors.extend(merged[i] for i in front)
+        rank.extend([fi] * len(front))
+        crowd.extend(cd[i] for i in front)
+        if len(survivors) == n:
+            break
+    return survivors, rank, crowd

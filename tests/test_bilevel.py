@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 import minetax.bilevel as bilevel
 from composition import frontier_composition
+from leader_reference import ThreeListArchive, negated_key_select
 from minetax import (
     ArchiveEntry,
+    BestResponse,
     EaConfig,
     ExtendedModel,
     FollowerResponse,
@@ -179,6 +181,84 @@ class TestParetoArchive:
         assert arch.hypervolume(0.2, 1.0) == pytest.approx(0.35)
 
 
+# objective values with ties, duplicates and a signed zero among them
+_objective_values = st.one_of(
+    st.integers(0, 4).map(float),
+    st.sampled_from([-0.0, 0.5, 1e-300]),
+    st.floats(0.0, 1e6),
+)
+
+
+class TestOneListArchive:
+    @given(
+        pairs=st.lists(st.tuples(_objective_values, _objective_values), max_size=60),
+        ref_damage=_objective_values,
+    )
+    @settings(max_examples=300)
+    def test_matches_brute_force_and_three_lists(self, pairs, ref_damage):
+        entries = [_entry(r, d) for r, d in pairs]
+        arch, reference = ParetoArchive(), ThreeListArchive()
+        for e in entries:
+            # the same admissions, hence the same evictions
+            assert arch.insert(e) == reference.insert(e)
+        assert [id(e) for e in arch] == [id(e) for e in reference.entries]
+        # brute force: each pair no other pair dominates, first of equal ones
+        points = [e.objectives for e in entries]
+        kept = {}
+        for e in entries:
+            key = (e.objectives.revenue, e.objectives.damage)
+            if key not in kept and not any(dominates(p, e.objectives) for p in points):
+                kept[key] = e
+        expected = sorted(kept.values(), key=lambda e: e.objectives.damage)
+        assert [id(e) for e in arch.entries] == [id(e) for e in expected]
+        assert len(arch) == len(expected)
+        # a reference revenue no better than any entry's
+        ref_revenue = min([r for r, _ in pairs], default=0.0)
+        for ref in (ref_damage, 1e6, 0.0):
+            assert arch.hypervolume(ref_revenue, ref) == reference.hypervolume(
+                ref_revenue, ref
+            )
+
+
+class TestSlottedValueTypes:
+    @staticmethod
+    def _values():
+        strat = LeaderStrategy(tau=(1.0, 2.0))
+        resp = FollowerResponse(q=(3.0, 0.0), a=2)
+        point = ObjectivePoint(revenue=4.0, damage=5.0, profit=6.0)
+        return [
+            strat,
+            resp,
+            BestResponse(response=resp, profit=6.0, optimality_tag=True,
+                         kkt_residual=0.5),
+            point,
+            ArchiveEntry(strategy=strat, response=resp, objectives=point,
+                         optimality_tag=True),
+        ]
+
+    def test_no_instance_dict(self):
+        for v in self._values():
+            assert not hasattr(v, "__dict__"), type(v).__name__
+
+    def test_frozen(self):
+        for v in self._values():
+            name = dataclasses.fields(v)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, None)
+
+    def test_replace_equality_and_hash(self):
+        for v, twin in zip(self._values(), self._values()):
+            assert v == twin and v is not twin
+            fields = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
+            # the hash a frozen dataclass defines: that of its field tuple
+            assert hash(v) == hash(twin) == hash(fields)
+            assert dataclasses.replace(v) == v
+            last = dataclasses.fields(v)[-1].name
+            other = dataclasses.replace(v, **{last: getattr(v, last) * 2})
+            assert other != v
+            assert getattr(other, last) == getattr(v, last) * 2
+
+
 class TestNondominatedSort:
     def test_layered_fronts(self):
         pts = [
@@ -307,6 +387,24 @@ class TestSelect:
         assert sorted(kept[rank.index(last):]) == sorted(
             most_crowded[: rank.count(last)]
         )
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_same_order_as_negated_key(self, data):
+        # small grids: tied and infinite crowding distances
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=40,
+            )
+        )
+        n = data.draw(st.integers(1, len(pairs)))
+        merged = [_entry(float(r), float(d)) for r, d in pairs]
+        survivors, rank, crowd = bilevel._select(merged, n)
+        ref_survivors, ref_rank, ref_crowd = negated_key_select(merged, n)
+        assert [id(e) for e in survivors] == [id(e) for e in ref_survivors]
+        assert rank == ref_rank
+        assert crowd == ref_crowd
 
 
 class TestCrowdingDistance:

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -163,6 +164,17 @@ class TestBestResponse:
         assert best_response(strat, single).response == best_response_fixed_tech(
             strat, model.tech(2), single
         ).response
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_taxes_never_reach_the_follower(self, model, r, bad):
+        # once answered with a NaN schedule tagged optimal, or a bare
+        # "min() arg is an empty sequence" under free choice
+        discounted = dataclasses.replace(model, r=r)
+        one_tech = dataclasses.replace(discounted, techs=(model.tech(1),))
+        for m in (discounted, one_tech):
+            with pytest.raises(ValueError, match="^taxes tau must be finite"):
+                best_response(LeaderStrategy(tau=(bad,) * 5), m)
 
     def test_profit_monotone_in_taxes(self, model):
         for strat in random_strategies(model, 5, seed=17):

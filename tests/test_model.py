@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -19,6 +20,7 @@ from minetax import (
     follower_total_profit,
     leader_objectives,
     period_profit,
+    period_profits,
 )
 from minetax.analytical import follower_best_response, follower_profit
 from minetax.model import config_from_dict, load_config
@@ -60,6 +62,20 @@ class TestValidation:
     def test_negative_tax_rejected(self):
         with pytest.raises(ValueError):
             LeaderStrategy(tau=(-0.1,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_nonfinite_or_negative_schedules_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^taxes tau must be finite"):
+            LeaderStrategy(tau=(1.0, bad))
+        with pytest.raises(ValueError, match=r"^extraction q must be finite"):
+            FollowerResponse(q=(bad, 1.0), a=1)
+
+    def test_signed_zero_and_integers_accepted(self):
+        strat = LeaderStrategy(tau=(-0.0, 2))
+        assert strat.tau == (0.0, 2.0)
+        assert math.copysign(1.0, strat.tau[0]) == -1.0
+        assert type(strat.tau[1]) is float
+        assert FollowerResponse(q=[-0.0, 3], a=1).q == (0.0, 3.0)
 
 
 class TestCumulativeCost:
@@ -192,6 +208,48 @@ class TestPeriodProfit:
     def test_index_out_of_range(self, model):
         with pytest.raises(ValueError):
             period_profit(6, (0.0,) * 6, 0.0, model.tech(1), model)
+
+    @given(
+        q=schedules, tau=schedules, tech_id=st.integers(1, 4),
+        r=st.sampled_from([0.0, 0.05]),
+    )
+    @settings(max_examples=100)
+    def test_one_pass_equals_each_prefix(self, model, q, tau, tech_id, r):
+        model = dataclasses.replace(model, r=r)
+        tech = model.tech(tech_id)
+
+        def reference(t):
+            # period t's profit as `period_profit` computed it by itself
+            q_t, cum = q[t - 1], sum(q[:t])
+            revenue = (model.alpha[t - 1] - model.beta[t - 1] * q_t) * q_t
+            ep = cumulative_cost(cum, tech, model.strata) - cumulative_cost(
+                cum - q_t, tech, model.strata
+            )
+            return revenue - extraction_rate_cost(q_t, tech) - ep - tau[t - 1] * q_t
+
+        periods = range(1, model.T + 1)
+        expected = [reference(t) for t in periods]
+        assert period_profits(q, tau, tech, model) == expected
+        assert [
+            period_profit(t, q[:t], tau[t - 1], tech, model) for t in periods
+        ] == expected
+        # the discounted sum as `follower_total_profit` took it, period by
+        # period
+        total = 0.0
+        for t in periods:
+            total += model.discount(t) * reference(t)
+        assert follower_total_profit(
+            FollowerResponse(q=q, a=tech_id), LeaderStrategy(tau=tau), model
+        ) == total
+
+    def test_one_pass_checks_the_schedule(self, model):
+        tech = model.tech(1)
+        with pytest.raises(ValueError, match="horizon"):
+            period_profits((1.0,) * 4, (0.0,) * 5, tech, model)
+        with pytest.raises(ValueError, match="horizon"):
+            period_profits((1.0,) * 5, (0.0,) * 6, tech, model)
+        with pytest.raises(ValueError, match="nonnegative"):
+            period_profits((1.0, -1.0, 0.0, 0.0, 0.0), (0.0,) * 5, tech, model)
 
 
 class TestTotalProfit:
