@@ -102,21 +102,34 @@ def _waterfill(
     """Exact r = 0 optimum: the schedule and its cost multiplier lam.
 
     The total S(lam) = sum q_t(lam) is nonincreasing and piecewise linear.
-    Walking up the (nondecreasing) slopes, either S(s_m) lands in stratum
-    m, so lam = s_m, or it drops below the stratum's start: then the total
-    sits on that breakpoint, with lam strictly between s_{m-1} and s_m.
+    The optimum is in stratum m*, the first m with S(s_m) <= b_m, or the
+    last one. Each clipped term q_t(lam) is monotone in lam and `sum` adds
+    them in a fixed order, so the computed S(s_m) does not increase with
+    m, while the breakpoints b_m do not decrease: the test is false, then
+    true, and bisection over the strata finds the m* a walk up them would.
+    Either S(s_m*) lands in stratum m*, so lam = s_m*, or it drops below
+    the stratum's start: then the total sits on that breakpoint, with lam
+    strictly between s_{m*-1} and s_m*.
     """
-    floor = 0.0
-    for m, s in enumerate(slopes):
-        q = _schedule(s, periods)
+    lo, hi = 0, len(slopes) - 1
+    probe = None  # (q, S) at slopes[hi], once probed
+    while lo < hi:
+        mid = (lo + hi) // 2
+        q = _schedule(slopes[mid], periods)
         total = sum(q)
-        if total < floor:
-            lam = _crossing(periods, floor, slopes[m - 1], s)
-            return _schedule(lam, periods), lam
-        if m == len(slopes) - 1 or total <= breakpoints[m]:
-            return q, s
-        floor = breakpoints[m]
-    raise AssertionError("unreachable: the last stratum is unbounded")
+        if total <= breakpoints[mid]:
+            hi, probe = mid, (q, total)
+        else:
+            lo = mid + 1
+    if probe is None:
+        q = _schedule(slopes[hi], periods)
+        total = sum(q)
+    else:
+        q, total = probe
+    if hi and total < breakpoints[hi - 1]:
+        lam = _crossing(periods, breakpoints[hi - 1], slopes[hi - 1], slopes[hi])
+        return _schedule(lam, periods), lam
+    return q, slopes[hi]
 
 
 def _crossing(periods: _Periods, target: float, lo: float, hi: float) -> float:
@@ -291,9 +304,10 @@ def best_response_fixed_tech(
     profit = -model.discounted_periods * tech.gamma_er - w[-1] * cumulative_cost(
         total, tech, strata
     )
-    for wt, x in zip(w[:-1], itertools.accumulate(q)):
-        if wt:
-            profit -= wt * cumulative_cost(x, tech, strata)
+    if model.r > 0.0:
+        for wt, x in zip(w[:-1], itertools.accumulate(q)):
+            if wt:
+                profit -= wt * cumulative_cost(x, tech, strata)
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse(
@@ -325,7 +339,8 @@ def _pick_optimistic(
 
 
 def _profit_gap_bound(
-    q: Sequence[float], dom: Dominance, model: ExtendedModel
+    q: Sequence[float], dom: Dominance, model: ExtendedModel,
+    need: float = math.inf,
 ) -> float:
     """Lower bound G on profit_A* - profit_B* for A = dom.dominator and
     B = dom.tech, from A's optimal schedule q*; d_t are the model's
@@ -340,16 +355,23 @@ def _profit_gap_bound(
     c_t (q - q*_t)^2 + delta q over q >= 0: delta q*_t - delta^2 / (4 c_t)
     where q*_t >= delta / (2 c_t), else c_t q*_t^2. G is 0 at zero
     extraction when fixed_gap = 0.
+
+    Every term is at least 0, so the sum stops as soon as it exceeds
+    `need`: the partial sum returned then exceeds `need` as G does, and
+    whether G > need is all the caller asks. Without `need` it is G.
     """
-    delta = dom.unit_gap
+    delta, fixed_gap = dom.unit_gap, dom.fixed_gap
+    alpha_er = dom.dominator.alpha_er
     bound = 0.0
     for dt, beta, x in zip(model.discount_factors, model.beta, q):
-        c = beta + dom.dominator.alpha_er
+        c = beta + alpha_er
         if 2.0 * c * x >= delta:
             m = delta * x - delta * delta / (4.0 * c)
         else:
             m = c * x * x
-        bound += dt * (dom.fixed_gap + m)
+        bound += dt * (fixed_gap + m)
+        if bound > need:
+            break
     return bound
 
 
@@ -361,14 +383,11 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     tie; the answer is the one the full enumeration gives. A model with
     one technology has no dominance, so that technology is solved once.
     """
-    dominated = model.dominated_technologies
     answers = [
-        best_response_fixed_tech(strat, tech, model)
-        for tech in model.techs
-        if tech.tech_id not in dominated
+        best_response_fixed_tech(strat, tech, model) for tech in model.undominated
     ]
     # with nothing dominated this is the full enumeration
-    if dominated:
+    if model.dominance:
         # the best profit of the full enumeration is at least this one, so a
         # profit below best - slack stays out of its tie set too
         best = max(br.profit for br in answers)
@@ -380,7 +399,7 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
             # the bound's fixed-cost part alone often settles it
             if ref.optimality_tag and (
                 dom.fixed_gap * model.discounted_periods > need
-                or _profit_gap_bound(ref.response.q, dom, model) > need
+                or _profit_gap_bound(ref.response.q, dom, model, need) > need
             ):
                 continue
             answers.append(best_response_fixed_tech(strat, dom.tech, model))

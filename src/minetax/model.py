@@ -179,6 +179,13 @@ class ExtendedModel:
             raise ValueError("price slopes beta_t must be positive")
         if self.r < 0:
             raise ValueError("discount rate must be nonnegative")
+        # d_T = (1 + r)^-(T-1) must stay a positive float: every follower
+        # solver divides by the discount factors
+        if self.discount(self.T) == 0.0:
+            raise ValueError(
+                f"discount rate r = {self.r} is too large for horizon "
+                f"T = {self.T}: the discount factor of period T underflows to 0"
+            )
         if not self.techs:
             raise ValueError("at least one technology required")
         if len({t.tech_id for t in self.techs}) != len(self.techs):
@@ -261,11 +268,23 @@ class ExtendedModel:
         """Id of each dominated technology: id of its dominator."""
         return {d.tech.tech_id: d.dominator.tech_id for d in self.dominance}
 
+    @functools.cached_property
+    def undominated(self) -> tuple[TechParams, ...]:
+        """The technologies no other one dominates, in table order.
+        Computed once per model."""
+        dominated = self.dominated_technologies
+        return tuple(t for t in self.techs if t.tech_id not in dominated)
+
+    @functools.cached_property
+    def _techs_by_id(self) -> dict[int, TechParams]:
+        """Each technology by its id. Computed once per model."""
+        return {t.tech_id: t for t in self.techs}
+
     def tech(self, tech_id: int) -> TechParams:
-        for t in self.techs:
-            if t.tech_id == tech_id:
-                return t
-        raise KeyError(f"unknown technology id {tech_id}")
+        try:
+            return self._techs_by_id[tech_id]
+        except KeyError:
+            raise KeyError(f"unknown technology id {tech_id}") from None
 
     def discount(self, t: int) -> float:
         """Discount factor for 1-based period t."""

@@ -1,0 +1,34 @@
+"""r = 0 follower reference: the water-fill as a linear walk up the strata.
+
+`minetax.lower._waterfill` finds its stopping stratum by bisection; this is
+the walk it replaced, kept so the tests can check that both return the same
+floats.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+from minetax.lower import _crossing, _Periods, _schedule
+
+
+def waterfill_walk(
+    periods: _Periods, slopes: Sequence[float], breakpoints: Sequence[float]
+) -> tuple[list[float], float]:
+    """The r = 0 schedule and its cost multiplier lam, one stratum at a
+    time. Walking up the (nondecreasing) slopes, either S(s_m) lands in
+    stratum m, so lam = s_m, or it drops below the stratum's start: then
+    the total sits on that breakpoint, with lam strictly between s_{m-1}
+    and s_m.
+    """
+    floor = 0.0
+    for m, s in enumerate(slopes):
+        q = _schedule(s, periods)
+        total = sum(q)
+        if total < floor:
+            lam = _crossing(periods, floor, slopes[m - 1], s)
+            return _schedule(lam, periods), lam
+        if m == len(slopes) - 1 or total <= breakpoints[m]:
+            return q, s
+        floor = breakpoints[m]
+    raise AssertionError("unreachable: the last stratum is unbounded")

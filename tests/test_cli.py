@@ -226,6 +226,42 @@ class TestInvalidConfigs:
         assert "Traceback" not in err
 
 
+class TestDiscountUnderflow:
+    """At T = 5 a rate of about 1e81 or more rounds d_T = (1 + r)^-4 to 0,
+    which the follower solvers divide by: the config is rejected on load."""
+
+    COMMANDS = {
+        "extended": ["--model", "extended", "--pop-size", "4",
+                     "--generations", "1"],
+        "verify": ["--verify", "--quick"],
+    }
+
+    @staticmethod
+    def _config(tmp_path, r):
+        cfg = _bundled()
+        cfg["extended"]["r"] = r
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_underflowing_rate_rejected(self, tmp_path, capsys, command):
+        args = self.COMMANDS[command] + ["--config", self._config(tmp_path, 1e100)]
+        rc = main(args + ["--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: discount rate r = 1e+100 ")
+        assert "T = 5" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_largest_rate_that_holds_still_runs(self, tmp_path, capsys, command):
+        args = self.COMMANDS[command] + ["--config", self._config(tmp_path, 1e80)]
+        assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
+
+
 def _run_cli(*args):
     src = str(Path(minetax.__file__).resolve().parents[1])
     return subprocess.run(

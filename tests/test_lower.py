@@ -6,6 +6,7 @@ import random
 
 import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
+from follower_reference import waterfill_walk
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from minetax.lower import (
     _discounted_kkt_residual,
     _pick_optimistic,
     _profit_gap_bound,
+    _schedule,
     _shoot,
     _waterfill,
 )
@@ -248,6 +250,54 @@ class TestExactFollower:
         assert br.optimality_tag
         assert br.kkt_residual <= 1e-12
         assert abs(_relative_gap(br, _grid_oracle(strat, tech, model))) <= 1e-9
+
+
+@st.composite
+def _waterfill_instances(draw):
+    """(periods, slopes, breakpoints) for `_waterfill`: 1-6 periods and
+    strata, repeated and zero slopes, shut periods (hi = 0), and each
+    breakpoint an ordinary step up, a stratum so thin that it equals the
+    last one in floating point, or planted on a total S(s) of the
+    schedule: at its own slope (the boundary of the stopping test), at the
+    next one (the boundary of the crossing test) or between the two (the
+    crossing branch, where the total ends on the breakpoint)."""
+    T = draw(st.integers(1, 6))
+    M = draw(st.integers(1, 6))
+    periods = [
+        (draw(st.floats(-10.0, 100.0)), draw(st.floats(0.05, 5.0)),
+         0.0 if draw(st.integers(0, 3)) == 0 else draw(st.floats(0.0, 50.0)))
+        for _ in range(T)
+    ]
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0)))
+    steps = [draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))) for _ in range(M - 1)]
+    slopes = tuple(itertools.accumulate(steps, initial=start))
+    totals = [sum(_schedule(s, periods)) for s in slopes] + [0.0]
+    cuts, b = [], 0.0
+    for m in range(M):
+        # "between" twice: the crossing needs every stratum below to be
+        # overfilled, so it is the rarest outcome
+        kind = draw(st.sampled_from(
+            ["step", "thin", "own", "next", "between", "between"]
+        ))
+        if kind == "step":
+            b += draw(st.floats(0.01, 10.0))
+        elif kind == "thin":
+            b += draw(st.floats(1e-300, 1e-14))
+        else:
+            planted = {"own": totals[m], "next": totals[m + 1],
+                       "between": (totals[m] + totals[m + 1]) / 2.0}[kind]
+            b = max(b, planted)
+        cuts.append(b)
+    return periods, slopes, tuple(cuts)
+
+
+@given(instance=_waterfill_instances())
+@settings(max_examples=500, deadline=None)
+def test_bisected_waterfill_matches_the_linear_walk(instance):
+    # the same floats: the same schedule and the same multiplier
+    periods, slopes, breakpoints = instance
+    q, lam = _waterfill(periods, slopes, breakpoints)
+    assert (q, lam) == waterfill_walk(periods, slopes, breakpoints)
 
 
 def _pinned_instance():
@@ -529,45 +579,81 @@ def _cost_steps(draw, n, tiny):
     return [draw(st.one_of(st.just(0.0), size)) for _ in range(n)]
 
 
+def _fresh_cost(draw, M):
+    """(alpha_er, beta_er, gamma_er, slopes) of a convex technology."""
+    steps = [draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))) for _ in range(M)]
+    slopes = tuple(itertools.accumulate(steps))
+    return (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 10.0)),
+            draw(st.floats(0.0, 10.0)), slopes)
+
+
+def _dearer(base, extra):
+    """`base` plus the nonnegative increments extra: to alpha_er, beta_er,
+    gamma_er, then one shift for all slopes and a nondecreasing extra per
+    stratum."""
+    slopes = tuple(
+        s + extra[3] + e for s, e in zip(base[3], itertools.accumulate(extra[4:]))
+    )
+    return tuple(c + e for c, e in zip(base[:3], extra[:3])) + (slopes,)
+
+
+def _base_variants(draw, M):
+    """One base technology; each other one is the base made dearer (strict
+    dominance, near ties included), an exact duplicate, or drawn afresh
+    (undominated mixes)."""
+    base = _fresh_cost(draw, M)
+    costs = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["dearer", "duplicate", "fresh"]))
+        if kind == "fresh":
+            costs.append(_fresh_cost(draw, M))
+        elif kind == "duplicate":
+            costs.append(base)
+        else:
+            tiny = draw(st.booleans())
+            costs.append(_dearer(base, _cost_steps(draw, 4 + M, tiny)))
+    return costs
+
+
+def _two_tops(draw, M):
+    """Two undominated technologies, one with the lower fixed cost and one
+    with the lower unit cost, and 1-3 each made dearer than one of them
+    with no fixed-cost gap or no unit-cost gap, so that the certificate's
+    sum runs past the fixed-cost test."""
+    alpha_er, beta_er, gamma_er, slopes = _fresh_cost(draw, M)
+    tops = [
+        (alpha_er, beta_er, gamma_er + draw(st.floats(0.01, 5.0)), slopes),
+        (alpha_er, beta_er + draw(st.floats(0.01, 5.0)), gamma_er, slopes),
+    ]
+    costs = list(tops)
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from(tops))
+        extra = _cost_steps(draw, 4 + M, draw(st.booleans()))
+        if draw(st.booleans()):
+            extra[2] = 0.0  # fixed_gap = 0
+        else:
+            extra[1] = extra[3] = extra[4] = 0.0  # unit_gap = 0
+        cost = _dearer(base, extra)
+        if cost == base:  # the increments rounded away: not a duplicate
+            cost = (base[0] + draw(st.floats(1e-6, 1.0)),) + base[1:]
+        costs.append(cost)
+    return costs
+
+
 @st.composite
-def _technology_tables(draw, rates=st.just(0.0)):
-    """Tables of 2-5 convex technologies built from one base technology:
-    each other one is the base made dearer (strict dominance, near ties
-    included), an exact duplicate, or drawn afresh (undominated mixes).
-    Taxes are drawn in the box, or prohibitive."""
+def _technology_tables(draw, rates=st.just(0.0), costs=_base_variants):
+    """Tables of the convex technologies that `costs` draws, in random
+    order. Taxes are drawn in the box, or prohibitive."""
     T = draw(st.integers(1, 5))
     M = draw(st.integers(1, 4))
     alpha = tuple(draw(st.floats(1.0, 100.0)) for _ in range(T))
     beta = tuple(draw(st.floats(0.05, 5.0)) for _ in range(T))
     amounts = tuple(draw(st.floats(0.5, 50.0)) for _ in range(M))
-
-    def fresh():
-        steps = [draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))) for _ in range(M)]
-        slopes = tuple(itertools.accumulate(steps))
-        return (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 10.0)),
-                draw(st.floats(0.0, 10.0)), slopes)
-
-    base = fresh()
-    costs = [base]
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["dearer", "duplicate", "fresh"]))
-        if kind == "fresh":
-            costs.append(fresh())
-        elif kind == "duplicate":
-            costs.append(base)
-        else:
-            tiny = draw(st.booleans())
-            extra = _cost_steps(draw, 4 + M, tiny)
-            # one shift for all slopes plus a nondecreasing extra per stratum
-            slopes = tuple(
-                s + extra[3] + e
-                for s, e in zip(base[3], itertools.accumulate(extra[4:]))
-            )
-            costs.append(tuple(c + e for c, e in zip(base[:3], extra[:3])) + (slopes,))
-    order = draw(st.permutations(range(len(costs))))
+    table = costs(draw, M)
+    order = draw(st.permutations(range(len(table))))
     techs = tuple(
-        TechParams(tech_id=i + 1, k=draw(st.floats(0.0, 10.0)), alpha_er=costs[j][0],
-                   beta_er=costs[j][1], gamma_er=costs[j][2], slopes=costs[j][3])
+        TechParams(tech_id=i + 1, k=draw(st.floats(0.0, 10.0)), alpha_er=table[j][0],
+                   beta_er=table[j][1], gamma_er=table[j][2], slopes=table[j][3])
         for i, j in enumerate(order)
     )
     model = ExtendedModel(
@@ -601,3 +687,51 @@ def test_certificate_never_exceeds_profit_gap(instance):
         bound = _profit_gap_bound(a.response.q, dom, model)
         margin = CERT_MARGIN * max(1.0, abs(a.profit))
         assert max(bound, dom.fixed_gap * sum(d)) <= a.profit - b.profit + margin
+
+
+@given(instance=_technology_tables(rates=_RATES, costs=_two_tops))
+@settings(max_examples=300, deadline=None)
+def test_skipping_matches_full_enumeration_with_two_undominated(instance):
+    model, strat = instance
+    assert len(model.undominated) == 2
+    assert best_response(strat, model) == full_enumeration(strat, model)
+
+
+@given(
+    instance=_technology_tables(rates=_RATES, costs=_two_tops),
+    split=st.floats(0.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_certificate_stops_once_past_need(instance, split):
+    # whether the bound exceeds `need` is the full bound's answer, for a
+    # need below, at or above it and at each of its partial sums
+    model, strat = instance
+    for dom in model.dominance:
+        q = best_response_fixed_tech(strat, dom.dominator, model).response.q
+        full = _profit_gap_bound(q, dom, model)
+        partial = [
+            _profit_gap_bound(q[:t], dom, model) for t in range(len(q) + 1)
+        ]
+        assert full == partial[-1] == _profit_gap_bound(q, dom, model, math.inf)
+        for need in partial + [split * full, math.nextafter(full, -math.inf)]:
+            early = _profit_gap_bound(q, dom, model, need)
+            assert early <= full
+            assert (early > need) == (full > need)
+
+
+def test_certificate_without_need_is_the_full_bound(model):
+    # technology 3 against 4 on the bundled table at r = 0: d_t = 1 and
+    # fixed_gap = 0, so G is the sum of the m_t
+    dom = model.dominance[2]
+    strat = LeaderStrategy(tau=tuple(a / 2.0 for a in model.alpha))
+    q = best_response_fixed_tech(strat, dom.dominator, model).response.q
+    delta, expected = dom.unit_gap, 0.0
+    for b, x in zip(model.beta, q):
+        c = b + dom.dominator.alpha_er
+        if 2.0 * c * x >= delta:
+            expected += delta * x - delta * delta / (4.0 * c)
+        else:
+            expected += c * x * x
+    assert dom.fixed_gap == 0.0 and expected > 0.0
+    assert _profit_gap_bound(q, dom, model) == expected
+    assert _profit_gap_bound(q, dom, model, need=0.0) < expected

@@ -140,6 +140,18 @@ class TestTechnologyDominance:
             [3.0 + 0.4, 2.0 + 0.4, 2.0 + 0.2]
         )
 
+    def test_lookups_computed_once_per_model(self, model):
+        assert model.undominated == (model.techs[3],)
+        assert model.undominated is model.undominated
+        assert [model.tech(i) for i in (4, 1)] == [model.techs[3], model.techs[0]]
+        tradeoff = _table(_tech(1, beta_er=1.0, gamma_er=6.0), _tech(2, gamma_er=7.0),
+                          _tech(3, beta_er=3.0, gamma_er=4.0))
+        assert [t.tech_id for t in tradeoff.undominated] == [1, 3]
+
+    def test_unknown_id_raises_key_error_naming_it(self, model):
+        with pytest.raises(KeyError, match="^'unknown technology id 7'$"):
+            model.tech(7)
+
     def test_analytical_embedding_has_none(self, params):
         assert analytical_as_extended(params).dominated_technologies == {}
 
@@ -379,6 +391,21 @@ class TestDiscounting:
         assert discounted.cost_weights == tuple(
             a - b for a, b in zip(d, d[1:] + (0.0,))
         )
+
+    def test_rate_that_underflows_the_last_factor_rejected(self, model):
+        # (1 + 1e100)^-4 rounds to 0.0, which every follower solver divides by
+        with pytest.raises(
+            ValueError, match=r"^discount rate r = 1e\+100 .* horizon T = 5: "
+        ):
+            dataclasses.replace(model, r=1e100)
+        # (1 + 1e80)^-4 is subnormal but positive, and at T = 1 the only
+        # factor is d_1 = 1 whatever r
+        assert dataclasses.replace(model, r=1e80).discount_factors[-1] > 0.0
+        one_period = dataclasses.replace(
+            model, T=1, alpha=model.alpha[:1], beta=model.beta[:1],
+            tau_bounds=None, q_bounds=None, r=1e300,
+        )
+        assert one_period.discount_factors == (1.0,)
 
 
 class TestEmbedding:

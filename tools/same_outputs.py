@@ -8,7 +8,11 @@ fresh interpreter with PYTHONPATH=<root>/src and the same config file:
 - the three workloads of bench/run.py, at the four EA seeds of its seed 0,
   with the workload's config and CLI arguments taken from bench/run.py;
 - the bundled config at r = 0 and r = 0.05, with --tech all and --tech 4,
-  at seeds 0-3 and the CLI's default budget.
+  at seeds 0-3 and the CLI's default budget;
+- the bundled table with technology 3's beta_er set to 1.5, at r = 0 and
+  r = 0.05, with --tech all at seeds 0-3: technologies 3 and 4 are then
+  both undominated (1 is dominated by 3, 2 by 4), so `best_response`
+  weighs the profit-gap certificate against a second solved technology.
 
 Then frontier.csv and schedule.csv of each pair are compared byte for
 byte, and meta.json with its wall_time_seconds left out. One line is
@@ -45,16 +49,25 @@ def cases() -> list[tuple[str, dict, list[str]]]:
                 wl.config(bundled),
                 bench.cli_args(wl, config, seed, out),
             ))
-    for r in (0.0, 0.05):
-        cfg = dict(bundled, extended=dict(bundled["extended"], r=r))
-        for tech in ("all", "4"):
-            for seed in SEEDS:
-                found.append((
-                    f"bundled r={r} --tech {tech} seed {seed}",
-                    cfg,
-                    ["--model", "extended", "--config", str(config),
-                     "--tech", tech, "--seed", str(seed), "--out", str(out)],
-                ))
+    two_top = [dict(t) for t in bundled["extended"]["technologies"]]
+    (tech3,) = (t for t in two_top if t["tech_id"] == 3)
+    tech3["beta_er"] = 1.5
+    tables = [
+        ("bundled", bundled["extended"], ("all", "4")),
+        ("two undominated", dict(bundled["extended"], technologies=two_top),
+         ("all",)),
+    ]
+    for label, extended, techs in tables:
+        for r in (0.0, 0.05):
+            cfg = dict(bundled, extended=dict(extended, r=r))
+            for tech in techs:
+                for seed in SEEDS:
+                    found.append((
+                        f"{label} r={r} --tech {tech} seed {seed}",
+                        cfg,
+                        ["--model", "extended", "--config", str(config),
+                         "--tech", tech, "--seed", str(seed), "--out", str(out)],
+                    ))
     return found
 
 
