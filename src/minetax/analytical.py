@@ -7,15 +7,17 @@ closed-form optimal tax. Sweeping w traces the exact Pareto frontier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import AnalyticalParams
 
 
-@dataclass(frozen=True)
-class WeightedSolution:
+class WeightedSolution(
+    namedtuple("WeightedSolution", "w tau_star q_star revenue damage profit")
+):
     """One weighted-sum optimum of the leader."""
 
+    __slots__ = ()
     w: float
     tau_star: float
     q_star: float

@@ -12,8 +12,8 @@ import bisect
 import itertools
 import math
 import random
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .lower import best_response
 from .model import (
@@ -31,8 +31,10 @@ HV_STALL_TOL = 1e-4
 HV_STALL_GENERATIONS = 20
 
 
-@dataclass(frozen=True, slots=True)
-class ArchiveEntry:
+class ArchiveEntry(
+    namedtuple("ArchiveEntry", "strategy response objectives optimality_tag")
+):
+    __slots__ = ()
     strategy: LeaderStrategy
     response: FollowerResponse
     objectives: ObjectivePoint
@@ -166,29 +168,33 @@ def crowding_distance(
     return dict(zip(front, dist))
 
 
-@dataclass(frozen=True)
-class EaConfig:
-    population_size: int = 40
-    max_generations: int = 100
-    seed: int = 0
+class EaConfig(namedtuple("EaConfig", "population_size max_generations seed")):
+    __slots__ = ()
+    population_size: int
+    max_generations: int
+    seed: int
 
-    def __post_init__(self):
-        if self.population_size < 4 or self.population_size % 2:
+    def __new__(cls, population_size=40, max_generations=100, seed=0):
+        if population_size < 4 or population_size % 2:
             raise ValueError("population size must be even and at least 4")
         # 0 is valid: the initial population only
-        if self.max_generations < 0:
+        if max_generations < 0:
             raise ValueError("number of generations must be nonnegative")
         # random.Random would silently seed with abs(seed)
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
+        return super().__new__(cls, population_size, max_generations, seed)
 
 
-@dataclass(frozen=True)
-class EvolveResult:
+class EvolveResult(namedtuple(
+    "EvolveResult",
+    "archive hv_history generations_run failed_evaluations termination_reason",
+)):
     """The archive, its hypervolume after the initial population and after
     each generation, the count of untagged follower answers, and why the
     run stopped: "max_generations" or "hv_stall"."""
 
+    __slots__ = ()
     archive: ParetoArchive
     hv_history: tuple[float, ...]
     generations_run: int

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage/config error (argparse errors included),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -26,6 +25,7 @@ from .model import (
     default_config,
     load_config,
     period_profits,
+    replace,
 )
 
 EXIT_OK = 0
@@ -51,9 +51,9 @@ def run_analytical(cfg: argparse.Namespace) -> int:
     p = models.analytical
     if cfg.points < 2:
         raise ValueError("'points' must be at least 2")
-    sweep = ana.pareto_sweep(p, cfg.points)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    sweep = ana.pareto_sweep(p, cfg.points)
     path = out / "sweep.csv"
     ana.sweep_to_csv(sweep, str(path))
     lo, hi = sweep[0], sweep[-1]
@@ -114,6 +114,11 @@ def run_extended(cfg: argparse.Namespace) -> int:
                         ("--max-damage", cfg.max_damage)):
         if bound is not None and not math.isfinite(bound):
             raise ValueError(f"{flag} must be a finite number, got {bound}")
+    ea = EaConfig(
+        population_size=cfg.pop_size,
+        max_generations=cfg.generations,
+        seed=cfg.seed,
+    )
     models = _load(cfg)
     if models.extended is None:
         raise ValueError("config has no 'extended' section")
@@ -130,19 +135,17 @@ def run_extended(cfg: argparse.Namespace) -> int:
                 f"{ids}, got {cfg.tech!r}"
             ) from None
         # a run of technology k is the model with k alone in its table
-        model = dataclasses.replace(model, techs=(tech,))
-    elif dominated and len(dominated) == len(model.techs) - 1:
+        model = replace(model, techs=(tech,))
+    # every input is checked and the output directory made before the solve
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if cfg.tech == "all" and dominated and len(dominated) == len(model.techs) - 1:
         (top,) = set(dominated.values())
         print(
             f"warning: technology {top} dominates all others in cost; the mine "
             "picks another only on a profit tie, so the free-choice frontier "
             f"is technology {top}'s apart from ties"
         )
-    ea = EaConfig(
-        population_size=cfg.pop_size,
-        max_generations=cfg.generations,
-        seed=cfg.seed,
-    )
     start = time.perf_counter()
     result = evolve(model, ea)
     elapsed = time.perf_counter() - start
@@ -153,8 +156,6 @@ def run_extended(cfg: argparse.Namespace) -> int:
         if (cfg.min_revenue is None or e.objectives.revenue >= cfg.min_revenue)
         and (cfg.max_damage is None or e.objectives.damage <= cfg.max_damage)
     ]
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_frontier(out / "frontier.csv", filtered, model.T)
     _write_schedules(out / "schedule.csv", filtered, model)
     meta = {

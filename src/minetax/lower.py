@@ -40,8 +40,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .model import (
     Dominance,
@@ -72,14 +72,16 @@ KKT_TOL = 1e-9
 _ACTIVE_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class BestResponse:
+class BestResponse(namedtuple(
+    "BestResponse", "response profit optimality_tag kkt_residual", defaults=(None,)
+)):
+    __slots__ = ()
     response: FollowerResponse
     profit: float
     optimality_tag: bool
     # KKT residual in units of extraction; set for every answer of this
     # module, None from the grid oracle, whose answers are lattice optima
-    kkt_residual: float | None = None
+    kkt_residual: float | None
 
 
 # (lin_t, quad_t, hi_t) per period: period t adds d_t (lin_t - quad_t q_t) q_t

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -25,8 +26,7 @@ def _require_finite(what: str, values: Iterable[float]) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-@dataclass(frozen=True)
-class AnalyticalParams:
+class AnalyticalParams(namedtuple("AnalyticalParams", "alpha beta delta gamma phi k")):
     """Constants of the single-period model.
 
     alpha: price intercept, beta: price slope, delta: quadratic cost
@@ -34,36 +34,37 @@ class AnalyticalParams:
     k: pollution coefficient (damage per unit extracted).
     """
 
-    alpha: float = 100.0
-    beta: float = 1.0
-    delta: float = 1.0
-    gamma: float = 1.0
-    phi: float = 0.0
-    k: float = 1.0
+    __slots__ = ()
+    alpha: float
+    beta: float
+    delta: float
+    gamma: float
+    phi: float
+    k: float
 
-    def __post_init__(self):
-        _require_finite(
-            "analytical parameters",
-            (self.alpha, self.beta, self.delta, self.gamma, self.phi, self.k),
-        )
-        if self.alpha <= 0 or self.beta <= 0 or self.delta <= 0:
+    def __new__(cls, alpha=100.0, beta=1.0, delta=1.0, gamma=1.0, phi=0.0, k=1.0):
+        _require_finite("analytical parameters", (alpha, beta, delta, gamma, phi, k))
+        if alpha <= 0 or beta <= 0 or delta <= 0:
             raise ValueError("alpha, beta, delta must be positive")
         # k = 0 is permitted: a revenue-only regulator is a useful
         # degenerate case
-        if self.gamma < 0 or self.phi < 0 or self.k < 0:
+        if gamma < 0 or phi < 0 or k < 0:
             raise ValueError("gamma, phi and k must be nonnegative")
-        if self.alpha <= self.gamma:
+        if alpha <= gamma:
             raise ValueError("alpha must exceed gamma (no profitable extraction)")
+        return super().__new__(cls, alpha, beta, delta, gamma, phi, k)
 
 
-@dataclass(frozen=True)
-class TechParams:
+class TechParams(
+    namedtuple("TechParams", "tech_id k alpha_er beta_er gamma_er slopes")
+):
     """One technology alternative: pollution coefficient and cost structure.
 
     slopes[m] is the marginal extraction/purification cost while mining
     stratum m+1; the slopes must be nondecreasing.
     """
 
+    __slots__ = ()
     tech_id: int
     k: float
     alpha_er: float
@@ -71,49 +72,49 @@ class TechParams:
     gamma_er: float
     slopes: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "slopes", tuple(float(s) for s in self.slopes))
+    def __new__(cls, tech_id, k, alpha_er, beta_er, gamma_er, slopes):
+        slopes = tuple(float(s) for s in slopes)
         _require_finite(
-            "technology parameters",
-            (self.k, self.alpha_er, self.beta_er, self.gamma_er) + self.slopes,
+            "technology parameters", (k, alpha_er, beta_er, gamma_er) + slopes
         )
         # k = 0, a technology that does no damage, as in AnalyticalParams
-        if self.k < 0:
+        if k < 0:
             raise ValueError("pollution coefficient k must be nonnegative")
-        if min(self.alpha_er, self.beta_er, self.gamma_er) < 0:
+        if min(alpha_er, beta_er, gamma_er) < 0:
             raise ValueError("cost coefficients must be nonnegative")
         # slope 0 is allowed so the analytical model embeds as a degenerate
         # single-stratum instance
-        if any(s < 0 for s in self.slopes):
+        if any(s < 0 for s in slopes):
             raise ValueError("stratum slopes must be nonnegative")
-        if not self.slopes:
+        if not slopes:
             raise ValueError("at least one stratum slope required")
         # strata get dearer with depth, so the cumulative cost is convex:
         # every follower solver and the grid oracle's certificate rest on it
-        if any(a > b for a, b in zip(self.slopes, self.slopes[1:])):
+        if any(a > b for a, b in zip(slopes, slopes[1:])):
             raise ValueError(
-                f"technology {self.tech_id}: stratum slopes must be nondecreasing"
+                f"technology {tech_id}: stratum slopes must be nondecreasing"
             )
+        return super().__new__(cls, tech_id, k, alpha_er, beta_er, gamma_er, slopes)
 
 
-@dataclass(frozen=True)
-class StrataTable:
+class StrataTable(namedtuple("StrataTable", "amounts")):
     """Amounts of ore per stratum and the derived cumulative breakpoints."""
 
+    # no __slots__: the cached properties need an instance dict
     amounts: tuple[float, ...]
-    breakpoints: tuple[float, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "amounts", tuple(float(a) for a in self.amounts))
-        _require_finite("stratum amounts", self.amounts)
-        if not self.amounts or any(a <= 0 for a in self.amounts):
+    def __new__(cls, amounts):
+        amounts = tuple(float(a) for a in amounts)
+        _require_finite("stratum amounts", amounts)
+        if not amounts or any(a <= 0 for a in amounts):
             raise ValueError("stratum amounts must be positive")
-        cum = []
-        total = 0.0
-        for a in self.amounts:
-            total += a
-            cum.append(total)
-        object.__setattr__(self, "breakpoints", tuple(cum))
+        return super().__new__(cls, amounts)
+
+    @functools.cached_property
+    def breakpoints(self) -> tuple[float, ...]:
+        """(b_1, ..., b_M), b_m the ore in strata 1..m, summed in order.
+        Computed once per table."""
+        return tuple(itertools.accumulate(self.amounts))
 
     @property
     def stock(self) -> float:
@@ -135,8 +136,7 @@ class StrataTable:
         return min(bisect.bisect_left(self.breakpoints, x) + 1, len(self.amounts))
 
 
-@dataclass(frozen=True)
-class Dominance:
+class Dominance(namedtuple("Dominance", "tech dominator fixed_gap unit_gap")):
     """`dominator` is no dearer than `tech` in alpha_er, beta_er, gamma_er
     and every stratum slope, and cheaper in at least one of them.
 
@@ -147,89 +147,83 @@ class Dominance:
     every tax.
     """
 
+    __slots__ = ()
     tech: TechParams
     dominator: TechParams
     fixed_gap: float
     unit_gap: float
 
 
-@dataclass(frozen=True)
-class ExtendedModel:
+class ExtendedModel(
+    namedtuple("ExtendedModel", "T alpha beta techs strata r tau_bounds q_bounds")
+):
     """Multi-period model: per-period prices, technologies, strata, bounds."""
 
+    # no __slots__: the cached properties need an instance dict
     T: int
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
     techs: tuple[TechParams, ...]
     strata: StrataTable
-    r: float = 0.0
-    tau_bounds: tuple[tuple[float, float], ...] | None = None
-    q_bounds: tuple[tuple[float, float], ...] | None = None
+    r: float
+    tau_bounds: tuple[tuple[float, float], ...]
+    q_bounds: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "techs", tuple(self.techs))
-        if self.T < 1:
+    def __new__(
+        cls, T, alpha, beta, techs, strata, r=0.0, tau_bounds=None, q_bounds=None
+    ):
+        alpha = tuple(float(a) for a in alpha)
+        beta = tuple(float(b) for b in beta)
+        techs = tuple(techs)
+        if T < 1:
             raise ValueError("horizon T must be at least 1")
-        if len(self.alpha) != self.T or len(self.beta) != self.T:
+        if len(alpha) != T or len(beta) != T:
             raise ValueError("alpha and beta must have length T")
-        _require_finite("alpha, beta and r", self.alpha + self.beta + (self.r,))
-        if any(b <= 0 for b in self.beta):
+        _require_finite("alpha, beta and r", alpha + beta + (r,))
+        if any(b <= 0 for b in beta):
             raise ValueError("price slopes beta_t must be positive")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("discount rate must be nonnegative")
         # d_T = (1 + r)^-(T-1) must stay a positive float: every follower
         # solver divides by the discount factors
-        if self.discount(self.T) == 0.0:
+        if (1.0 + r) ** (-(T - 1)) == 0.0:
             raise ValueError(
-                f"discount rate r = {self.r} is too large for horizon "
-                f"T = {self.T}: the discount factor of period T underflows to 0"
+                f"discount rate r = {r} is too large for horizon "
+                f"T = {T}: the discount factor of period T underflows to 0"
             )
-        if not self.techs:
+        if not techs:
             raise ValueError("at least one technology required")
-        if len({t.tech_id for t in self.techs}) != len(self.techs):
+        if len({t.tech_id for t in techs}) != len(techs):
             raise ValueError("technology ids must be unique")
-        if any(len(t.slopes) != len(self.strata.amounts) for t in self.techs):
+        if any(len(t.slopes) != len(strata.amounts) for t in techs):
             raise ValueError("each technology needs one slope per stratum")
         # default decision-variable boxes: taxes up to the price intercept,
         # extraction up to the revenue-maximizing quantity
-        if self.tau_bounds is None:
-            object.__setattr__(
-                self, "tau_bounds", tuple((0.0, a) for a in self.alpha)
-            )
+        if tau_bounds is None:
+            tau_bounds = tuple((0.0, a) for a in alpha)
         else:
-            object.__setattr__(
-                self,
-                "tau_bounds",
-                tuple((float(lo), float(hi)) for lo, hi in self.tau_bounds),
-            )
-        if self.q_bounds is None:
-            object.__setattr__(
-                self,
-                "q_bounds",
-                tuple((0.0, a / (2.0 * b)) for a, b in zip(self.alpha, self.beta)),
-            )
+            tau_bounds = tuple((float(lo), float(hi)) for lo, hi in tau_bounds)
+        if q_bounds is None:
+            q_bounds = tuple((0.0, a / (2.0 * b)) for a, b in zip(alpha, beta))
         else:
-            object.__setattr__(
-                self,
-                "q_bounds",
-                tuple((float(lo), float(hi)) for lo, hi in self.q_bounds),
-            )
-        if len(self.tau_bounds) != self.T or len(self.q_bounds) != self.T:
+            q_bounds = tuple((float(lo), float(hi)) for lo, hi in q_bounds)
+        if len(tau_bounds) != T or len(q_bounds) != T:
             raise ValueError("tau_bounds and q_bounds must have length T")
-        bounds = self.tau_bounds + self.q_bounds
+        bounds = tau_bounds + q_bounds
         _require_finite("bounds", (x for pair in bounds for x in pair))
         for lo, hi in bounds:
             if lo > hi:
                 raise ValueError("bounds must be ordered low <= high")
         # every follower solver searches [0, hi] per period
-        if any(lo != 0 for lo, _ in self.q_bounds):
+        if any(lo != 0 for lo, _ in q_bounds):
             raise ValueError("extraction lower bounds must be 0")
         # LeaderStrategy rejects a negative tax, so a negative lower bound
         # would fail only when the EA happens to draw below 0
-        if any(lo < 0 for lo, _ in self.tau_bounds):
+        if any(lo < 0 for lo, _ in tau_bounds):
             raise ValueError("tax lower bounds must be nonnegative")
+        return super().__new__(
+            cls, T, alpha, beta, techs, strata, r, tau_bounds, q_bounds
+        )
 
     @functools.cached_property
     def dominance(self) -> tuple[Dominance, ...]:
@@ -318,34 +312,40 @@ def _nonnegative_floats(what: str, values: Iterable[float]) -> tuple[float, ...]
     return v
 
 
-@dataclass(frozen=True, slots=True)
-class LeaderStrategy:
+class LeaderStrategy(namedtuple("LeaderStrategy", "tau")):
     """Per-period tax vector of the regulator."""
 
+    __slots__ = ()
     tau: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _nonnegative_floats("taxes tau", self.tau))
+    def __new__(cls, tau):
+        return super().__new__(cls, _nonnegative_floats("taxes tau", tau))
 
 
-@dataclass(frozen=True, slots=True)
-class FollowerResponse:
+class FollowerResponse(namedtuple("FollowerResponse", "q a")):
     """Per-period extraction schedule plus chosen technology."""
 
+    __slots__ = ()
     q: tuple[float, ...]
     a: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _nonnegative_floats("extraction q", self.q))
+    def __new__(cls, q, a):
+        return super().__new__(cls, _nonnegative_floats("extraction q", q), a)
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectivePoint:
+class ObjectivePoint(namedtuple("ObjectivePoint", "revenue damage profit")):
     """Leader objectives plus the follower's profit at the same point."""
 
+    __slots__ = ()
     revenue: float
     damage: float
     profit: float
+
+
+def replace(obj, /, **changes):
+    """A copy of the record `obj` with `changes`, built by its constructor:
+    every check runs again, and cached properties start empty."""
+    return type(obj)(**{**obj._asdict(), **changes})
 
 
 def cumulative_cost(x: float, tech: TechParams, strata: StrataTable) -> float:
@@ -427,19 +427,6 @@ def period_profits(
     if any(v < 0 for v in q):
         raise ValueError("extraction must be nonnegative")
     return _period_profits(q, tau, tech, model)
-
-
-def follower_total_profit(
-    resp: FollowerResponse, strat: LeaderStrategy, model: ExtendedModel
-) -> float:
-    """Discounted sum of per-period mine profits."""
-    total = 0.0
-    for d, pi in zip(
-        model.discount_factors,
-        period_profits(resp.q, strat.tau, model.tech(resp.a), model),
-    ):
-        total += d * pi
-    return total
 
 
 def leader_objectives(
@@ -579,8 +566,8 @@ def extended_from_dict(d: dict) -> ExtendedModel:
         raise ValueError(f"{section}: {e}") from e
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(namedtuple("ModelConfig", "analytical extended")):
+    __slots__ = ()
     analytical: AnalyticalParams | None
     extended: ExtendedModel | None
 

@@ -4,8 +4,8 @@ the result type and the optimistic tie-break."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .lower import BestResponse, _pick_optimistic
 from .model import (
@@ -26,19 +26,20 @@ EVALUATION_CAP = 10**7
 REFINE_HALVINGS = 30
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "lows highs step")):
+    __slots__ = ()
     lows: tuple[float, ...]
     highs: tuple[float, ...]
     step: float
 
-    def __post_init__(self):
-        if self.step <= 0:
+    def __new__(cls, lows, highs, step):
+        if step <= 0:
             raise ValueError("grid step must be positive")
-        if len(self.lows) != len(self.highs):
+        if len(lows) != len(highs):
             raise ValueError("lows and highs must have equal length")
-        if any(lo > hi for lo, hi in zip(self.lows, self.highs)):
+        if any(lo > hi for lo, hi in zip(lows, highs)):
             raise ValueError("grid bounds must be ordered")
+        return super().__new__(cls, lows, highs, step)
 
     def axis(self, i: int) -> list[float]:
         """The points lows[i] + k * step, k = 0, 1, ..., up to highs[i]."""

@@ -11,8 +11,8 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from . import analytical as ana
 from .bilevel import EaConfig, evolve
@@ -27,12 +27,14 @@ from .model import (
 from .oracle import GridSpec, grid_best_response, weighted_scalar_check
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(
+    namedtuple("CheckResult", "name passed deviation detail", defaults=("",))
+):
+    __slots__ = ()
     name: str
     passed: bool
     deviation: float
-    detail: str = ""
+    detail: str
 
 
 FOC_WEIGHTS = (0.02, 0.1, 0.25, 0.5, 0.75, 1.0)

@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from follower_reference import follower_total_profit
+
 from minetax import (
     ArchiveEntry,
     ExtendedModel,
     FollowerResponse,
     best_response,
-    follower_total_profit,
 )
 from minetax.lower import TIE_TOL
 from minetax.verify import epsilon_indicator

@@ -1,5 +1,9 @@
-"""r = 0 follower reference: the water-fill as a linear walk up the strata.
+"""Follower references for the tests.
 
+`follower_total_profit` sums the discounted period profits of a schedule,
+independently of the solvers' own profit sum.
+
+`waterfill_walk` is the r = 0 water-fill as a linear walk up the strata.
 `minetax.lower._waterfill` finds its stopping stratum by bisection; this is
 the walk it replaced, kept so the tests can check that both return the same
 floats.
@@ -10,6 +14,25 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from minetax.lower import _crossing, _Periods, _schedule
+from minetax.model import (
+    ExtendedModel,
+    FollowerResponse,
+    LeaderStrategy,
+    period_profits,
+)
+
+
+def follower_total_profit(
+    resp: FollowerResponse, strat: LeaderStrategy, model: ExtendedModel
+) -> float:
+    """Discounted sum of per-period mine profits."""
+    total = 0.0
+    for d, pi in zip(
+        model.discount_factors,
+        period_profits(resp.q, strat.tau, model.tech(resp.a), model),
+    ):
+        total += d * pi
+    return total
 
 
 def waterfill_walk(

@@ -2,7 +2,6 @@
 pass/fail line with the measured deviation and enforcing its runtime
 budget."""
 
-import dataclasses
 import time
 
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from composition import frontier_composition
 from minetax import EaConfig, detect_strata_kinks, evolve
 from minetax.cli import main
+from minetax.model import replace
 from minetax.verify import (
     check_closed_form,
     check_frontier_convergence,
@@ -37,7 +37,7 @@ def tech_frontiers(model):
     cfg = EaConfig(population_size=60, max_generations=80, seed=2)
     return {
         tech.tech_id: evolve(
-            dataclasses.replace(model, techs=(tech,)), cfg
+            replace(model, techs=(tech,)), cfg
         ).archive.entries
         for tech in model.techs
     }

@@ -1,4 +1,3 @@
-import dataclasses
 from typing import Sequence
 
 import pytest
@@ -29,6 +28,7 @@ from minetax import (
     nondominated_sort,
     reference_point,
 )
+from minetax.model import replace
 from minetax.verify import random_strategies
 
 
@@ -242,19 +242,18 @@ class TestSlottedValueTypes:
 
     def test_frozen(self):
         for v in self._values():
-            name = dataclasses.fields(v)[0].name
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                setattr(v, v._fields[0], None)
 
     def test_replace_equality_and_hash(self):
         for v, twin in zip(self._values(), self._values()):
             assert v == twin and v is not twin
-            fields = tuple(getattr(v, f.name) for f in dataclasses.fields(v))
-            # the hash a frozen dataclass defines: that of its field tuple
+            fields = tuple(getattr(v, name) for name in v._fields)
+            # hashed as its field tuple
             assert hash(v) == hash(twin) == hash(fields)
-            assert dataclasses.replace(v) == v
-            last = dataclasses.fields(v)[-1].name
-            other = dataclasses.replace(v, **{last: getattr(v, last) * 2})
+            assert replace(v) == v
+            last = v._fields[-1]
+            other = replace(v, **{last: getattr(v, last) * 2})
             assert other != v
             assert getattr(other, last) == getattr(v, last) * 2
 
@@ -511,7 +510,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_evaluate_takes_the_profit_from_the_solve(self, model, r):
-        discounted = dataclasses.replace(model, r=r)
+        discounted = replace(model, r=r)
         for strat in random_strategies(model, 20, seed=31):
             entry = bilevel._evaluate(strat.tau, discounted)
             br = best_response(strat, discounted)
@@ -546,7 +545,7 @@ class TestEvolve:
 
     def test_tech_filter_pins_technology(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=9)
-        single = dataclasses.replace(model, techs=(model.tech(2),))
+        single = replace(model, techs=(model.tech(2),))
         arch = evolve(single, cfg).archive
         assert len(arch) > 0
         assert all(e.response.a == 2 for e in arch)
@@ -574,7 +573,7 @@ class TestEvolve:
 
     def test_zero_damage_does_not_stall(self, params):
         # with k = 0 the reference damage, and so every hypervolume, is 0
-        model = analytical_as_extended(dataclasses.replace(params, k=0.0))
+        model = analytical_as_extended(replace(params, k=0.0))
         cfg = EaConfig(population_size=24, max_generations=40, seed=1)
         result = evolve(model, cfg)
         assert set(result.hv_history) == {0.0}
@@ -613,7 +612,7 @@ class TestFrontierComposition:
         cfg = EaConfig(population_size=30, max_generations=40, seed=2)
         tech_frontiers = {
             t.tech_id: evolve(
-                dataclasses.replace(model, techs=(t,)), cfg
+                replace(model, techs=(t,)), cfg
             ).archive.entries
             for t in techs
         }
@@ -644,7 +643,7 @@ class TestReferencePoint:
         assert ref_d == pytest.approx(k_max * total)
 
     def test_filtered_uses_single_tech(self, model):
-        single = dataclasses.replace(model, techs=(model.tech(1),))
+        single = replace(model, techs=(model.tech(1),))
         _, ref_d = reference_point(single)
         total = sum(hi for _, hi in model.q_bounds)
         assert ref_d == pytest.approx(model.tech(1).k * total)

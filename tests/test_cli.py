@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -27,6 +26,7 @@ from minetax import (
     leader_objectives,
 )
 from test_lower import full_enumeration
+from minetax.model import replace
 from minetax.cli import (
     EXIT_EMPTY,
     EXIT_OK,
@@ -296,6 +296,10 @@ class TestExitCodes:
         assert "[FAIL] stand-in check" in out and "verification FAILED" in out
 
 
+def _no_solve(*args):
+    raise AssertionError("solved before every input was checked")
+
+
 class TestAnalyticalRuns:
     def test_sweep_artifact(self, tmp_path, capsys):
         rc = main(["--model", "analytical", "--points", "50",
@@ -337,6 +341,15 @@ class TestAnalyticalRuns:
         rc = main(["--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)])
         assert rc == EXIT_USAGE
+
+    def test_output_path_checked_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("minetax.analytical.pareto_sweep", _no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["--out", str(taken)]) == EXIT_USAGE
+        assert "File exists" in capsys.readouterr().err
 
 
 class TestExtendedRuns:
@@ -451,6 +464,21 @@ class TestExtendedRuns:
         assert err.startswith("error: ") and "generations" in err
         assert not (tmp_path / "frontier.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args", [["--out", "taken"], ["--pop-size", "3"]],
+        ids=["out-is-a-file", "odd-population"],
+    )
+    def test_bad_input_fails_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, args
+    ):
+        # nothing is printed but the error, and the solver never runs
+        monkeypatch.setattr("minetax.cli.evolve", _no_solve)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        assert main(self.ARGS + args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_meta_records_termination_reason(self, tmp_path):
         main(self.ARGS + ["--out", str(tmp_path)])
         meta = json.loads((tmp_path / "meta.json").read_text())
@@ -495,7 +523,7 @@ class TestStreamedWriters:
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_evolve_archive(self, tmp_path, model, r):
-        model = dataclasses.replace(model, r=r)
+        model = replace(model, r=r)
         cfg = EaConfig(population_size=20, max_generations=5, seed=7)
         entries = evolve(model, cfg).archive.entries
         assert entries
@@ -508,7 +536,7 @@ class TestStreamedWriters:
 
     @pytest.mark.parametrize("k", [1.0, 0.0])
     def test_analytical_sweep(self, tmp_path, params, k):
-        sweep = ana.pareto_sweep(dataclasses.replace(params, k=k), 100)
+        sweep = ana.pareto_sweep(replace(params, k=k), 100)
         self._same_sweep_bytes(tmp_path, sweep)
 
     def test_awkward_floats(self, tmp_path, model):
@@ -667,7 +695,8 @@ def test_cli_import_leaves_out_numpy_and_verification():
         f"import sys; sys.path.insert(0, {src!r}); import minetax.cli; "
         "minetax.cli.default_config(); "
         "print([m for m in ('numpy', 'minetax.oracle', 'minetax.verify', 'csv', "
-        "'importlib.resources', 'statistics', 'typing') if m in sys.modules]); "
+        "'importlib.resources', 'statistics', 'typing', 'dataclasses', 'inspect') "
+        "if m in sys.modules]); "
         "import minetax.verify; print('numpy' in sys.modules)"
     )
     done = subprocess.run(

@@ -1,12 +1,11 @@
 import bisect
-import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
-from follower_reference import waterfill_walk
+from follower_reference import follower_total_profit, waterfill_walk
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,6 @@ from minetax import (
     TechParams,
     best_response,
     best_response_fixed_tech,
-    follower_total_profit,
 )
 from minetax.lower import (
     CERT_MARGIN,
@@ -31,6 +29,7 @@ from minetax.lower import (
     _shoot,
     _waterfill,
 )
+from minetax.model import replace
 from minetax.oracle import GridSpec, _refine, grid_best_response
 from minetax.verify import random_strategies
 
@@ -49,7 +48,7 @@ def _grid_oracle(strat, tech, model, grid=None):
         highs = tuple(hi for _, hi in model.q_bounds)
         grid = GridSpec(lows=(0.0,) * model.T, highs=highs, step=max(highs) / 16)
     return grid_best_response(
-        strat, dataclasses.replace(model, techs=(tech,)), grid
+        strat, replace(model, techs=(tech,)), grid
     )
 
 
@@ -109,7 +108,7 @@ class TestBestResponseFixedTech:
     def test_unique_optimum_from_any_start(self, model):
         # r > 0: the exact solve against the grid refinement from random
         # points of the step-5 lattice
-        discounted = dataclasses.replace(model, r=0.05)
+        discounted = replace(model, r=0.05)
         rng = random.Random(42)
         for strat in random_strategies(model, 5, seed=11):
             for tech in model.techs:
@@ -172,8 +171,8 @@ class TestBestResponse:
     def test_nonfinite_taxes_never_reach_the_follower(self, model, r, bad):
         # once answered with a NaN schedule tagged optimal, or a bare
         # "min() arg is an empty sequence" under free choice
-        discounted = dataclasses.replace(model, r=r)
-        one_tech = dataclasses.replace(discounted, techs=(model.tech(1),))
+        discounted = replace(model, r=r)
+        one_tech = replace(discounted, techs=(model.tech(1),))
         for m in (discounted, one_tech):
             with pytest.raises(ValueError, match="^taxes tau must be finite"):
                 best_response(LeaderStrategy(tau=(bad,) * 5), m)
@@ -222,7 +221,7 @@ class TestExactFollower:
         # the caps lie on the oracle's lattice
         grid = GridSpec(lows=(0.0,) * 5, highs=caps, step=1.0)
         for r in (0.0, 0.05):
-            capped = dataclasses.replace(
+            capped = replace(
                 model, r=r, q_bounds=tuple((0.0, h) for h in caps)
             )
             for tech in model.techs:
@@ -311,7 +310,7 @@ def _pinned_instance():
     """
     tech = TechParams(tech_id=1, k=1.0, alpha_er=0.5, beta_er=0.0,
                       gamma_er=0.0, slopes=(1.0, 11.0))
-    model = dataclasses.replace(
+    model = replace(
         _one_tech_model((30.0, 21.0), (0.5, 0.5), tech, (10.0, 100.0)),
         r=0.25,
     )
@@ -350,8 +349,8 @@ class TestDiscountedFollower:
         # breakpoints 1e-12 apart: X_1 sits on both, and only the slope
         # above the second lets the multiplier reach 6
         model, tech, strat = _pinned_instance()
-        tech = dataclasses.replace(tech, slopes=(1.0, 1.0, 11.0))
-        split = dataclasses.replace(
+        tech = replace(tech, slopes=(1.0, 1.0, 11.0))
+        split = replace(
             model, techs=(tech,), strata=StrataTable(amounts=(10.0, 1e-12, 100.0))
         )
         br = best_response_fixed_tech(strat, tech, split)
@@ -361,7 +360,7 @@ class TestDiscountedFollower:
 
     def test_zero_caps_shut_the_mine(self, model):
         for caps in ((0.0,) * 5, (0.0, 5.0, 0.0, 5.0, 0.0)):
-            shut = dataclasses.replace(
+            shut = replace(
                 model, r=0.05, q_bounds=tuple((0.0, h) for h in caps)
             )
             br = best_response_fixed_tech(
@@ -371,7 +370,7 @@ class TestDiscountedFollower:
             assert br.optimality_tag
 
     def test_certificate_rejects_a_perturbed_schedule(self, model):
-        discounted = dataclasses.replace(model, r=0.05)
+        discounted = replace(model, r=0.05)
         strat = random_strategies(model, 1, seed=3)[0]
         tech = model.tech(4)
         br = best_response_fixed_tech(strat, tech, discounted)
@@ -398,7 +397,7 @@ def _convex_instances(draw, rates=st.just(0.0)):
         slopes=slopes,
     )
     amounts = tuple(draw(st.floats(0.5, 50.0)) for _ in range(M))
-    model = dataclasses.replace(
+    model = replace(
         _one_tech_model(alpha, beta, tech, amounts), r=draw(rates)
     )
     tau = tuple(draw(st.floats(0.0, a)) for a in alpha)
@@ -494,7 +493,7 @@ def _planted_instances(draw):
     cuts[j] = x
     amounts = [b - a for a, b in zip([0.0] + cuts, cuts)]
     assume(all(a > 0.0 for a in amounts))
-    planted = dataclasses.replace(model, strata=StrataTable(amounts=tuple(amounts)))
+    planted = replace(model, strata=StrataTable(amounts=tuple(amounts)))
     return planted, tech, strat
 
 
@@ -525,7 +524,7 @@ def _count_fixed_tech_solves(monkeypatch, tagged=True):
     def counted(strat, tech, model):
         calls.append(tech.tech_id)
         br = solve(strat, tech, model)
-        return br if tagged else dataclasses.replace(br, optimality_tag=False)
+        return br if tagged else replace(br, optimality_tag=False)
 
     monkeypatch.setattr(lower, "best_response_fixed_tech", counted)
     return calls
@@ -567,7 +566,7 @@ class TestTechnologySkip:
 
     def test_tech_filter_solves_one_technology(self, model, monkeypatch):
         calls = _count_fixed_tech_solves(monkeypatch)
-        single = dataclasses.replace(model, techs=(model.tech(2),))
+        single = replace(model, techs=(model.tech(2),))
         best_response(_prohibitive(single), single)
         assert calls == [2]
 

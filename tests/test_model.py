@@ -1,9 +1,9 @@
-import dataclasses
 import json
 import math
 import re
 
 import pytest
+from follower_reference import follower_total_profit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +17,12 @@ from minetax import (
     analytical_as_extended,
     cumulative_cost,
     extraction_rate_cost,
-    follower_total_profit,
     leader_objectives,
     period_profit,
     period_profits,
 )
 from minetax.analytical import follower_best_response, follower_profit
-from minetax.model import config_from_dict, load_config
+from minetax.model import config_from_dict, load_config, replace
 
 
 schedules = st.lists(
@@ -227,7 +226,7 @@ class TestPeriodProfit:
     )
     @settings(max_examples=100)
     def test_one_pass_equals_each_prefix(self, model, q, tau, tech_id, r):
-        model = dataclasses.replace(model, r=r)
+        model = replace(model, r=r)
         tech = model.tech(tech_id)
 
         def reference(t):
@@ -397,15 +396,33 @@ class TestDiscounting:
         with pytest.raises(
             ValueError, match=r"^discount rate r = 1e\+100 .* horizon T = 5: "
         ):
-            dataclasses.replace(model, r=1e100)
+            replace(model, r=1e100)
         # (1 + 1e80)^-4 is subnormal but positive, and at T = 1 the only
         # factor is d_1 = 1 whatever r
-        assert dataclasses.replace(model, r=1e80).discount_factors[-1] > 0.0
-        one_period = dataclasses.replace(
+        assert replace(model, r=1e80).discount_factors[-1] > 0.0
+        one_period = replace(
             model, T=1, alpha=model.alpha[:1], beta=model.beta[:1],
             tau_bounds=None, q_bounds=None, r=1e300,
         )
         assert one_period.discount_factors == (1.0,)
+
+
+class TestReplace:
+    def test_checks_run_again(self, model):
+        with pytest.raises(ValueError, match="is too large for horizon"):
+            replace(model, r=1e100)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            replace(LeaderStrategy((1.0,)), tau=(math.nan,))
+
+    def test_cached_properties_start_empty(self, model):
+        assert model.discount_factors == (1.0,) * model.T
+        assert model.dominance
+        discounted = replace(model, r=0.05)
+        assert discounted.discount_factors != model.discount_factors
+        assert discounted.discount_factors == tuple(
+            discounted.discount(t) for t in range(1, model.T + 1)
+        )
+        assert replace(model, techs=(model.tech(2),)).dominance == ()
 
 
 class TestEmbedding:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -22,6 +21,7 @@ from minetax import (
     follower_best_response,
     optimal_tax,
 )
+from minetax.model import replace
 from minetax.oracle import (
     GridSpec,
     _grid_argmax_fixed_tech,
@@ -104,7 +104,7 @@ class TestGridBestResponse:
     def test_discounted_equivalence_within_budget(self, model):
         start = time.perf_counter()
         result = check_oracle_equivalence(
-            dataclasses.replace(model, r=0.05), n_strategies=50
+            replace(model, r=0.05), n_strategies=50
         )
         assert result.passed, result
         assert time.perf_counter() - start < 60.0
@@ -117,7 +117,7 @@ class TestGridBestResponse:
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_grid_stays_inside_extraction_caps(self, model, r):
         caps = (2.0, 3.0, 4.0, 5.0, 6.0)
-        capped = dataclasses.replace(
+        capped = replace(
             model, r=r, q_bounds=tuple((0.0, h) for h in caps)
         )
         wide = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=5.0)
@@ -286,7 +286,7 @@ class TestFrontierMetrics:
 
     @pytest.mark.parametrize("k", [1.0, 0.0])
     def test_quick_archive(self, params, k):
-        p = dataclasses.replace(params, k=k)
+        p = replace(params, k=k)
         config = EaConfig(population_size=24, max_generations=40, seed=1)
         entries = evolve(analytical_as_extended(p), config).archive.entries
         dist, _ = frontier_metrics(entries, p)
@@ -295,7 +295,7 @@ class TestFrontierMetrics:
     @pytest.mark.parametrize("k", [1.0, 0.0])
     def test_points_off_the_frontier(self, params, k):
         # points around and beyond both ends of the curve's damage range
-        p = dataclasses.replace(params, k=k)
+        p = replace(params, k=k)
         rng = random.Random(5)
         entries = [
             SimpleNamespace(objectives=ObjectivePoint(
@@ -314,7 +314,7 @@ class TestThresholdCheck:
     expected value and catches a threshold off in either direction."""
 
     def test_zero_threshold_without_damage(self, params):
-        assert check_threshold(dataclasses.replace(params, k=0.0)).passed
+        assert check_threshold(replace(params, k=0.0)).passed
 
     @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
     def test_misplaced_threshold_fails(self, params, monkeypatch, shift):
