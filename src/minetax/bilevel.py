@@ -15,14 +15,8 @@ import random
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .lower import best_response
-from .model import (
-    ExtendedModel,
-    FollowerResponse,
-    LeaderStrategy,
-    ObjectivePoint,
-    leader_objectives,
-)
+from .lower import BestResponse, best_response
+from .model import ExtendedModel, LeaderStrategy, leader_objectives
 from .variation import polynomial_mutation, sbx_crossover
 
 # `evolve` stops when the hypervolume gains less than HV_STALL_TOL over
@@ -32,39 +26,36 @@ HV_STALL_GENERATIONS = 20
 
 
 class ArchiveEntry(
-    namedtuple("ArchiveEntry", "strategy response objectives optimality_tag")
+    namedtuple("ArchiveEntry", "damage revenue strategy response")
 ):
+    """One evaluated tax vector: the leader's two objectives, the strategy
+    and the follower's answer to it, which holds the profit and the
+    optimality tag. Damage leads, so that the archive can bisect its
+    entries on (damage,) without ever comparing past it."""
+
     __slots__ = ()
+    damage: float
+    revenue: float
     strategy: LeaderStrategy
-    response: FollowerResponse
-    objectives: ObjectivePoint
-    optimality_tag: bool
-
-
-def dominates(a: ObjectivePoint, b: ObjectivePoint) -> bool:
-    """True if a is at least as good as b (revenue up, damage down) and
-    strictly better in one objective."""
-    if a.revenue < b.revenue or a.damage > b.damage:
-        return False
-    return a.revenue > b.revenue or a.damage < b.damage
+    response: BestResponse
 
 
 class ParetoArchive:
-    """Nondominated set kept as one list of (damage, revenue, entry) rows,
-    sorted by damage (and hence by revenue)."""
+    """Nondominated set kept as one list of entries, sorted by damage (and
+    hence by revenue)."""
 
     def __init__(self):
-        self._rows: list[tuple[float, float, ArchiveEntry]] = []
+        self._rows: list[ArchiveEntry] = []
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[ArchiveEntry]:
-        return (e for _, _, e in self._rows)
+        return iter(self._rows)
 
     @property
     def entries(self) -> list[ArchiveEntry]:
-        return [e for _, _, e in self._rows]
+        return list(self._rows)
 
     def insert(self, entry: ArchiveEntry) -> bool:
         """Insert if nondominated; evict entries the newcomer dominates.
@@ -72,12 +63,12 @@ class ParetoArchive:
         Untagged entries are rejected with an error. Returns True if the
         entry was admitted. Duplicate objective pairs are ignored.
         """
-        if not entry.optimality_tag:
+        d, r, _, response = entry
+        if not response.optimality_tag:
             raise ValueError("archive only admits lower-level-optimal entries")
-        r, d = entry.objectives.revenue, entry.objectives.damage
         rows = self._rows
-        # (d,) sorts before every row of damage d, so rows compare by damage
-        # alone and entries are never compared
+        # (d,) sorts before every entry of damage d, so entries compare by
+        # damage alone and never past it
         i = bisect.bisect_left(rows, (d,))
         # rows with strictly smaller damage sit before i; the one at i-1
         # carries the largest revenue among them
@@ -89,7 +80,7 @@ class ParetoArchive:
         j = i
         while j < n and rows[j][1] <= r:
             j += 1
-        rows[i:j] = [(d, r, entry)]
+        rows[i:j] = [entry]
         return True
 
     def hypervolume(self, ref_revenue: float, ref_damage: float) -> float:
@@ -110,7 +101,7 @@ class ParetoArchive:
         return hv + (prev[1] - ref_revenue) * (ref_damage - prev[0])
 
 
-def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
+def nondominated_sort(points: Sequence[ArchiveEntry]) -> list[list[int]]:
     """Nondominated fronts F1, F2, ... as lists of indices into `points`,
     each in index order. Identical points share a front.
 
@@ -145,7 +136,7 @@ def nondominated_sort(points: Sequence[ObjectivePoint]) -> list[list[int]]:
 
 
 def crowding_distance(
-    front: Sequence[int], points: Sequence[ObjectivePoint]
+    front: Sequence[int], points: Sequence[ArchiveEntry]
 ) -> dict[int, float]:
     """Crowding distance of each index in `front` (Deb et al., 2002): per
     objective, the gap between the two neighbours in a stable sort, over
@@ -187,8 +178,7 @@ class EaConfig(namedtuple("EaConfig", "population_size max_generations seed")):
 
 
 class EvolveResult(namedtuple(
-    "EvolveResult",
-    "archive hv_history generations_run failed_evaluations termination_reason",
+    "EvolveResult", "archive hv_history failed_evaluations termination_reason"
 )):
     """The archive, its hypervolume after the initial population and after
     each generation, the count of untagged follower answers, and why the
@@ -197,21 +187,19 @@ class EvolveResult(namedtuple(
     __slots__ = ()
     archive: ParetoArchive
     hv_history: tuple[float, ...]
-    generations_run: int
     failed_evaluations: int
     termination_reason: str
+
+    @property
+    def generations_run(self) -> int:
+        return len(self.hv_history) - 1
 
 
 def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
     strat = LeaderStrategy(tau=tau)
     br = best_response(strat, model)
-    revenue, damage = leader_objectives(br.response, strat, model)
-    return ArchiveEntry(
-        strategy=strat,
-        response=br.response,
-        objectives=ObjectivePoint(revenue, damage, br.profit),
-        optimality_tag=br.optimality_tag,
-    )
+    revenue, damage = leader_objectives(br, strat, model)
+    return ArchiveEntry(damage, revenue, strat, br)
 
 
 def reference_point(model: ExtendedModel) -> tuple[float, float]:
@@ -229,12 +217,11 @@ def _select(
     largest crowding distance over that whole front, ties in index order.
     Returns the n survivors with their front ranks and crowding distances,
     which the next generation's tournament reads."""
-    points = [e.objectives for e in merged]
     survivors: list[ArchiveEntry] = []
     rank: list[int] = []
     crowd: list[float] = []
-    for fi, front in enumerate(nondominated_sort(points)):
-        cd = crowding_distance(front, points)
+    for fi, front in enumerate(nondominated_sort(merged)):
+        cd = crowding_distance(front, merged)
         if len(survivors) + len(front) > n:
             # the sort is stable, so equal distances stay in index order
             front = sorted(front, key=cd.__getitem__, reverse=True)[
@@ -271,7 +258,7 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
     def make(tau: Sequence[float]) -> ArchiveEntry:
         nonlocal failed
         entry = _evaluate(tau, model)
-        if entry.optimality_tag:
+        if entry.response.optimality_tag:
             archive.insert(entry)
         else:
             failed += 1
@@ -294,7 +281,6 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
         return pop[i if crowd[i] >= crowd[j] else j].strategy.tau
 
     hv_history = [archive.hypervolume(ref_r, ref_d)]
-    gens = 0
     reason = "max_generations"
     for _ in range(config.max_generations):
         offspring = []
@@ -302,19 +288,19 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
             for c in sbx_crossover(tournament(), tournament(), lows, highs, rng):
                 offspring.append(make(polynomial_mutation(c, lows, highs, rng)))
         pop, rank, crowd = _select(pop + offspring, n)
-        gens += 1
         hv_history.append(archive.hypervolume(ref_r, ref_d))
         # at zero reference damage every hypervolume is 0, so a flat history
-        # says nothing about progress
+        # says nothing about progress; the history holds one value more
+        # than the generations run
         if (
             ref_d > 0.0
-            and gens >= HV_STALL_GENERATIONS
+            and len(hv_history) > HV_STALL_GENERATIONS
             and hv_history[-1] - hv_history[-1 - HV_STALL_GENERATIONS]
             < HV_STALL_TOL
         ):
             reason = "hv_stall"
             break
-    return EvolveResult(archive, tuple(hv_history), gens, failed, reason)
+    return EvolveResult(archive, tuple(hv_history), failed, reason)
 
 
 def detect_strata_kinks(
@@ -328,14 +314,7 @@ def detect_strata_kinks(
     revenue-vs-damage slope changes by more than half, relative.
     """
     pts = sorted(
-        (
-            (
-                e.objectives.damage,
-                e.objectives.revenue,
-                sum(e.response.q),
-            )
-            for e in entries
-        ),
+        ((e.damage, e.revenue, sum(e.response.q)) for e in entries),
         key=lambda p: p[0],
     )
     if len(pts) < 3:

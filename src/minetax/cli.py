@@ -80,9 +80,9 @@ def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
             row % (
                 i,
                 e.response.a,
-                e.objectives.revenue,
-                e.objectives.damage,
-                e.objectives.profit,
+                e.revenue,
+                e.damage,
+                e.response.profit,
                 *e.strategy.tau,
                 *e.response.q,
             )
@@ -91,7 +91,6 @@ def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
 
 
 def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
-    techs = {t.tech_id: t for t in model.techs}
     active_stratum = model.strata.active_stratum
     row = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\r\n"
     with open(path, "w", newline="") as f:
@@ -101,7 +100,7 @@ def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
         )
         for i, e in enumerate(entries):
             q, tau = e.response.q, e.strategy.tau
-            profits = period_profits(q, tau, techs[e.response.a], model)
+            profits = period_profits(q, tau, model.tech(e.response.a), model)
             cum = 0.0
             for t, (x, v, pi) in enumerate(zip(tau, q, profits), 1):
                 cum += v
@@ -153,8 +152,8 @@ def run_extended(cfg: argparse.Namespace) -> int:
     filtered = [
         e
         for e in entries
-        if (cfg.min_revenue is None or e.objectives.revenue >= cfg.min_revenue)
-        and (cfg.max_damage is None or e.objectives.damage <= cfg.max_damage)
+        if (cfg.min_revenue is None or e.revenue >= cfg.min_revenue)
+        and (cfg.max_damage is None or e.damage <= cfg.max_damage)
     ]
     _write_frontier(out / "frontier.csv", filtered, model.T)
     _write_schedules(out / "schedule.csv", filtered, model)

@@ -46,9 +46,9 @@ from collections.abc import Sequence
 from .model import (
     Dominance,
     ExtendedModel,
-    FollowerResponse,
     LeaderStrategy,
     TechParams,
+    _nonnegative_floats,
     cumulative_cost,
     leader_objectives,
 )
@@ -73,15 +73,25 @@ _ACTIVE_TOL = 1e-9
 
 
 class BestResponse(namedtuple(
-    "BestResponse", "response profit optimality_tag kkt_residual", defaults=(None,)
+    "BestResponse", "q a profit optimality_tag kkt_residual", defaults=(None,)
 )):
+    """The follower's answer: per-period extraction schedule q, chosen
+    technology a, and the profit they earn."""
+
     __slots__ = ()
-    response: FollowerResponse
+    q: tuple[float, ...]
+    a: int
     profit: float
     optimality_tag: bool
     # KKT residual in units of extraction; set for every answer of this
     # module, None from the grid oracle, whose answers are lattice optima
     kkt_residual: float | None
+
+    def __new__(cls, q, a, profit, optimality_tag, kkt_residual=None):
+        return super().__new__(
+            cls, _nonnegative_floats("extraction q", q), a, profit,
+            optimality_tag, kkt_residual,
+        )
 
 
 # (lin_t, quad_t, hi_t) per period: period t adds d_t (lin_t - quad_t q_t) q_t
@@ -313,7 +323,8 @@ def best_response_fixed_tech(
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse(
-        response=FollowerResponse(q=q, a=tech.tech_id),
+        q=q,
+        a=tech.tech_id,
         profit=profit,
         optimality_tag=residual <= KKT_TOL * max(1.0, total),
         kkt_residual=residual,
@@ -334,8 +345,8 @@ def _pick_optimistic(
         return tied[0]
 
     def key(c: BestResponse):
-        revenue, damage = leader_objectives(c.response, strat, model)
-        return (-revenue, damage, c.response.a)
+        revenue, damage = leader_objectives(c, strat, model)
+        return (-revenue, damage, c.a)
 
     return min(tied, key=key)
 
@@ -394,14 +405,14 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
         # profit below best - slack stays out of its tie set too
         best = max(br.profit for br in answers)
         slack = max(TIE_TOL, TIE_TOL * abs(best)) + CERT_MARGIN * max(1.0, abs(best))
-        solved = {br.response.a: br for br in answers}
+        solved = {br.a: br for br in answers}
         for dom in model.dominance:
             ref = solved[dom.dominator.tech_id]
             need = best - ref.profit + slack
             # the bound's fixed-cost part alone often settles it
             if ref.optimality_tag and (
                 dom.fixed_gap * model.discounted_periods > need
-                or _profit_gap_bound(ref.response.q, dom, model, need) > need
+                or _profit_gap_bound(ref.q, dom, model, need) > need
             ):
                 continue
             answers.append(best_response_fixed_tech(strat, dom.tech, model))

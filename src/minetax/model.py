@@ -322,26 +322,6 @@ class LeaderStrategy(namedtuple("LeaderStrategy", "tau")):
         return super().__new__(cls, _nonnegative_floats("taxes tau", tau))
 
 
-class FollowerResponse(namedtuple("FollowerResponse", "q a")):
-    """Per-period extraction schedule plus chosen technology."""
-
-    __slots__ = ()
-    q: tuple[float, ...]
-    a: int
-
-    def __new__(cls, q, a):
-        return super().__new__(cls, _nonnegative_floats("extraction q", q), a)
-
-
-class ObjectivePoint(namedtuple("ObjectivePoint", "revenue damage profit")):
-    """Leader objectives plus the follower's profit at the same point."""
-
-    __slots__ = ()
-    revenue: float
-    damage: float
-    profit: float
-
-
 def replace(obj, /, **changes):
     """A copy of the record `obj` with `changes`, built by its constructor:
     every check runs again, and cached properties start empty."""
@@ -430,9 +410,11 @@ def period_profits(
 
 
 def leader_objectives(
-    resp: FollowerResponse, strat: LeaderStrategy, model: ExtendedModel
+    resp, strat: LeaderStrategy, model: ExtendedModel
 ) -> tuple[float, float]:
-    """Leader's (revenue, damage): revenue discounted, damage not.
+    """Leader's (revenue, damage) at the follower's answer `resp` (a
+    `lower.BestResponse`, of which only the schedule q and the technology
+    a are read): revenue discounted, damage not.
 
     Damage is a physical quantity and is never discounted; only monetary
     flows carry the discount factor.

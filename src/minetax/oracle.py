@@ -11,7 +11,6 @@ from .lower import BestResponse, _pick_optimistic
 from .model import (
     AnalyticalParams,
     ExtendedModel,
-    FollowerResponse,
     LeaderStrategy,
     TechParams,
     cumulative_cost,
@@ -175,11 +174,7 @@ def grid_best_response(
         q, _ = _grid_argmax_fixed_tech(strat.tau, tech, model, grid)
         q, profit = _refine(strat.tau, tech, model, q, grid.step)
         candidates.append(
-            BestResponse(
-                response=FollowerResponse(q=q, a=tech.tech_id),
-                profit=profit,
-                optimality_tag=True,
-            )
+            BestResponse(q=q, a=tech.tech_id, profit=profit, optimality_tag=True)
         )
     return _pick_optimistic(candidates, strat, model)
 

@@ -217,7 +217,7 @@ def frontier_metrics(entries, p: AnalyticalParams) -> tuple[float, float]:
     dam_scale = dam_range or 1.0
     dist = 0.0
     for e in entries:
-        rev, dam = e.objectives.revenue, e.objectives.damage
+        rev, dam = e.revenue, e.damage
         # curve_d is nondecreasing (k >= 0): scan outward from the point's
         # damage, and stop a direction once the damage gap alone, which
         # only grows along it, is no nearer than the best sample
@@ -231,7 +231,7 @@ def frontier_metrics(entries, p: AnalyticalParams) -> tuple[float, float]:
                 dr = (rev - curve_r[j]) / rev_range
                 best = min(best, math.sqrt(dr * dr + dd * dd))
         dist = max(dist, best)
-    damages = [e.objectives.damage for e in entries]
+    damages = [e.damage for e in entries]
     if dam_range == 0.0:
         return dist, 1.0
     return dist, (max(damages) - min(damages)) / dam_range

@@ -19,14 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from follower_reference import follower_total_profit
+from follower_reference import answer, follower_total_profit
 
-from minetax import (
-    ArchiveEntry,
-    ExtendedModel,
-    FollowerResponse,
-    best_response,
-)
+from minetax import ArchiveEntry, ExtendedModel, best_response
 from minetax.lower import TIE_TOL
 from minetax.verify import epsilon_indicator
 
@@ -42,17 +37,15 @@ class Composition:
 
 
 def _pairs(entries: Sequence[ArchiveEntry]) -> list[tuple[float, float]]:
-    return [(e.objectives.revenue, e.objectives.damage) for e in entries]
+    return [(e.revenue, e.damage) for e in entries]
 
 
 def _nondominated(entries: Sequence[ArchiveEntry]) -> list[ArchiveEntry]:
     """Nondominated subset by one sweep in order of increasing damage."""
-    ordered = sorted(
-        entries, key=lambda e: (e.objectives.damage, -e.objectives.revenue)
-    )
+    ordered = sorted(entries, key=lambda e: (e.damage, -e.revenue))
     front = []
     for e in ordered:
-        if not front or e.objectives.revenue > front[-1].objectives.revenue:
+        if not front or e.revenue > front[-1].revenue:
             front.append(e)
     return front
 
@@ -64,11 +57,11 @@ def _outplayed(entry: ArchiveEntry, model: ExtendedModel) -> bool:
     The other technology's own optimum is then better still, so the
     follower never plays this point.
     """
-    own = entry.objectives.profit
+    own = entry.response.profit
     tol = max(TIE_TOL, TIE_TOL * abs(own))
     return any(
         follower_total_profit(
-            FollowerResponse(q=entry.response.q, a=tech.tech_id),
+            answer(q=entry.response.q, a=tech.tech_id),
             entry.strategy,
             model,
         )
@@ -108,7 +101,7 @@ def frontier_composition(
     for e in candidates:
         if eps(full, _pairs([e])) > tol:
             solved += 1
-            if best_response(e.strategy, model).response.a != e.response.a:
+            if best_response(e.strategy, model).a != e.response.a:
                 continue
         played.append(e)
     return Composition(

@@ -30,9 +30,9 @@ def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
                 + [
                     _fmt(v)
                     for v in (
-                        e.objectives.revenue,
-                        e.objectives.damage,
-                        e.objectives.profit,
+                        e.revenue,
+                        e.damage,
+                        e.response.profit,
                     )
                 ]
                 + [_fmt(v) for v in e.strategy.tau]

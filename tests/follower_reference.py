@@ -1,5 +1,8 @@
 """Follower references for the tests.
 
+`answer` is a follower answer of a given schedule and technology, for the
+functions that read only those two.
+
 `follower_total_profit` sums the discounted period profits of a schedule,
 independently of the solvers' own profit sum.
 
@@ -11,19 +14,21 @@ floats.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
-from minetax.lower import _crossing, _Periods, _schedule
-from minetax.model import (
-    ExtendedModel,
-    FollowerResponse,
-    LeaderStrategy,
-    period_profits,
-)
+from minetax.lower import BestResponse, _crossing, _Periods, _schedule
+from minetax.model import ExtendedModel, LeaderStrategy, period_profits
+
+
+def answer(q: Sequence[float], a: int) -> BestResponse:
+    """Schedule q with technology a, as a `BestResponse` whose profit is
+    not evaluated (NaN) and which is not tagged optimal."""
+    return BestResponse(q=q, a=a, profit=math.nan, optimality_tag=False)
 
 
 def follower_total_profit(
-    resp: FollowerResponse, strat: LeaderStrategy, model: ExtendedModel
+    resp: BestResponse, strat: LeaderStrategy, model: ExtendedModel
 ) -> float:
     """Discounted sum of per-period mine profits."""
     total = 0.0

@@ -1,12 +1,26 @@
-"""The Pareto archive and the NSGA-II truncation of `minetax.bilevel` as
-they were before the archive kept one list of (damage, revenue, entry) rows:
-three parallel lists, and a truncation sorted on -cd[i]. The references
-the one-list archive and `_select` must match exactly.
+"""Leader references for the tests.
+
+`dominates` is Pareto dominance (revenue up, damage down), which the
+brute-force references build on.
+
+`ThreeListArchive` and `negated_key_select` are the Pareto archive and the
+NSGA-II truncation of `minetax.bilevel` as they were before the archive
+kept one sorted list of entries: three parallel lists, and a truncation
+sorted on -cd[i]. The references the one-list archive and `_select` must
+match exactly.
 """
 
 import bisect
 
 from minetax.bilevel import ArchiveEntry, crowding_distance, nondominated_sort
+
+
+def dominates(a, b) -> bool:
+    """True if a is at least as good as b (revenue up, damage down) and
+    strictly better in one objective."""
+    if a.revenue < b.revenue or a.damage > b.damage:
+        return False
+    return a.revenue > b.revenue or a.damage < b.damage
 
 
 class ThreeListArchive:
@@ -22,9 +36,9 @@ class ThreeListArchive:
         return list(self._entries)
 
     def insert(self, entry: ArchiveEntry) -> bool:
-        if not entry.optimality_tag:
+        if not entry.response.optimality_tag:
             raise ValueError("archive only admits lower-level-optimal entries")
-        r, d = entry.objectives.revenue, entry.objectives.damage
+        r, d = entry.revenue, entry.damage
         revenues = self._revenues
         i = bisect.bisect_left(self._damages, d)
         if i > 0 and revenues[i - 1] >= r:
@@ -55,10 +69,9 @@ class ThreeListArchive:
 
 def negated_key_select(merged, n):
     """`bilevel._select` with the last front truncated on -cd[i]."""
-    points = [e.objectives for e in merged]
     survivors, rank, crowd = [], [], []
-    for fi, front in enumerate(nondominated_sort(points)):
-        cd = crowding_distance(front, points)
+    for fi, front in enumerate(nondominated_sort(merged)):
+        cd = crowding_distance(front, merged)
         if len(survivors) + len(front) > n:
             front = sorted(front, key=lambda i: -cd[i])[: n - len(survivors)]
         survivors.extend(merged[i] for i in front)

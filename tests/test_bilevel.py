@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 
 import minetax.bilevel as bilevel
 from composition import frontier_composition
-from leader_reference import ThreeListArchive, negated_key_select
+from leader_reference import ThreeListArchive, dominates, negated_key_select
 from minetax import (
     ArchiveEntry,
     BestResponse,
     EaConfig,
     ExtendedModel,
-    FollowerResponse,
     LeaderStrategy,
-    ObjectivePoint,
     ParetoArchive,
     StrataTable,
     TechParams,
@@ -22,7 +20,6 @@ from minetax import (
     best_response,
     crowding_distance,
     detect_strata_kinks,
-    dominates,
     evolve,
     leader_objectives,
     nondominated_sort,
@@ -72,7 +69,7 @@ def deb_fronts_in_index_order(points):
 
 
 def lambda_crowding_distance(
-    front: Sequence[int], points: Sequence[ObjectivePoint]
+    front: Sequence[int], points: Sequence[ArchiveEntry]
 ) -> dict[int, float]:
     """Reference: the crowding distance as `evolve` first computed it, a
     dict per index with one getter per objective."""
@@ -91,39 +88,35 @@ def lambda_crowding_distance(
     return dist
 
 
-def _points(pairs):
-    return [ObjectivePoint(float(r), float(d), 0.0) for r, d in pairs]
-
-
 def _entry(revenue, damage, tagged=True):
     return ArchiveEntry(
+        damage=damage,
+        revenue=revenue,
         strategy=LeaderStrategy(tau=(0.0,)),
-        response=FollowerResponse(q=(0.0,), a=1),
-        objectives=ObjectivePoint(revenue=revenue, damage=damage, profit=0.0),
-        optimality_tag=tagged,
+        response=BestResponse(q=(0.0,), a=1, profit=0.0, optimality_tag=tagged),
     )
+
+
+def _points(pairs):
+    return [_entry(float(r), float(d)) for r, d in pairs]
 
 
 class TestDominates:
     def test_strictly_better(self):
-        assert dominates(
-            ObjectivePoint(10.0, 1.0, 0.0), ObjectivePoint(5.0, 2.0, 0.0)
-        )
+        assert dominates(_entry(10.0, 1.0), _entry(5.0, 2.0))
 
     def test_tradeoff_is_incomparable(self):
-        a = ObjectivePoint(10.0, 3.0, 0.0)
-        b = ObjectivePoint(5.0, 1.0, 0.0)
+        a = _entry(10.0, 3.0)
+        b = _entry(5.0, 1.0)
         assert not dominates(a, b)
         assert not dominates(b, a)
 
     def test_equal_points_do_not_dominate(self):
-        a = ObjectivePoint(10.0, 1.0, 0.0)
+        a = _entry(10.0, 1.0)
         assert not dominates(a, a)
 
     def test_weak_dominance_counts(self):
-        assert dominates(
-            ObjectivePoint(10.0, 1.0, 0.0), ObjectivePoint(10.0, 2.0, 0.0)
-        )
+        assert dominates(_entry(10.0, 1.0), _entry(10.0, 2.0))
 
 
 class TestParetoArchive:
@@ -132,8 +125,8 @@ class TestParetoArchive:
         assert arch.insert(_entry(10.0, 5.0))
         assert arch.insert(_entry(4.0, 1.0))
         assert arch.insert(_entry(7.0, 3.0))
-        damages = [e.objectives.damage for e in arch]
-        revenues = [e.objectives.revenue for e in arch]
+        damages = [e.damage for e in arch]
+        revenues = [e.revenue for e in arch]
         assert damages == [1.0, 3.0, 5.0]
         assert revenues == [4.0, 7.0, 10.0]
 
@@ -149,7 +142,7 @@ class TestParetoArchive:
         arch.insert(_entry(7.0, 3.0))
         arch.insert(_entry(10.0, 5.0))
         assert arch.insert(_entry(11.0, 2.0))
-        revenues = [e.objectives.revenue for e in arch]
+        revenues = [e.revenue for e in arch]
         assert revenues == [4.0, 11.0]
 
     def test_duplicate_objectives_ignored(self):
@@ -157,6 +150,33 @@ class TestParetoArchive:
         arch.insert(_entry(10.0, 2.0))
         assert not arch.insert(_entry(10.0, 2.0))
         assert len(arch) == 1
+
+    def test_never_compares_past_damage(self):
+        class Unordered:
+            """Raises on every comparison; tagged, so the archive admits it."""
+
+            optimality_tag = True
+
+            def _compare(self, other):
+                raise AssertionError("archive compared past damage")
+
+            __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _compare
+
+        def entry(revenue, damage):
+            return ArchiveEntry(damage, revenue, Unordered(), Unordered())
+
+        arch = ParetoArchive()
+        first = entry(2.0, 1.0)
+        for e in (first, entry(2.0, 1.0), entry(1.0, 1.0), entry(5.0, 3.0),
+                  entry(5.0, 3.0), entry(0.5, 0.5), entry(2.0, 1.0)):
+            arch.insert(e)
+        # the first of equal objective pairs stays
+        assert arch.entries[1] is first
+        assert [(e.damage, e.revenue) for e in arch] == [
+            (0.5, 0.5), (1.0, 2.0), (3.0, 5.0)
+        ]
+        assert arch.hypervolume(0.0, 3.0) == pytest.approx(0.25 + 4.0)
+        assert arch.hypervolume(0.0, 1.0) == pytest.approx(0.25)
 
     def test_untagged_entry_raises(self):
         arch = ParetoArchive()
@@ -203,13 +223,12 @@ class TestOneListArchive:
             assert arch.insert(e) == reference.insert(e)
         assert [id(e) for e in arch] == [id(e) for e in reference.entries]
         # brute force: each pair no other pair dominates, first of equal ones
-        points = [e.objectives for e in entries]
         kept = {}
         for e in entries:
-            key = (e.objectives.revenue, e.objectives.damage)
-            if key not in kept and not any(dominates(p, e.objectives) for p in points):
+            key = (e.revenue, e.damage)
+            if key not in kept and not any(dominates(p, e) for p in entries):
                 kept[key] = e
-        expected = sorted(kept.values(), key=lambda e: e.objectives.damage)
+        expected = sorted(kept.values(), key=lambda e: e.damage)
         assert [id(e) for e in arch.entries] == [id(e) for e in expected]
         assert len(arch) == len(expected)
         # a reference revenue no better than any entry's
@@ -224,16 +243,12 @@ class TestSlottedValueTypes:
     @staticmethod
     def _values():
         strat = LeaderStrategy(tau=(1.0, 2.0))
-        resp = FollowerResponse(q=(3.0, 0.0), a=2)
-        point = ObjectivePoint(revenue=4.0, damage=5.0, profit=6.0)
+        resp = BestResponse(q=(3.0, 0.0), a=2, profit=6.0, optimality_tag=True,
+                            kkt_residual=0.5)
         return [
             strat,
             resp,
-            BestResponse(response=resp, profit=6.0, optimality_tag=True,
-                         kkt_residual=0.5),
-            point,
-            ArchiveEntry(strategy=strat, response=resp, objectives=point,
-                         optimality_tag=True),
+            ArchiveEntry(damage=5.0, revenue=4.0, strategy=strat, response=resp),
         ]
 
     def test_no_instance_dict(self):
@@ -252,19 +267,19 @@ class TestSlottedValueTypes:
             # hashed as its field tuple
             assert hash(v) == hash(twin) == hash(fields)
             assert replace(v) == v
-            last = v._fields[-1]
-            other = replace(v, **{last: getattr(v, last) * 2})
+            first = v._fields[0]
+            other = replace(v, **{first: getattr(v, first) * 2})
             assert other != v
-            assert getattr(other, last) == getattr(v, last) * 2
+            assert getattr(other, first) == getattr(v, first) * 2
 
 
 class TestNondominatedSort:
     def test_layered_fronts(self):
         pts = [
-            ObjectivePoint(10.0, 1.0, 0.0),  # front 0
-            ObjectivePoint(5.0, 0.5, 0.0),   # front 0
-            ObjectivePoint(9.0, 2.0, 0.0),   # dominated by pts[0]
-            ObjectivePoint(4.0, 3.0, 0.0),   # dominated twice over
+            _entry(10.0, 1.0),  # front 0
+            _entry(5.0, 0.5),   # front 0
+            _entry(9.0, 2.0),   # dominated by pts[0]
+            _entry(4.0, 3.0),   # dominated twice over
         ]
         fronts = nondominated_sort(pts)
         assert sorted(fronts[0]) == [0, 1]
@@ -272,7 +287,7 @@ class TestNondominatedSort:
         assert fronts[2] == [3]
 
     def test_all_nondominated(self):
-        pts = [ObjectivePoint(float(i), float(i), 0.0) for i in range(5)]
+        pts = [_entry(float(i), float(i)) for i in range(5)]
         fronts = nondominated_sort(pts)
         assert len(fronts) == 1
         assert sorted(fronts[0]) == list(range(5))
@@ -366,8 +381,7 @@ class TestSelect:
             )
         )
         n = data.draw(st.integers(1, len(pairs)))
-        merged = [_entry(float(r), float(d)) for r, d in pairs]
-        pts = [e.objectives for e in merged]
+        merged = pts = _points(pairs)
         survivors, rank, crowd = bilevel._select(merged, n)
         assert len(survivors) == len(rank) == len(crowd) == n
         assert rank == sorted(rank)
@@ -398,7 +412,7 @@ class TestSelect:
             )
         )
         n = data.draw(st.integers(1, len(pairs)))
-        merged = [_entry(float(r), float(d)) for r, d in pairs]
+        merged = _points(pairs)
         survivors, rank, crowd = bilevel._select(merged, n)
         ref_survivors, ref_rank, ref_crowd = negated_key_select(merged, n)
         assert [id(e) for e in survivors] == [id(e) for e in ref_survivors]
@@ -446,14 +460,14 @@ class TestCrowdingDistance:
         assert slow.hv_history == fast.hv_history
 
     def test_extremes_infinite(self):
-        pts = [ObjectivePoint(float(i), float(i), 0.0) for i in range(4)]
+        pts = [_entry(float(i), float(i)) for i in range(4)]
         cd = crowding_distance([0, 1, 2, 3], pts)
         assert cd[0] == float("inf")
         assert cd[3] == float("inf")
         assert cd[1] == pytest.approx(4.0 / 3.0)
 
     def test_tiny_front(self):
-        pts = [ObjectivePoint(1.0, 1.0, 0.0), ObjectivePoint(2.0, 2.0, 0.0)]
+        pts = [_entry(1.0, 1.0), _entry(2.0, 2.0)]
         cd = crowding_distance([0, 1], pts)
         assert all(v == float("inf") for v in cd.values())
 
@@ -490,8 +504,8 @@ class TestEvolve:
         assert len(arch) == 1
         strat = LeaderStrategy(tau=(10.0,) * model.T)
         br = best_response(strat, fixed)
-        revenue, damage = leader_objectives(br.response, strat, fixed)
-        got = arch.entries[0].objectives
+        revenue, damage = leader_objectives(br, strat, fixed)
+        got = arch.entries[0]
         assert got.revenue == pytest.approx(revenue)
         assert got.damage == pytest.approx(damage)
 
@@ -502,11 +516,11 @@ class TestEvolve:
         for e in list(arch)[::5]:
             br = best_response(e.strategy, model)
             assert br.profit == pytest.approx(
-                e.objectives.profit, rel=1e-9, abs=1e-6
+                e.response.profit, rel=1e-9, abs=1e-6
             )
             revenue, damage = leader_objectives(e.response, e.strategy, model)
-            assert revenue == pytest.approx(e.objectives.revenue)
-            assert damage == pytest.approx(e.objectives.damage)
+            assert revenue == pytest.approx(e.revenue)
+            assert damage == pytest.approx(e.damage)
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_evaluate_takes_the_profit_from_the_solve(self, model, r):
@@ -514,19 +528,19 @@ class TestEvolve:
         for strat in random_strategies(model, 20, seed=31):
             entry = bilevel._evaluate(strat.tau, discounted)
             br = best_response(strat, discounted)
-            assert entry.response == br.response
-            assert entry.objectives.profit == br.profit
+            # the solve's answer, profit and tag included
+            assert entry.response == br
             # revenue and damage to the bit
-            assert (entry.objectives.revenue, entry.objectives.damage) == (
-                leader_objectives(br.response, strat, discounted)
+            assert (entry.revenue, entry.damage) == (
+                leader_objectives(br, strat, discounted)
             )
 
     def test_archive_mutually_nondominated(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=5)
         entries = evolve(model, cfg).archive.entries
         for a, b in zip(entries, entries[1:]):
-            assert b.objectives.damage > a.objectives.damage
-            assert b.objectives.revenue > a.objectives.revenue
+            assert b.damage > a.damage
+            assert b.revenue > a.revenue
 
     def test_hv_history_nondecreasing(self, model):
         cfg = EaConfig(population_size=12, max_generations=10, seed=7)
@@ -541,7 +555,7 @@ class TestEvolve:
         a = evolve(model, cfg).archive
         b = evolve(model, cfg).archive
         assert [e.strategy.tau for e in a] == [e.strategy.tau for e in b]
-        assert [e.objectives for e in a] == [e.objectives for e in b]
+        assert list(a) == list(b)
 
     def test_tech_filter_pins_technology(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=9)
@@ -568,7 +582,8 @@ class TestEvolve:
         monkeypatch.setattr(bilevel, "HV_STALL_GENERATIONS", 2)
         cfg = EaConfig(population_size=8, max_generations=10, seed=11)
         result = evolve(model, cfg)
-        assert result.generations_run == 2
+        # the hypervolume after the initial population and 2 generations
+        assert len(result.hv_history) == 3
         assert result.termination_reason == "hv_stall"
 
     def test_zero_damage_does_not_stall(self, params):
@@ -673,8 +688,10 @@ class TestDetectStrataKinks:
 
 def _synthetic(damage, revenue, total_extraction):
     return ArchiveEntry(
+        damage=damage,
+        revenue=revenue,
         strategy=LeaderStrategy(tau=(0.0,)),
-        response=FollowerResponse(q=(total_extraction,), a=1),
-        objectives=ObjectivePoint(revenue=revenue, damage=damage, profit=0.0),
-        optimality_tag=True,
+        response=BestResponse(
+            q=(total_extraction,), a=1, profit=0.0, optimality_tag=True
+        ),
     )

@@ -15,10 +15,9 @@ from minetax import analytical as ana
 from minetax import verify
 from minetax import (
     ArchiveEntry,
+    BestResponse,
     EaConfig,
-    FollowerResponse,
     LeaderStrategy,
-    ObjectivePoint,
     analytical_as_extended,
     best_response,
     bilevel,
@@ -380,7 +379,7 @@ class TestExtendedRuns:
             tau = tuple(float(row[f"tau_{t}"]) for t in range(1, 6))
             strat = LeaderStrategy(tau=tau)
             br = best_response(strat, model)
-            revenue, damage = leader_objectives(br.response, strat, model)
+            revenue, damage = leader_objectives(br, strat, model)
             # CSV keeps 12 significant digits and the lower solver is only
             # accurate to its own tolerance, so allow a small slack
             assert revenue == pytest.approx(float(row["revenue"]), abs=1e-4)
@@ -420,6 +419,28 @@ class TestExtendedRuns:
         assert rc == EXIT_EMPTY
         assert _read_csv(tmp_path / "frontier.csv") == []
         assert "warning" in capsys.readouterr().out
+
+    def test_filter_keeps_the_points_within_both_bounds(self, tmp_path, model):
+        entries = evolve(model, EaConfig(8, 5, 42)).archive.entries
+        assert len(entries) >= 3
+        # both bounds taken from archive points, so both are met with
+        # equality; the archive rises in damage and revenue together
+        low, high = entries[1].revenue, entries[-2].damage
+        kept = [e for e in entries if e.revenue >= low and e.damage <= high]
+        assert kept == entries[1:-1]
+        rc = main(self.ARGS + ["--out", str(tmp_path / "run"),
+                               "--min-revenue", repr(low),
+                               "--max-damage", repr(high)])
+        assert rc == EXIT_OK
+        _write_frontier(tmp_path / "frontier.csv", kept, model.T)
+        _write_schedules(tmp_path / "schedule.csv", kept, model)
+        for name in ("frontier.csv", "schedule.csv"):
+            written = (tmp_path / "run" / name).read_bytes()
+            assert written == (tmp_path / name).read_bytes()
+        meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+        assert (meta["archive_size"], meta["filtered_size"]) == (
+            len(entries), len(kept)
+        )
 
     @pytest.mark.parametrize(
         "bound", ["--min-revenue=nan", "--max-damage=inf", "--min-revenue=-inf"]
@@ -545,12 +566,13 @@ class TestStreamedWriters:
         def entry(j, tech):
             pick = [awkward[(j + t) % len(awkward)] for t in range(model.T)]
             return ArchiveEntry(
+                damage=float(j),
+                revenue=awkward[j],
                 strategy=LeaderStrategy(tau=pick),
-                response=FollowerResponse(q=pick[::-1], a=tech),
-                objectives=ObjectivePoint(
-                    revenue=awkward[j], damage=float(j), profit=-awkward[j] - 2.5
+                response=BestResponse(
+                    q=pick[::-1], a=tech, profit=-awkward[j] - 2.5,
+                    optimality_tag=True,
                 ),
-                optimality_tag=True,
             )
 
         entries = [
@@ -685,6 +707,12 @@ class TestPinnedStream:
             "64.0529173931,1.65156226424,5.04366175833,0,11.1577872046,"
             "3.80885325863"
         )
+
+
+def test_every_exported_name_resolves():
+    for name in minetax.__all__:
+        assert hasattr(minetax, name), name
+    assert len(set(minetax.__all__)) == len(minetax.__all__)
 
 
 def test_cli_import_leaves_out_numpy_and_verification():

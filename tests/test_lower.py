@@ -5,14 +5,13 @@ import random
 
 import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
-from follower_reference import follower_total_profit, waterfill_walk
+from follower_reference import answer, follower_total_profit, waterfill_walk
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import minetax.lower as lower
 from minetax import (
     ExtendedModel,
-    FollowerResponse,
     LeaderStrategy,
     StrataTable,
     TechParams,
@@ -78,7 +77,7 @@ class TestBestResponseFixedTech:
     def test_prohibitive_taxes_shut_the_mine(self, model):
         for tech in model.techs:
             br = best_response_fixed_tech(_prohibitive(model), tech, model)
-            assert br.response.q == (0.0,) * 5
+            assert br.q == (0.0,) * 5
             assert br.profit == pytest.approx(-5.0 * tech.gamma_er)
             assert br.optimality_tag
             assert br.kkt_residual == 0.0
@@ -86,8 +85,8 @@ class TestBestResponseFixedTech:
     def test_matches_refined_grid_oracle_at_zero_tax(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
         oracle = grid_best_response(strat, model, BUNDLED_GRID)
-        br = best_response_fixed_tech(strat, model.tech(oracle.response.a), model)
-        for a, b in zip(br.response.q, oracle.response.q):
+        br = best_response_fixed_tech(strat, model.tech(oracle.a), model)
+        for a, b in zip(br.q, oracle.q):
             assert a == pytest.approx(b, abs=1e-3)
 
     def test_two_period_linear_cost_closed_form(self):
@@ -101,8 +100,8 @@ class TestBestResponseFixedTech:
         )
         strat = LeaderStrategy(tau=(1.0, 2.0))
         br = best_response_fixed_tech(strat, tech, model)
-        assert br.response.q[0] == pytest.approx(6.0 / 1.6, abs=1e-6)
-        assert br.response.q[1] == pytest.approx(7.0 / 1.6, abs=1e-6)
+        assert br.q[0] == pytest.approx(6.0 / 1.6, abs=1e-6)
+        assert br.q[1] == pytest.approx(7.0 / 1.6, abs=1e-6)
         assert br.optimality_tag
 
     def test_unique_optimum_from_any_start(self, model):
@@ -115,7 +114,7 @@ class TestBestResponseFixedTech:
                 a = best_response_fixed_tech(strat, tech, discounted)
                 start = tuple(5.0 * rng.randrange(17) for _ in range(5))
                 q, _ = _refine(strat.tau, tech, discounted, start, 5.0)
-                for x, y in zip(a.response.q, q):
+                for x, y in zip(a.q, q):
                     assert x == pytest.approx(y, abs=1e-5)
 
     def test_tagged_solutions_satisfy_stationarity(self, model):
@@ -126,10 +125,10 @@ class TestBestResponseFixedTech:
                 assert br.optimality_tag
 
                 def profit(q):
-                    resp = FollowerResponse(q=tuple(q), a=tech.tech_id)
+                    resp = answer(q=tuple(q), a=tech.tech_id)
                     return follower_total_profit(resp, strat, model)
 
-                q = list(br.response.q)
+                q = list(br.q)
                 base = profit(q)
                 for t in range(model.T):
                     x = q[t]
@@ -145,15 +144,15 @@ class TestBestResponseFixedTech:
 class TestBestResponse:
     def test_prohibitive_taxes_pick_cheapest_fixed_cost(self, model):
         br = best_response(_prohibitive(model), model)
-        assert br.response.a in (3, 4)
+        assert br.a in (3, 4)
         assert br.profit == pytest.approx(-25.0)
-        assert br.response.q == (0.0,) * 5
+        assert br.q == (0.0,) * 5
 
     def test_zero_tax_matches_exhaustive_oracle(self, model):
         strat = LeaderStrategy(tau=(0.0,) * 5)
         oracle = grid_best_response(strat, model, BUNDLED_GRID)
         br = best_response(strat, model)
-        assert br.response.a == oracle.response.a
+        assert br.a == oracle.a
         assert br.profit == pytest.approx(oracle.profit, abs=1e-6)
 
     def test_single_technology_model_degenerates(self, model):
@@ -162,9 +161,9 @@ class TestBestResponse:
             techs=(model.tech(2),), strata=model.strata,
         )
         strat = LeaderStrategy(tau=(10.0,) * 5)
-        assert best_response(strat, single).response == best_response_fixed_tech(
+        assert best_response(strat, single) == best_response_fixed_tech(
             strat, model.tech(2), single
-        ).response
+        )
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -226,10 +225,10 @@ class TestExactFollower:
             )
             for tech in model.techs:
                 br = best_response_fixed_tech(strat, tech, capped)
-                assert br.response.q == caps
+                assert br.q == caps
                 assert br.optimality_tag
                 oracle = _grid_oracle(strat, tech, capped, grid)
-                assert oracle.response.q == br.response.q
+                assert oracle.q == br.q
                 assert br.profit == pytest.approx(oracle.profit, rel=1e-15)
 
     def test_total_on_breakpoint_between_slopes(self):
@@ -245,7 +244,7 @@ class TestExactFollower:
         assert lam == pytest.approx(10.0, abs=1e-12)
         strat = LeaderStrategy(tau=(0.0, 0.0))
         br = best_response_fixed_tech(strat, tech, model)
-        assert br.response.q == pytest.approx((10.0, 0.0), abs=1e-12)
+        assert br.q == pytest.approx((10.0, 0.0), abs=1e-12)
         assert br.optimality_tag
         assert br.kkt_residual <= 1e-12
         assert abs(_relative_gap(br, _grid_oracle(strat, tech, model))) <= 1e-9
@@ -325,7 +324,7 @@ class TestDiscountedFollower:
     def test_prefix_sum_on_breakpoint_before_the_last_period(self):
         model, tech, strat = _pinned_instance()
         br = best_response_fixed_tech(strat, tech, model)
-        assert br.response.q == (10.0, 5.0)
+        assert br.q == (10.0, 5.0)
         assert br.profit == pytest.approx(210.0, abs=1e-12)
         assert br.optimality_tag
         assert br.kkt_residual <= 1e-12
@@ -341,7 +340,7 @@ class TestDiscountedFollower:
         assert _shoot(1, 10.0, periods, *args) == ([5.0], 10.0)
         assert _discounted_schedule(periods, *args) == [10.0, 5.0]
         br = best_response_fixed_tech(strat, tech, model)
-        assert br.response.q == (10.0, 5.0)
+        assert br.q == (10.0, 5.0)
         assert br.optimality_tag
 
     def test_certificate_spans_breakpoints_within_its_tolerance(self):
@@ -354,7 +353,7 @@ class TestDiscountedFollower:
             model, techs=(tech,), strata=StrataTable(amounts=(10.0, 1e-12, 100.0))
         )
         br = best_response_fixed_tech(strat, tech, split)
-        assert br.response.q == pytest.approx((10.0, 5.0), abs=1e-9)
+        assert br.q == pytest.approx((10.0, 5.0), abs=1e-9)
         assert br.optimality_tag
         assert br.kkt_residual == 0.0
 
@@ -366,7 +365,7 @@ class TestDiscountedFollower:
             br = best_response_fixed_tech(
                 LeaderStrategy(tau=(0.0,) * 5), model.tech(4), shut
             )
-            assert br.response.q == caps
+            assert br.q == caps
             assert br.optimality_tag
 
     def test_certificate_rejects_a_perturbed_schedule(self, model):
@@ -374,7 +373,7 @@ class TestDiscountedFollower:
         strat = random_strategies(model, 1, seed=3)[0]
         tech = model.tech(4)
         br = best_response_fixed_tech(strat, tech, discounted)
-        q = list(br.response.q)
+        q = list(br.q)
         q[0] *= 1.001
         residual = _discounted_kkt_residual(
             q, _periods(strat, tech, model), *_discounted_args(discounted, tech)
@@ -420,7 +419,7 @@ ORACLE_LEAD_TOL = 1e-12
 def _check_against_grid_oracle(instance):
     model, tech, strat = instance
     exact = best_response_fixed_tech(strat, tech, model)
-    assert 0.0 <= exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.response.q))
+    assert 0.0 <= exact.kkt_residual <= KKT_TOL * max(1.0, sum(exact.q))
     assert exact.optimality_tag
     gap = _relative_gap(exact, _grid_oracle(strat, tech, model))
     assert -ORACLE_LEAD_TOL <= gap <= EXACT_LEAD_TOL
@@ -450,7 +449,7 @@ PROFIT_TOL = 1e-12
 
 def _profit(q, strat, tech, model):
     return follower_total_profit(
-        FollowerResponse(q=tuple(q), a=tech.tech_id), strat, model
+        answer(q=tuple(q), a=tech.tech_id), strat, model
     )
 
 
@@ -461,7 +460,7 @@ def _check_against_dp(instance, same_as_guess):
     periods, args = _periods(strat, tech, model), _discounted_args(model, tech)
     br = best_response_fixed_tech(strat, tech, model)
     assert br.optimality_tag
-    q = br.response.q
+    q = br.q
     dp = _discounted_schedule(periods, *args)
     assert max(abs(a - b) for a, b in zip(q, dp)) <= DP_Q_TOL * max(1.0, sum(dp))
     p_dp = _profit(dp, strat, tech, model)
@@ -511,7 +510,7 @@ def test_discounted_follower_matches_the_dp_on_planted_breakpoints(instance):
 def test_solver_profit_matches_follower_total_profit(instance):
     model, tech, strat = instance
     br = best_response_fixed_tech(strat, tech, model)
-    expected = _profit(br.response.q, strat, tech, model)
+    expected = _profit(br.q, strat, tech, model)
     assert abs(br.profit - expected) <= PROFIT_TOL * max(1.0, abs(expected))
 
 
@@ -548,7 +547,7 @@ class TestTechnologySkip:
         # certificate is 0 there, so technology 3 is solved and wins the tie
         calls = _count_fixed_tech_solves(monkeypatch)
         br = best_response(_prohibitive(model), model)
-        assert br.response.a == 3
+        assert br.a == 3
         assert sorted(calls) == [3, 4]
 
     def test_mid_range_tax_runs_one_fixed_tech_solve(self, model, monkeypatch):
@@ -556,7 +555,7 @@ class TestTechnologySkip:
         strat = LeaderStrategy(tau=tuple(a / 2.0 for a in model.alpha))
         br = best_response(strat, model)
         assert calls == [4]
-        assert br.response.a == 4
+        assert br.a == 4
         assert br == full_enumeration(strat, model)
 
     def test_untagged_dominator_certifies_nothing(self, model, monkeypatch):
@@ -683,7 +682,7 @@ def test_certificate_never_exceeds_profit_gap(instance):
         a = best_response_fixed_tech(strat, dom.dominator, model)
         b = best_response_fixed_tech(strat, dom.tech, model)
         assert a.optimality_tag
-        bound = _profit_gap_bound(a.response.q, dom, model)
+        bound = _profit_gap_bound(a.q, dom, model)
         margin = CERT_MARGIN * max(1.0, abs(a.profit))
         assert max(bound, dom.fixed_gap * sum(d)) <= a.profit - b.profit + margin
 
@@ -706,7 +705,7 @@ def test_certificate_stops_once_past_need(instance, split):
     # need below, at or above it and at each of its partial sums
     model, strat = instance
     for dom in model.dominance:
-        q = best_response_fixed_tech(strat, dom.dominator, model).response.q
+        q = best_response_fixed_tech(strat, dom.dominator, model).q
         full = _profit_gap_bound(q, dom, model)
         partial = [
             _profit_gap_bound(q[:t], dom, model) for t in range(len(q) + 1)
@@ -723,7 +722,7 @@ def test_certificate_without_need_is_the_full_bound(model):
     # fixed_gap = 0, so G is the sum of the m_t
     dom = model.dominance[2]
     strat = LeaderStrategy(tau=tuple(a / 2.0 for a in model.alpha))
-    q = best_response_fixed_tech(strat, dom.dominator, model).response.q
+    q = best_response_fixed_tech(strat, dom.dominator, model).q
     delta, expected = dom.unit_gap, 0.0
     for b, x in zip(model.beta, q):
         c = b + dom.dominator.alpha_er

@@ -3,14 +3,14 @@ import math
 import re
 
 import pytest
-from follower_reference import follower_total_profit
+from follower_reference import answer, follower_total_profit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minetax import (
     AnalyticalParams,
+    BestResponse,
     ExtendedModel,
-    FollowerResponse,
     LeaderStrategy,
     StrataTable,
     TechParams,
@@ -56,7 +56,7 @@ class TestValidation:
 
     def test_negative_extraction_rejected(self):
         with pytest.raises(ValueError):
-            FollowerResponse(q=(1.0, -1.0), a=1)
+            BestResponse(q=(1.0, -1.0), a=1, profit=0.0, optimality_tag=True)
 
     def test_negative_tax_rejected(self):
         with pytest.raises(ValueError):
@@ -67,14 +67,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^taxes tau must be finite"):
             LeaderStrategy(tau=(1.0, bad))
         with pytest.raises(ValueError, match=r"^extraction q must be finite"):
-            FollowerResponse(q=(bad, 1.0), a=1)
+            BestResponse(q=(bad, 1.0), a=1, profit=0.0, optimality_tag=True)
 
     def test_signed_zero_and_integers_accepted(self):
         strat = LeaderStrategy(tau=(-0.0, 2))
         assert strat.tau == (0.0, 2.0)
         assert math.copysign(1.0, strat.tau[0]) == -1.0
         assert type(strat.tau[1]) is float
-        assert FollowerResponse(q=[-0.0, 3], a=1).q == (0.0, 3.0)
+        resp = BestResponse(q=[-0.0, 3], a=1, profit=0.0, optimality_tag=True)
+        assert resp.q == (0.0, 3.0)
 
 
 class TestCumulativeCost:
@@ -250,7 +251,7 @@ class TestPeriodProfit:
         for t in periods:
             total += model.discount(t) * reference(t)
         assert follower_total_profit(
-            FollowerResponse(q=q, a=tech_id), LeaderStrategy(tau=tau), model
+            answer(q=q, a=tech_id), LeaderStrategy(tau=tau), model
         ) == total
 
     def test_one_pass_checks_the_schedule(self, model):
@@ -265,12 +266,12 @@ class TestPeriodProfit:
 
 class TestTotalProfit:
     def test_all_idle(self, model):
-        resp = FollowerResponse(q=(0.0,) * 5, a=1)
+        resp = answer(q=(0.0,) * 5, a=1)
         strat = LeaderStrategy(tau=(3.0,) * 5)
         assert follower_total_profit(resp, strat, model) == pytest.approx(-50.0)
 
     def test_flat_schedule_untaxed(self, model):
-        resp = FollowerResponse(q=(10.0,) * 5, a=1)
+        resp = answer(q=(10.0,) * 5, a=1)
         strat = LeaderStrategy(tau=(0.0,) * 5)
         assert follower_total_profit(resp, strat, model) == pytest.approx(
             2327.5, abs=1e-9
@@ -279,7 +280,7 @@ class TestTotalProfit:
     def test_length_mismatch(self, model):
         with pytest.raises(ValueError):
             follower_total_profit(
-                FollowerResponse(q=(1.0,) * 4, a=1),
+                answer(q=(1.0,) * 4, a=1),
                 LeaderStrategy(tau=(0.0,) * 5),
                 model,
             )
@@ -307,7 +308,7 @@ class TestTotalProfit:
         mix = tuple(lam * a + (1 - lam) * b for a, b in zip(q1, q2))
         for tech in model.techs:
             f = lambda q: follower_total_profit(
-                FollowerResponse(q=tuple(q), a=tech.tech_id), strat, model
+                answer(q=tuple(q), a=tech.tech_id), strat, model
             )
             gap = f(mix) - (lam * f(q1) + (1 - lam) * f(q2))
             assert gap >= -1e-9
@@ -317,13 +318,13 @@ class TestTotalProfit:
 
 class TestLeaderObjectives:
     def test_flat_schedule(self, model):
-        resp = FollowerResponse(q=(10.0,) * 5, a=1)
+        resp = answer(q=(10.0,) * 5, a=1)
         strat = LeaderStrategy(tau=(5.0,) * 5)
         assert leader_objectives(resp, strat, model) == pytest.approx((250.0, 150.0))
 
     def test_idle_mine(self, model):
         obj = leader_objectives(
-            FollowerResponse(q=(0.0,) * 5, a=2),
+            answer(q=(0.0,) * 5, a=2),
             LeaderStrategy(tau=(9.0,) * 5),
             model,
         )
@@ -331,7 +332,7 @@ class TestLeaderObjectives:
 
     def test_dirtiest_technology(self, model):
         _, damage = leader_objectives(
-            FollowerResponse(q=(10.0,) * 5, a=4),
+            answer(q=(10.0,) * 5, a=4),
             LeaderStrategy(tau=(5.0,) * 5),
             model,
         )
@@ -341,16 +342,16 @@ class TestLeaderObjectives:
     @settings(max_examples=50)
     def test_damage_scales_linearly(self, model, q, c):
         strat = LeaderStrategy(tau=(1.0,) * 5)
-        _, base = leader_objectives(FollowerResponse(q=tuple(q), a=2), strat, model)
+        _, base = leader_objectives(answer(q=tuple(q), a=2), strat, model)
         _, scaled = leader_objectives(
-            FollowerResponse(q=tuple(c * x for x in q), a=2), strat, model
+            answer(q=tuple(c * x for x in q), a=2), strat, model
         )
         assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9)
 
     @given(q=schedules, c=st.floats(0.0, 3.0))
     @settings(max_examples=50)
     def test_revenue_linear_in_taxes(self, model, q, c):
-        resp = FollowerResponse(q=tuple(q), a=1)
+        resp = answer(q=tuple(q), a=1)
         tau = (4.0, 3.0, 2.0, 1.0, 5.0)
         base, _ = leader_objectives(resp, LeaderStrategy(tau=tau), model)
         scaled, _ = leader_objectives(
@@ -371,7 +372,7 @@ class TestDiscounting:
             strata=model.strata,
             r=0.05,
         )
-        resp = FollowerResponse(q=(10.0,) * 5, a=1)
+        resp = answer(q=(10.0,) * 5, a=1)
         strat = LeaderStrategy(tau=(5.0,) * 5)
         revenue0, damage0 = leader_objectives(resp, strat, model)
         revenue, damage = leader_objectives(resp, strat, discounted)
@@ -431,7 +432,7 @@ class TestEmbedding:
         for tau in (0.0, 20.0, 49.5, 80.0):
             for q in (0.0, 5.0, 12.375, 30.0):
                 got = follower_total_profit(
-                    FollowerResponse(q=(q,), a=1),
+                    answer(q=(q,), a=1),
                     LeaderStrategy(tau=(tau,)),
                     emb,
                 )

@@ -12,7 +12,6 @@ from minetax import (
     EaConfig,
     ExtendedModel,
     LeaderStrategy,
-    ObjectivePoint,
     StrataTable,
     TechParams,
     analytical_as_extended,
@@ -73,7 +72,7 @@ class TestGridBestResponse:
         model = analytical_as_extended(params)
         grid = GridSpec(lows=(0.0,), highs=(20.0,), step=0.01)
         br = grid_best_response(LeaderStrategy(tau=(99.0,)), model, grid)
-        assert br.response.q[0] == 0.0
+        assert br.q[0] == 0.0
 
     def test_single_point_grid(self, params):
         model = analytical_as_extended(params)
@@ -85,7 +84,7 @@ class TestGridBestResponse:
         model = analytical_as_extended(params)
         grid = GridSpec(lows=(0.0,), highs=(20.0,), step=2.0)
         br = grid_best_response(LeaderStrategy(tau=(49.5,)), model, grid)
-        assert br.response.q[0] == pytest.approx(12.375, abs=1e-4)
+        assert br.q[0] == pytest.approx(12.375, abs=1e-4)
         assert br.optimality_tag
 
     def test_refinement_recentres_from_a_far_start(self, params):
@@ -94,7 +93,7 @@ class TestGridBestResponse:
         model = analytical_as_extended(params)
         grid = GridSpec(lows=(0.0,), highs=(0.0,), step=2.0)
         br = grid_best_response(LeaderStrategy(tau=(49.5,)), model, grid)
-        assert br.response.q[0] == pytest.approx(12.375, abs=1e-6)
+        assert br.q[0] == pytest.approx(12.375, abs=1e-6)
 
     def test_evaluation_cap_enforced(self, model):
         grid = GridSpec(lows=(0.0,) * 5, highs=(90.0,) * 5, step=0.05)
@@ -272,8 +271,8 @@ def frontier_distance_by_definition(entries, p, n_curve=4001):
     dam_scale = (max(damages) - min(damages)) or 1.0
 
     def distance(e, r, d):
-        dr = (e.objectives.revenue - r) / rev_range
-        dd = (e.objectives.damage - d) / dam_scale
+        dr = (e.revenue - r) / rev_range
+        dd = (e.damage - d) / dam_scale
         return math.sqrt(dr * dr + dd * dd)
 
     curve = list(zip(revenues, damages))
@@ -298,11 +297,10 @@ class TestFrontierMetrics:
         p = replace(params, k=k)
         rng = random.Random(5)
         entries = [
-            SimpleNamespace(objectives=ObjectivePoint(
+            SimpleNamespace(
                 revenue=1000.0 * rng.random() - 200.0,
                 damage=25.0 * rng.random() - 5.0,
-                profit=0.0,
-            ))
+            )
             for _ in range(60)
         ]
         dist, _ = frontier_metrics(entries, p)

@@ -12,7 +12,9 @@ fresh interpreter with PYTHONPATH=<root>/src and the same config file:
 - the bundled table with technology 3's beta_er set to 1.5, at r = 0 and
   r = 0.05, with --tech all at seeds 0-3: technologies 3 and 4 are then
   both undominated (1 is dominated by 3, 2 by 4), so `best_response`
-  weighs the profit-gap certificate against a second solved technology.
+  weighs the profit-gap certificate against a second solved technology;
+- the bundled config at r = 0 with --min-revenue 1000 --max-damage 400 at
+  seeds 0-3, so the objective-bound filter keeps part of the archive.
 
 Then frontier.csv and schedule.csv of each pair are compared byte for
 byte, and meta.json with its wall_time_seconds left out. One line is
@@ -68,6 +70,14 @@ def cases() -> list[tuple[str, dict, list[str]]]:
                         ["--model", "extended", "--config", str(config),
                          "--tech", tech, "--seed", str(seed), "--out", str(out)],
                     ))
+    bounds = ["--min-revenue", "1000", "--max-damage", "400"]
+    for seed in SEEDS:
+        found.append((
+            f"bundled r=0.0 {' '.join(bounds)} seed {seed}",
+            dict(bundled, extended=dict(bundled["extended"], r=0.0)),
+            ["--model", "extended", "--config", str(config), *bounds,
+             "--seed", str(seed), "--out", str(out)],
+        ))
     return found
 
 
