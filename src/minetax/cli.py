@@ -2,8 +2,9 @@
 
 Loads model parameters from JSON, runs the analytical sweep or the
 evolutionary bilevel solver, and writes plot-ready CSV/JSON artifacts.
-`frontier.csv` and `schedule.csv` are streamed: each row is made by one
-format string and written as it is made, with the bytes `csv.writer`
+`frontier.csv` and `schedule.csv` are written in one pass over the
+archive: each entry's tau_t and q_t are formatted once for both files,
+each entry is one write to each, and the bytes are those `csv.writer`
 would write (floats as "%.12g", rows ending in CRLF).
 Exit codes: 0 success, 1 usage/config error (argparse errors included),
 2 verification failure, 3 empty-result warning.
@@ -22,9 +23,9 @@ from . import analytical as ana
 from .bilevel import ArchiveEntry, EaConfig, evolve
 from .model import (
     ModelConfig,
+    _period_profits,
     default_config,
     load_config,
-    period_profits,
     replace,
 )
 
@@ -66,45 +67,46 @@ def run_analytical(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_frontier(path: Path, entries: list[ArchiveEntry], T: int) -> None:
-    header = (
-        ["id", "tech", "revenue", "damage", "profit"]
-        + [f"tau_{t}" for t in range(1, T + 1)]
-        + [f"q_{t}" for t in range(1, T + 1)]
-    )
-    # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
-    row = "%s,%s," + ",".join(["%.12g"] * (3 + 2 * T)) + "\r\n"
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        f.writelines(
-            row % (
-                i,
-                e.response.a,
-                e.revenue,
-                e.damage,
-                e.response.profit,
-                *e.strategy.tau,
-                *e.response.q,
-            )
-            for i, e in enumerate(entries)
-        )
-
-
-def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
+def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
+    """frontier.csv and schedule.csv of `entries`, in one pass: each tau_t
+    and q_t is formatted once for both files, and each entry is one write
+    to each."""
+    T = model.T
     active_stratum = model.strata.active_stratum
-    row = "%s,%s,%.12g,%.12g,%.12g,%.12g,%s\r\n"
-    with open(path, "w", newline="") as f:
-        f.write(
+    # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
+    fmt = "%.12g".__mod__
+    front = "%s,%s,%.12g,%.12g,%.12g,%s,%s\r\n"
+    sched = "%s,%s,%s,%s,%.12g,%.12g,%s\r\n"
+    with open(out / "frontier.csv", "w", newline="") as ff, \
+            open(out / "schedule.csv", "w", newline="") as sf:
+        ff.write(",".join(
+            ["id", "tech", "revenue", "damage", "profit"]
+            + [f"tau_{t}" for t in range(1, T + 1)]
+            + [f"q_{t}" for t in range(1, T + 1)]
+        ) + "\r\n")
+        sf.write(
             "id,period,tau,q,period_profit,cumulative_extraction,"
             "active_stratum\r\n"
         )
         for i, e in enumerate(entries):
-            q, tau = e.response.q, e.strategy.tau
-            profits = period_profits(q, tau, model.tech(e.response.a), model)
+            resp = e.response
+            q, tau, a = resp.q, e.strategy.tau, resp.a
+            if len(q) != T or len(tau) != T:
+                raise ValueError(
+                    f"archive entry {i}: schedule lengths must equal the horizon T"
+                )
+            qs, taus = [*map(fmt, q)], [*map(fmt, tau)]
+            ff.write(front % (
+                i, a, e.revenue, e.damage, resp.profit, ",".join(taus), ",".join(qs)
+            ))
+            rows = []
             cum = 0.0
-            for t, (x, v, pi) in enumerate(zip(tau, q, profits), 1):
-                cum += v
-                f.write(row % (i, t, x, v, pi, cum, active_stratum(cum)))
+            for t, pi in enumerate(_period_profits(q, tau, model.tech(a), model)):
+                cum += q[t]
+                rows.append(
+                    sched % (i, t + 1, taus[t], qs[t], pi, cum, active_stratum(cum))
+                )
+            sf.write("".join(rows))
 
 
 def run_extended(cfg: argparse.Namespace) -> int:
@@ -155,8 +157,7 @@ def run_extended(cfg: argparse.Namespace) -> int:
         if (cfg.min_revenue is None or e.revenue >= cfg.min_revenue)
         and (cfg.max_damage is None or e.damage <= cfg.max_damage)
     ]
-    _write_frontier(out / "frontier.csv", filtered, model.T)
-    _write_schedules(out / "schedule.csv", filtered, model)
+    _write_outputs(out, filtered, model)
     meta = {
         "config": vars(cfg),
         "seed": cfg.seed,

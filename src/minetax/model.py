@@ -131,8 +131,9 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
 
         Beyond the last breakpoint the last stratum index is reported.
         """
-        if x < 0:
-            raise ValueError("cumulative extraction must be nonnegative")
+        # false for NaN and both infinities; -0.0 passes
+        if not 0.0 <= x < math.inf:
+            raise ValueError("cumulative extraction must be finite and nonnegative")
         return min(bisect.bisect_left(self.breakpoints, x) + 1, len(self.amounts))
 
 
@@ -328,32 +329,30 @@ def replace(obj, /, **changes):
     return type(obj)(**{**obj._asdict(), **changes})
 
 
+def _cumulative_cost(
+    x: float, slopes: Sequence[float], breakpoints: Sequence[float]
+) -> float:
+    """C(x) of `cumulative_cost` from the technology's slopes and the
+    strata's breakpoints; unchecked."""
+    cost = 0.0
+    prev = 0.0
+    for slope, b in zip(slopes, breakpoints):
+        if x <= b:
+            return cost + slope * (x - prev)
+        cost += slope * (b - prev)
+        prev = b
+    return cost + slopes[-1] * (x - prev)
+
+
 def cumulative_cost(x: float, tech: TechParams, strata: StrataTable) -> float:
     """Piecewise-linear cumulative extraction/purification cost C(x).
 
     Marginal cost within stratum m is tech.slopes[m]; past the last
     breakpoint the last slope extends unbounded.
     """
-    if x < 0:
-        raise ValueError("cumulative extraction must be nonnegative")
-    cost = 0.0
-    prev = 0.0
-    for slope, b in zip(tech.slopes, strata.breakpoints):
-        if x <= b:
-            return cost + slope * (x - prev)
-        cost += slope * (b - prev)
-        prev = b
-    return cost + tech.slopes[-1] * (x - prev)
-
-
-def extraction_rate_cost(q_t: float, tech: TechParams) -> float:
-    """Quadratic cost of extracting q_t units within one period.
-
-    The fixed component gamma_er is charged regardless of q_t.
-    """
-    if q_t < 0:
-        raise ValueError("extraction must be nonnegative")
-    return tech.alpha_er * q_t * q_t + tech.beta_er * q_t + tech.gamma_er
+    if not 0.0 <= x < math.inf:
+        raise ValueError("cumulative extraction must be finite and nonnegative")
+    return _cumulative_cost(x, tech.slopes, strata.breakpoints)
 
 
 def _period_profits(
@@ -363,8 +362,11 @@ def _period_profits(
     """Mine profit in each of the last len(taus) periods of schedule q,
     which starts in period 1, under taxes taus; unchecked. The
     extraction/purification charge is the increment of the cumulative cost
-    curve over the period."""
-    alpha, beta, strata = model.alpha, model.beta, model.strata
+    curve over the period; the rate charge is alpha_er q_t^2 + beta_er q_t
+    + gamma_er, whose fixed part is charged regardless of q_t."""
+    alpha, beta = model.alpha, model.beta
+    slopes, breakpoints = tech.slopes, model.strata.breakpoints
+    alpha_er, beta_er, gamma_er = tech.alpha_er, tech.beta_er, tech.gamma_er
     profits = []
     for t, tau_t in enumerate(taus, len(q) - len(taus) + 1):
         q_t = q[t - 1]
@@ -372,10 +374,11 @@ def _period_profits(
         # a running total could be another float
         x_t = sum(q[:t])
         revenue = (alpha[t - 1] - beta[t - 1] * q_t) * q_t
-        ep = cumulative_cost(x_t, tech, strata) - cumulative_cost(
-            x_t - q_t, tech, strata
+        ep = _cumulative_cost(x_t, slopes, breakpoints) - _cumulative_cost(
+            x_t - q_t, slopes, breakpoints
         )
-        profits.append(revenue - extraction_rate_cost(q_t, tech) - ep - tau_t * q_t)
+        rate = alpha_er * q_t * q_t + beta_er * q_t + gamma_er
+        profits.append(revenue - rate - ep - tau_t * q_t)
     return profits
 
 
@@ -391,8 +394,8 @@ def period_profit(
         raise ValueError(f"period {t} out of range 1..{model.T}")
     if len(q_prefix) != t:
         raise ValueError("q_prefix must cover periods 1..t")
-    if any(q < 0 for q in q_prefix):
-        raise ValueError("extraction must be nonnegative")
+    q_prefix = _nonnegative_floats("extraction q", q_prefix)
+    (tau_t,) = _nonnegative_floats("taxes tau", (tau_t,))
     return _period_profits(q_prefix, (tau_t,), tech, model)[0]
 
 
@@ -404,9 +407,10 @@ def period_profits(
     tau: `period_profit` of each prefix, checked once."""
     if len(q) != model.T or len(tau) != model.T:
         raise ValueError("schedule lengths must equal the horizon T")
-    if any(v < 0 for v in q):
-        raise ValueError("extraction must be nonnegative")
-    return _period_profits(q, tau, tech, model)
+    return _period_profits(
+        _nonnegative_floats("extraction q", q),
+        _nonnegative_floats("taxes tau", tau), tech, model,
+    )
 
 
 def leader_objectives(

@@ -3,6 +3,10 @@
 `answer` is a follower answer of a given schedule and technology, for the
 functions that read only those two.
 
+`extraction_rate_cost` is the rate charge alpha_er q^2 + beta_er q +
+gamma_er of one period, which `minetax.model._period_profits` computes
+inline.
+
 `follower_total_profit` sums the discounted period profits of a schedule,
 independently of the solvers' own profit sum.
 
@@ -18,13 +22,23 @@ import math
 from collections.abc import Sequence
 
 from minetax.lower import BestResponse, _crossing, _Periods, _schedule
-from minetax.model import ExtendedModel, LeaderStrategy, period_profits
+from minetax.model import ExtendedModel, LeaderStrategy, TechParams, period_profits
 
 
 def answer(q: Sequence[float], a: int) -> BestResponse:
     """Schedule q with technology a, as a `BestResponse` whose profit is
     not evaluated (NaN) and which is not tagged optimal."""
     return BestResponse(q=q, a=a, profit=math.nan, optimality_tag=False)
+
+
+def extraction_rate_cost(q_t: float, tech: TechParams) -> float:
+    """Quadratic cost of extracting q_t units within one period.
+
+    The fixed component gamma_er is charged regardless of q_t.
+    """
+    if q_t < 0:
+        raise ValueError("extraction must be nonnegative")
+    return tech.alpha_er * q_t * q_t + tech.beta_er * q_t + tech.gamma_er
 
 
 def follower_total_profit(

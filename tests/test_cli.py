@@ -31,8 +31,7 @@ from minetax.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
-    _write_frontier,
-    _write_schedules,
+    _write_outputs,
     main,
 )
 
@@ -432,8 +431,7 @@ class TestExtendedRuns:
                                "--min-revenue", repr(low),
                                "--max-damage", repr(high)])
         assert rc == EXIT_OK
-        _write_frontier(tmp_path / "frontier.csv", kept, model.T)
-        _write_schedules(tmp_path / "schedule.csv", kept, model)
+        _write_outputs(tmp_path, kept, model)
         for name in ("frontier.csv", "schedule.csv"):
             written = (tmp_path / "run" / name).read_bytes()
             assert written == (tmp_path / name).read_bytes()
@@ -523,17 +521,17 @@ def _embedding_config(tmp_path):
 
 
 class TestStreamedWriters:
-    """The streamed writers give the bytes of the csv.writer ones."""
+    """The one-pass writer gives the bytes of the csv.writer ones."""
 
     @staticmethod
     def _same_bytes(tmp_path, entries, model):
-        _write_frontier(tmp_path / "f_new.csv", entries, model.T)
+        _write_outputs(tmp_path, entries, model)
         csv_writers._write_frontier(tmp_path / "f_ref.csv", entries, model.T)
-        _write_schedules(tmp_path / "s_new.csv", entries, model)
         csv_writers._write_schedules(tmp_path / "s_ref.csv", entries, model)
-        for name in ("f", "s"):
-            new = (tmp_path / f"{name}_new.csv").read_bytes()
-            assert new == (tmp_path / f"{name}_ref.csv").read_bytes()
+        for name, ref in (("frontier.csv", "f_ref.csv"),
+                          ("schedule.csv", "s_ref.csv")):
+            new = (tmp_path / name).read_bytes()
+            assert new == (tmp_path / ref).read_bytes()
 
     @staticmethod
     def _same_sweep_bytes(tmp_path, sweep):
@@ -554,6 +552,45 @@ class TestStreamedWriters:
         model = analytical_as_extended(params)
         cfg = EaConfig(population_size=100, max_generations=3, seed=7)
         self._same_bytes(tmp_path, evolve(model, cfg).archive.entries, model)
+
+    def test_discounted_analytical_embedding(self, tmp_path, params):
+        # at T = 1 the rate changes nothing but the solver path
+        model = replace(analytical_as_extended(params), r=0.05)
+        cfg = EaConfig(population_size=100, max_generations=3, seed=7)
+        self._same_bytes(tmp_path, evolve(model, cfg).archive.entries, model)
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_two_undominated_technologies(self, tmp_path, model, r):
+        # technology 3 with beta_er = 1.5: then 3 and 4 are both undominated
+        techs = tuple(
+            replace(t, beta_er=1.5) if t.tech_id == 3 else t for t in model.techs
+        )
+        model = replace(model, techs=techs, r=r)
+        assert {t.tech_id for t in model.undominated} == {3, 4}
+        entries = evolve(model, EaConfig(20, 10, 1)).archive.entries
+        assert {e.response.a for e in entries} == {3, 4}
+        self._same_bytes(tmp_path, entries, model)
+
+    def test_filtered_subset(self, tmp_path, model):
+        entries = evolve(model, EaConfig(20, 5, 7)).archive.entries
+        kept = [e for j, e in enumerate(entries) if j % 3 == 1]
+        assert 1 < len(kept) < len(entries)
+        self._same_bytes(tmp_path, kept, model)
+
+    def test_empty_archive(self, tmp_path, model):
+        self._same_bytes(tmp_path, [], model)
+        assert (tmp_path / "frontier.csv").read_bytes().count(b"\r\n") == 1
+
+    @pytest.mark.parametrize("short", ["q", "tau"])
+    def test_schedule_shorter_than_the_horizon(self, tmp_path, model, short):
+        n_q, n_tau = (4, 5) if short == "q" else (5, 4)
+        q, tau = (1.0,) * n_q, (2.0,) * n_tau
+        entries = [ArchiveEntry(
+            damage=1.0, revenue=1.0, strategy=LeaderStrategy(tau=tau),
+            response=BestResponse(q=q, a=1, profit=0.0, optimality_tag=True),
+        )]
+        with pytest.raises(ValueError, match="^archive entry 0: .* horizon T$"):
+            _write_outputs(tmp_path, entries, model)
 
     @pytest.mark.parametrize("k", [1.0, 0.0])
     def test_analytical_sweep(self, tmp_path, params, k):

@@ -141,6 +141,39 @@ class TestBestResponseFixedTech:
                         q[t] = x
 
 
+class TestTechnologyConstants:
+    """The follower solve takes a technology's costs from the record it is
+    given, not from the model's table by id."""
+
+    @staticmethod
+    def _alone(strat, tech, model):
+        return best_response_fixed_tech(strat, tech, replace(model, techs=(tech,)))
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_technology_outside_the_table(self, model, r):
+        model = replace(model, r=r)
+        outside = replace(model.tech(2), tech_id=9, alpha_er=1.3, gamma_er=4.0)
+        for strat in random_strategies(model, 3, seed=23):
+            inside = best_response_fixed_tech(strat, model.tech(2), model)
+            br = best_response_fixed_tech(strat, outside, model)
+            assert br == self._alone(strat, outside, model)
+            assert br.a == 9 and br.profit != inside.profit
+            # and the table's technology keeps its own answer
+            assert best_response_fixed_tech(strat, model.tech(2), model) == inside
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_same_id_other_costs(self, model, r):
+        model = replace(model, r=r)
+        tech = model.tech(1)
+        twin = replace(tech, beta_er=tech.beta_er + 2.0, gamma_er=1.0)
+        for strat in random_strategies(model, 3, seed=29):
+            first = best_response_fixed_tech(strat, twin, model)
+            second = best_response_fixed_tech(strat, tech, model)
+            assert first == self._alone(strat, twin, model)
+            assert second == self._alone(strat, tech, model)
+            assert first.q != second.q
+
+
 class TestBestResponse:
     def test_prohibitive_taxes_pick_cheapest_fixed_cost(self, model):
         br = best_response(_prohibitive(model), model)

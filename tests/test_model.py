@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from follower_reference import answer, follower_total_profit
+from follower_reference import answer, extraction_rate_cost, follower_total_profit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from minetax import (
     TechParams,
     analytical_as_extended,
     cumulative_cost,
-    extraction_rate_cost,
     leader_objectives,
     period_profit,
     period_profits,
@@ -262,6 +261,51 @@ class TestPeriodProfit:
             period_profits((1.0,) * 5, (0.0,) * 6, tech, model)
         with pytest.raises(ValueError, match="nonnegative"):
             period_profits((1.0, -1.0, 0.0, 0.0, 0.0), (0.0,) * 5, tech, model)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """Every checked evaluation function rejects NaN and both infinities,
+    and takes -0.0 as 0."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_period_profits(self, model, bad):
+        tech = model.tech(4)
+        with pytest.raises(ValueError, match="^extraction q must be finite"):
+            period_profits((bad, 1, 1, 1, 1), (1,) * 5, tech, model)
+        with pytest.raises(ValueError, match="^taxes tau must be finite"):
+            period_profits((1,) * 5, (bad, 1, 1, 1, 1), tech, model)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_period_profit(self, model, bad):
+        tech = model.tech(1)
+        with pytest.raises(ValueError, match="^extraction q must be finite"):
+            period_profit(1, (bad,), 1.0, tech, model)
+        with pytest.raises(ValueError, match="^extraction q must be finite"):
+            period_profit(2, (bad, 1.0), 1.0, tech, model)
+        with pytest.raises(ValueError, match="^taxes tau must be finite"):
+            period_profit(1, (1.0,), bad, tech, model)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_costs_and_stratum(self, model, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cumulative_cost(bad, model.tech(1), model.strata)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            model.strata.active_stratum(bad)
+
+    def test_negative_zero_is_zero(self, model):
+        tech = model.tech(1)
+        assert cumulative_cost(-0.0, tech, model.strata) == 0.0
+        assert model.strata.active_stratum(-0.0) == 1
+        zero = (0.0,) * 5
+        assert period_profits((-0.0,) * 5, (-0.0,) * 5, tech, model) == (
+            period_profits(zero, zero, tech, model)
+        )
+        assert period_profit(1, (-0.0,), -0.0, tech, model) == period_profit(
+            1, (0.0,), 0.0, tech, model
+        )
 
 
 class TestTotalProfit:
