@@ -11,7 +11,6 @@ from .model import (
     default_config,
     leader_objectives,
     load_config,
-    period_profit,
     period_profits,
 )
 from .analytical import (
@@ -33,7 +32,6 @@ from .bilevel import (
     EvolveResult,
     ParetoArchive,
     crowding_distance,
-    detect_strata_kinks,
     evolve,
     nondominated_sort,
     reference_point,
@@ -57,7 +55,6 @@ __all__ = [
     "crowding_distance",
     "cumulative_cost",
     "default_config",
-    "detect_strata_kinks",
     "evolve",
     "feasibility_threshold",
     "follower_best_response",
@@ -67,7 +64,6 @@ __all__ = [
     "optimal_extraction",
     "optimal_tax",
     "pareto_sweep",
-    "period_profit",
     "period_profits",
     "reference_point",
 ]

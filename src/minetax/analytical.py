@@ -59,8 +59,6 @@ def optimal_extraction(w: float, p: AnalyticalParams) -> float:
 
 def feasibility_threshold(p: AnalyticalParams) -> float:
     """Smallest weight with nonnegative induced extraction."""
-    if p.alpha <= p.gamma:
-        raise ValueError("alpha must exceed gamma")
     return p.k / (p.alpha - p.gamma + p.k)
 
 

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .lower import BestResponse, best_response
 from .model import ExtendedModel, LeaderStrategy, leader_objectives
@@ -49,9 +49,6 @@ class ParetoArchive:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def __iter__(self) -> Iterator[ArchiveEntry]:
-        return iter(self._rows)
 
     @property
     def entries(self) -> list[ArchiveEntry]:
@@ -165,7 +162,7 @@ class EaConfig(namedtuple("EaConfig", "population_size max_generations seed")):
     max_generations: int
     seed: int
 
-    def __new__(cls, population_size=40, max_generations=100, seed=0):
+    def __new__(cls, population_size, max_generations, seed):
         if population_size < 4 or population_size % 2:
             raise ValueError("population size must be even and at least 4")
         # 0 is valid: the initial population only
@@ -301,48 +298,3 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
             reason = "hv_stall"
             break
     return EvolveResult(archive, tuple(hv_history), failed, reason)
-
-
-def detect_strata_kinks(
-    entries: Sequence[ArchiveEntry], boundaries: Sequence[float]
-) -> list[float]:
-    """Boundaries in cumulative extraction where the frontier shows a kink.
-
-    For each boundary, finds the consecutive frontier pair (sorted by
-    damage) whose total extraction brackets it and flags the boundary when
-    the damage gap there is over 5 times the median gap or the local
-    revenue-vs-damage slope changes by more than half, relative.
-    """
-    pts = sorted(
-        ((e.damage, e.revenue, sum(e.response.q)) for e in entries),
-        key=lambda p: p[0],
-    )
-    if len(pts) < 3:
-        return []
-    gaps = sorted(pts[i + 1][0] - pts[i][0] for i in range(len(pts) - 1))
-    i = len(gaps) // 2
-    median_gap = gaps[i] if len(gaps) % 2 else (gaps[i - 1] + gaps[i]) / 2
-    detected = []
-    for b in boundaries:
-        hit = None
-        for i in range(len(pts) - 1):
-            if pts[i][2] <= b + 1e-6 < pts[i + 1][2]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        d0, r0, _ = pts[hit]
-        d1, r1, _ = pts[hit + 1]
-        gap = d1 - d0
-        if median_gap > 0 and gap > 5.0 * median_gap:
-            detected.append(b)
-            continue
-        if hit >= 1 and gap > 0:
-            dm, rm, _ = pts[hit - 1]
-            if d0 - dm > 0:
-                slope_before = (r0 - rm) / (d0 - dm)
-                slope_across = (r1 - r0) / (d1 - d0)
-                scale = max(abs(slope_before), abs(slope_across), 1e-12)
-                if abs(slope_across - slope_before) / scale > 0.5:
-                    detected.append(b)
-    return detected

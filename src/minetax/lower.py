@@ -352,8 +352,7 @@ def _pick_optimistic(
 
 
 def _profit_gap_bound(
-    q: Sequence[float], dom: Dominance, model: ExtendedModel,
-    need: float = math.inf,
+    q: Sequence[float], dom: Dominance, model: ExtendedModel, need: float
 ) -> float:
     """Lower bound G on profit_A* - profit_B* for A = dom.dominator and
     B = dom.tech, from A's optimal schedule q*; d_t are the model's
@@ -371,7 +370,7 @@ def _profit_gap_bound(
 
     Every term is at least 0, so the sum stops as soon as it exceeds
     `need`: the partial sum returned then exceeds `need` as G does, and
-    whether G > need is all the caller asks. Without `need` it is G.
+    whether G > need is all the caller asks. At need = inf it is G.
     """
     delta, fixed_gap = dom.unit_gap, dom.fixed_gap
     alpha_er = dom.dominator.alpha_er

@@ -42,7 +42,7 @@ class AnalyticalParams(namedtuple("AnalyticalParams", "alpha beta delta gamma ph
     phi: float
     k: float
 
-    def __new__(cls, alpha=100.0, beta=1.0, delta=1.0, gamma=1.0, phi=0.0, k=1.0):
+    def __new__(cls, alpha, beta, delta, gamma, phi, k):
         _require_finite("analytical parameters", (alpha, beta, delta, gamma, phi, k))
         if alpha <= 0 or beta <= 0 or delta <= 0:
             raise ValueError("alpha, beta, delta must be positive")
@@ -185,13 +185,6 @@ class ExtendedModel(
             raise ValueError("price slopes beta_t must be positive")
         if r < 0:
             raise ValueError("discount rate must be nonnegative")
-        # d_T = (1 + r)^-(T-1) must stay a positive float: every follower
-        # solver divides by the discount factors
-        if (1.0 + r) ** (-(T - 1)) == 0.0:
-            raise ValueError(
-                f"discount rate r = {r} is too large for horizon "
-                f"T = {T}: the discount factor of period T underflows to 0"
-            )
         if not techs:
             raise ValueError("at least one technology required")
         if len({t.tech_id for t in techs}) != len(techs):
@@ -222,9 +215,17 @@ class ExtendedModel(
         # would fail only when the EA happens to draw below 0
         if any(lo < 0 for lo, _ in tau_bounds):
             raise ValueError("tax lower bounds must be nonnegative")
-        return super().__new__(
+        model = super().__new__(
             cls, T, alpha, beta, techs, strata, r, tau_bounds, q_bounds
         )
+        # d_T must stay a positive float: every follower solver divides by
+        # the discount factors
+        if model.discount_factors[-1] == 0.0:
+            raise ValueError(
+                f"discount rate r = {r} is too large for horizon "
+                f"T = {T}: the discount factor of period T underflows to 0"
+            )
+        return model
 
     @functools.cached_property
     def dominance(self) -> tuple[Dominance, ...]:
@@ -281,14 +282,11 @@ class ExtendedModel(
         except KeyError:
             raise KeyError(f"unknown technology id {tech_id}") from None
 
-    def discount(self, t: int) -> float:
-        """Discount factor for 1-based period t."""
-        return (1.0 + self.r) ** (-(t - 1))
-
     @functools.cached_property
     def discount_factors(self) -> tuple[float, ...]:
-        """(d_1, ..., d_T), d_t = `discount(t)`. Computed once per model."""
-        return tuple(self.discount(t) for t in range(1, self.T + 1))
+        """(d_1, ..., d_T), d_t = (1 + r)^-(t-1) for 1-based period t.
+        Computed once per model."""
+        return tuple((1.0 + self.r) ** (-(t - 1)) for t in range(1, self.T + 1))
 
     @functools.cached_property
     def cost_weights(self) -> tuple[float, ...]:
@@ -359,16 +357,16 @@ def _period_profits(
     q: Sequence[float], taus: Sequence[float], tech: TechParams,
     model: ExtendedModel,
 ) -> list[float]:
-    """Mine profit in each of the last len(taus) periods of schedule q,
-    which starts in period 1, under taxes taus; unchecked. The
-    extraction/purification charge is the increment of the cumulative cost
-    curve over the period; the rate charge is alpha_er q_t^2 + beta_er q_t
-    + gamma_er, whose fixed part is charged regardless of q_t."""
+    """Mine profit in each period of schedule q under taxes taus, both
+    over the whole horizon; unchecked. The extraction/purification charge
+    is the increment of the cumulative cost curve over the period; the rate
+    charge is alpha_er q_t^2 + beta_er q_t + gamma_er, whose fixed part is
+    charged regardless of q_t."""
     alpha, beta = model.alpha, model.beta
     slopes, breakpoints = tech.slopes, model.strata.breakpoints
     alpha_er, beta_er, gamma_er = tech.alpha_er, tech.beta_er, tech.gamma_er
     profits = []
-    for t, tau_t in enumerate(taus, len(q) - len(taus) + 1):
+    for t, tau_t in enumerate(taus, 1):
         q_t = q[t - 1]
         # X_t is sum(q[:t]): from Python 3.12 a float sum is compensated, so
         # a running total could be another float
@@ -382,29 +380,12 @@ def _period_profits(
     return profits
 
 
-def period_profit(
-    t: int,
-    q_prefix: Sequence[float],
-    tau_t: float,
-    tech: TechParams,
-    model: ExtendedModel,
-) -> float:
-    """Mine profit in period t (1-based) given extraction through period t."""
-    if not 1 <= t <= model.T:
-        raise ValueError(f"period {t} out of range 1..{model.T}")
-    if len(q_prefix) != t:
-        raise ValueError("q_prefix must cover periods 1..t")
-    q_prefix = _nonnegative_floats("extraction q", q_prefix)
-    (tau_t,) = _nonnegative_floats("taxes tau", (tau_t,))
-    return _period_profits(q_prefix, (tau_t,), tech, model)[0]
-
-
 def period_profits(
     q: Sequence[float], tau: Sequence[float], tech: TechParams,
     model: ExtendedModel,
 ) -> list[float]:
     """Undiscounted mine profit of every period of schedule q under taxes
-    tau: `period_profit` of each prefix, checked once."""
+    tau, each schedule checked finite, nonnegative and of length T."""
     if len(q) != model.T or len(tau) != model.T:
         raise ValueError("schedule lengths must equal the horizon T")
     return _period_profits(
@@ -570,7 +551,11 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 def load_config(path: str | Path) -> ModelConfig:
     with open(path) as f:
-        return config_from_dict(json.load(f))
+        try:
+            d = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return config_from_dict(d)
 
 
 def default_config() -> ModelConfig:

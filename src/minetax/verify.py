@@ -12,7 +12,6 @@ import bisect
 import math
 import random
 from collections import namedtuple
-from collections.abc import Sequence
 
 from . import analytical as ana
 from .bilevel import EaConfig, evolve
@@ -116,7 +115,7 @@ def check_frontier_endpoints(p: AnalyticalParams) -> CheckResult:
     )
 
 
-def check_telescoping(model: ExtendedModel, n_schedules: int = 1000) -> CheckResult:
+def check_telescoping(model: ExtendedModel, n_schedules: int) -> CheckResult:
     """Per-period cost increments must sum exactly to the cumulative cost."""
     rng = random.Random(0)
     worst = 0.0
@@ -175,9 +174,7 @@ def random_strategies(
     ]
 
 
-def check_oracle_equivalence(
-    model: ExtendedModel, n_strategies: int = 50
-) -> CheckResult:
+def check_oracle_equivalence(model: ExtendedModel, n_strategies: int) -> CheckResult:
     """Deterministic best response vs brute-force grid plus refinement, on
     the grid 0, 5, ..., 90 per period cut to the extraction box."""
     highs = tuple(min(90.0, hi) for _, hi in model.q_bounds)
@@ -238,7 +235,7 @@ def frontier_metrics(entries, p: AnalyticalParams) -> tuple[float, float]:
 
 
 def check_frontier_convergence(
-    p: AnalyticalParams, population_size: int = 60, max_generations: int = 200
+    p: AnalyticalParams, population_size: int, max_generations: int
 ) -> CheckResult:
     """The bilevel EA on the embedded single-period instance must land
     within normalised distance 0.01 of the closed-form frontier and span 90%
@@ -257,22 +254,6 @@ def check_frontier_convergence(
         deviation=dist,
         detail=f"damage coverage {coverage:.3f}, archive {len(archive)}",
     )
-
-
-def epsilon_indicator(
-    approx: Sequence[tuple[float, float]],
-    reference: Sequence[tuple[float, float]],
-    rev_scale: float,
-    dam_scale: float,
-) -> float:
-    """Additive epsilon indicator for (maximize revenue, minimize damage),
-    normalized per objective: smallest shift making `approx` weakly
-    dominate every reference point."""
-    eps = -math.inf
-    for r, d in reference:
-        shift = min(max((r - a) / rev_scale, (b - d) / dam_scale) for a, b in approx)
-        eps = max(eps, shift)
-    return eps
 
 
 def run_all_checks(

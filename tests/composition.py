@@ -16,6 +16,7 @@ Equality with the union would need the leader to choose the technology.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,7 +24,6 @@ from follower_reference import answer, follower_total_profit
 
 from minetax import ArchiveEntry, ExtendedModel, best_response
 from minetax.lower import TIE_TOL
-from minetax.verify import epsilon_indicator
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,22 @@ class Composition:
     refuted: int  # per-technology points ruled out by the same-schedule test
     solved: int  # per-technology points settled by a best_response call
     played: int  # per-technology points entering the lower inclusion
+
+
+def epsilon_indicator(
+    approx: Sequence[tuple[float, float]],
+    reference: Sequence[tuple[float, float]],
+    rev_scale: float,
+    dam_scale: float,
+) -> float:
+    """Additive epsilon indicator for (maximize revenue, minimize damage),
+    normalized per objective: smallest shift making `approx` weakly
+    dominate every reference point."""
+    eps = -math.inf
+    for r, d in reference:
+        shift = min(max((r - a) / rev_scale, (b - d) / dam_scale) for a, b in approx)
+        eps = max(eps, shift)
+    return eps
 
 
 def _pairs(entries: Sequence[ArchiveEntry]) -> list[tuple[float, float]]:

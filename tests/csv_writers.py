@@ -9,7 +9,7 @@ from pathlib import Path
 
 from minetax.analytical import WeightedSolution
 from minetax.bilevel import ArchiveEntry
-from minetax.model import period_profit
+from minetax.model import period_profits
 
 
 def _fmt(x: float) -> str:
@@ -55,13 +55,12 @@ def _write_schedules(path: Path, entries: list[ArchiveEntry], model) -> None:
             ]
         )
         for i, e in enumerate(entries):
-            tech = model.tech(e.response.a)
+            profits = period_profits(
+                e.response.q, e.strategy.tau, model.tech(e.response.a), model
+            )
             cum = 0.0
-            for t in range(1, model.T + 1):
+            for t, pi in enumerate(profits, 1):
                 cum += e.response.q[t - 1]
-                pi = period_profit(
-                    t, e.response.q[:t], e.strategy.tau[t - 1], tech, model
-                )
                 writer.writerow(
                     [
                         i,

@@ -5,9 +5,11 @@ functions that read only those two.
 
 `extraction_rate_cost` is the rate charge alpha_er q^2 + beta_er q +
 gamma_er of one period, which `minetax.model._period_profits` computes
-inline.
+inline; the tests' period-by-period reference for `period_profits` builds
+on it.
 
 `follower_total_profit` sums the discounted period profits of a schedule,
+as `period_profits`, the one checked per-period profit, returns them,
 independently of the solvers' own profit sum.
 
 `waterfill_walk` is the r = 0 water-fill as a linear walk up the strata.

@@ -3,6 +3,9 @@
 `dominates` is Pareto dominance (revenue up, damage down), which the
 brute-force references build on.
 
+`detect_strata_kinks` flags the stratum boundaries at which a frontier
+shows a kink, for the acceptance criterion on strata discontinuities.
+
 `ThreeListArchive` and `negated_key_select` are the Pareto archive and the
 NSGA-II truncation of `minetax.bilevel` as they were before the archive
 kept one sorted list of entries: three parallel lists, and a truncation
@@ -11,6 +14,7 @@ match exactly.
 """
 
 import bisect
+from collections.abc import Sequence
 
 from minetax.bilevel import ArchiveEntry, crowding_distance, nondominated_sort
 
@@ -80,3 +84,48 @@ def negated_key_select(merged, n):
         if len(survivors) == n:
             break
     return survivors, rank, crowd
+
+
+def detect_strata_kinks(
+    entries: Sequence[ArchiveEntry], boundaries: Sequence[float]
+) -> list[float]:
+    """Boundaries in cumulative extraction where the frontier shows a kink.
+
+    For each boundary, finds the consecutive frontier pair (sorted by
+    damage) whose total extraction brackets it and flags the boundary when
+    the damage gap there is over 5 times the median gap or the local
+    revenue-vs-damage slope changes by more than half, relative.
+    """
+    pts = sorted(
+        ((e.damage, e.revenue, sum(e.response.q)) for e in entries),
+        key=lambda p: p[0],
+    )
+    if len(pts) < 3:
+        return []
+    gaps = sorted(pts[i + 1][0] - pts[i][0] for i in range(len(pts) - 1))
+    i = len(gaps) // 2
+    median_gap = gaps[i] if len(gaps) % 2 else (gaps[i - 1] + gaps[i]) / 2
+    detected = []
+    for b in boundaries:
+        hit = None
+        for i in range(len(pts) - 1):
+            if pts[i][2] <= b + 1e-6 < pts[i + 1][2]:
+                hit = i
+                break
+        if hit is None:
+            continue
+        d0, r0, _ = pts[hit]
+        d1, r1, _ = pts[hit + 1]
+        gap = d1 - d0
+        if median_gap > 0 and gap > 5.0 * median_gap:
+            detected.append(b)
+            continue
+        if hit >= 1 and gap > 0:
+            dm, rm, _ = pts[hit - 1]
+            if d0 - dm > 0:
+                slope_before = (r0 - rm) / (d0 - dm)
+                slope_across = (r1 - r0) / (d1 - d0)
+                scale = max(abs(slope_before), abs(slope_across), 1e-12)
+                if abs(slope_across - slope_before) / scale > 0.5:
+                    detected.append(b)
+    return detected

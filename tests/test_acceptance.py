@@ -7,7 +7,8 @@ import time
 import pytest
 
 from composition import frontier_composition
-from minetax import EaConfig, detect_strata_kinks, evolve
+from leader_reference import detect_strata_kinks
+from minetax import EaConfig, evolve
 from minetax.cli import main
 from minetax.model import replace
 from minetax.verify import (

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minetax import (
-    AnalyticalParams,
     feasibility_threshold,
     follower_best_response,
     optimal_extraction,
@@ -11,6 +10,7 @@ from minetax import (
     pareto_sweep,
 )
 from minetax.analytical import follower_profit, solve_weighted, sweep_to_csv
+from minetax.model import replace
 
 
 class TestFollowerBestResponse:
@@ -46,8 +46,8 @@ class TestOptimalTax:
     def test_balanced_weights(self, params):
         assert optimal_tax(0.5, params) == pytest.approx(50.0)
 
-    def test_no_damage_concern(self):
-        p = AnalyticalParams(k=0.0)
+    def test_no_damage_concern(self, params):
+        p = replace(params, k=0.0)
         for w in (0.1, 0.5, 1.0):
             assert optimal_tax(w, p) == pytest.approx((p.alpha - p.gamma) / 2.0)
 
@@ -66,6 +66,11 @@ class TestOptimalExtraction:
     def test_below_threshold_clamped(self, params):
         assert optimal_extraction(0.005, params) == 0.0
 
+    @pytest.mark.parametrize("w", [0.0, -0.5])
+    def test_nonpositive_weight_rejected(self, params, w):
+        with pytest.raises(ValueError, match="^weight must be positive$"):
+            optimal_extraction(w, params)
+
     @given(w=st.floats(0.011, 1.0))
     @settings(max_examples=100)
     def test_consistent_with_best_response(self, params, w):
@@ -78,11 +83,11 @@ class TestFeasibilityThreshold:
     def test_published_parameters(self, params):
         assert feasibility_threshold(params) == pytest.approx(0.01, abs=1e-12)
 
-    def test_no_damage(self):
-        assert feasibility_threshold(AnalyticalParams(k=0.0)) == 0.0
+    def test_no_damage(self, params):
+        assert feasibility_threshold(replace(params, k=0.0)) == 0.0
 
-    def test_heavier_pollution(self):
-        p = AnalyticalParams(k=9.0)
+    def test_heavier_pollution(self, params):
+        p = replace(params, k=9.0)
         assert feasibility_threshold(p) == pytest.approx(9.0 / 108.0)
 
 
@@ -97,10 +102,10 @@ class TestParetoSweep:
         assert sweep[-1].revenue == pytest.approx(612.5625, abs=1e-9)
         assert sweep[-1].damage == pytest.approx(12.375, abs=1e-9)
 
-    def test_no_damage_gives_one_point_for_every_weight(self):
+    def test_no_damage_gives_one_point_for_every_weight(self, params):
         # k = 0: the threshold is 0, and every weight in (0, 1] has the
         # revenue optimum (alpha - gamma)^2 / (8 (beta + delta)) at damage 0
-        sweep = pareto_sweep(AnalyticalParams(k=0.0), 5)
+        sweep = pareto_sweep(replace(params, k=0.0), 5)
         assert len(sweep) == 5
         assert all(0.0 < s.w <= 1.0 for s in sweep)
         for s in sweep:

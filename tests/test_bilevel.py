@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import minetax.bilevel as bilevel
 from composition import frontier_composition
-from leader_reference import ThreeListArchive, dominates, negated_key_select
+from leader_reference import (
+    ThreeListArchive,
+    detect_strata_kinks,
+    dominates,
+    negated_key_select,
+)
 from minetax import (
     ArchiveEntry,
     BestResponse,
@@ -19,7 +24,6 @@ from minetax import (
     analytical_as_extended,
     best_response,
     crowding_distance,
-    detect_strata_kinks,
     evolve,
     leader_objectives,
     nondominated_sort,
@@ -125,8 +129,8 @@ class TestParetoArchive:
         assert arch.insert(_entry(10.0, 5.0))
         assert arch.insert(_entry(4.0, 1.0))
         assert arch.insert(_entry(7.0, 3.0))
-        damages = [e.damage for e in arch]
-        revenues = [e.revenue for e in arch]
+        damages = [e.damage for e in arch.entries]
+        revenues = [e.revenue for e in arch.entries]
         assert damages == [1.0, 3.0, 5.0]
         assert revenues == [4.0, 7.0, 10.0]
 
@@ -142,7 +146,7 @@ class TestParetoArchive:
         arch.insert(_entry(7.0, 3.0))
         arch.insert(_entry(10.0, 5.0))
         assert arch.insert(_entry(11.0, 2.0))
-        revenues = [e.revenue for e in arch]
+        revenues = [e.revenue for e in arch.entries]
         assert revenues == [4.0, 11.0]
 
     def test_duplicate_objectives_ignored(self):
@@ -172,7 +176,7 @@ class TestParetoArchive:
             arch.insert(e)
         # the first of equal objective pairs stays
         assert arch.entries[1] is first
-        assert [(e.damage, e.revenue) for e in arch] == [
+        assert [(e.damage, e.revenue) for e in arch.entries] == [
             (0.5, 0.5), (1.0, 2.0), (3.0, 5.0)
         ]
         assert arch.hypervolume(0.0, 3.0) == pytest.approx(0.25 + 4.0)
@@ -221,7 +225,7 @@ class TestOneListArchive:
         for e in entries:
             # the same admissions, hence the same evictions
             assert arch.insert(e) == reference.insert(e)
-        assert [id(e) for e in arch] == [id(e) for e in reference.entries]
+        assert [id(e) for e in arch.entries] == [id(e) for e in reference.entries]
         # brute force: each pair no other pair dominates, first of equal ones
         kept = {}
         for e in entries:
@@ -475,20 +479,20 @@ class TestCrowdingDistance:
 class TestEaConfig:
     def test_odd_population_rejected(self):
         with pytest.raises(ValueError):
-            EaConfig(population_size=7)
+            EaConfig(population_size=7, max_generations=100, seed=0)
 
     def test_tiny_population_rejected(self):
         with pytest.raises(ValueError):
-            EaConfig(population_size=2)
+            EaConfig(population_size=2, max_generations=100, seed=0)
 
     def test_negative_seed_rejected(self):
         # random.Random(-1) would silently run seed 1
         with pytest.raises(ValueError, match="seed"):
-            EaConfig(seed=-1)
+            EaConfig(population_size=40, max_generations=100, seed=-1)
 
     def test_negative_generations_rejected(self):
         with pytest.raises(ValueError, match="generations"):
-            EaConfig(max_generations=-1)
+            EaConfig(population_size=40, max_generations=-1, seed=0)
 
 
 class TestEvolve:
@@ -513,7 +517,7 @@ class TestEvolve:
         cfg = EaConfig(population_size=12, max_generations=8, seed=3)
         arch = evolve(model, cfg).archive
         assert len(arch) > 0
-        for e in list(arch)[::5]:
+        for e in arch.entries[::5]:
             br = best_response(e.strategy, model)
             assert br.profit == pytest.approx(
                 e.response.profit, rel=1e-9, abs=1e-6
@@ -554,15 +558,17 @@ class TestEvolve:
         cfg = EaConfig(population_size=8, max_generations=5, seed=21)
         a = evolve(model, cfg).archive
         b = evolve(model, cfg).archive
-        assert [e.strategy.tau for e in a] == [e.strategy.tau for e in b]
-        assert list(a) == list(b)
+        assert [e.strategy.tau for e in a.entries] == [
+            e.strategy.tau for e in b.entries
+        ]
+        assert a.entries == b.entries
 
     def test_tech_filter_pins_technology(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=9)
         single = replace(model, techs=(model.tech(2),))
         arch = evolve(single, cfg).archive
         assert len(arch) > 0
-        assert all(e.response.a == 2 for e in arch)
+        assert all(e.response.a == 2 for e in arch.entries)
 
     def test_no_failed_evaluations_in_deterministic_mode(self, model):
         cfg = EaConfig(population_size=8, max_generations=5, seed=11)

@@ -90,6 +90,17 @@ def _bundled():
     return json.loads(text.read_text())
 
 
+def _del(path):
+    def edit(cfg):
+        *parents, last = path
+        node = cfg
+        for key in parents:
+            node = node[key]
+        del node[last]
+
+    return edit
+
+
 def _set(path, value):
     def edit(cfg):
         *parents, last = path
@@ -105,40 +116,127 @@ class TestInvalidConfigs:
     """Each invalid input ends in exit code 1 and a message, not a traceback."""
 
     @pytest.mark.parametrize(
-        "model, edit",
+        "model, edit, message",
         [
-            ("extended", _set(("extended", "alpha", 0), float("nan"))),
-            ("extended", _set(("extended", "r"), float("inf"))),
-            ("extended", _set(("extended", "strata", 2), float("nan"))),
+            ("extended", _set(("extended", "alpha", 0), float("nan")),
+             "alpha, beta and r must be finite"),
+            ("extended", _set(("extended", "r"), float("inf")),
+             "alpha, beta and r must be finite"),
+            ("extended", _set(("extended", "strata", 2), float("nan")),
+             "stratum amounts must be finite"),
             ("extended",
-             _set(("extended", "technologies", 0, "slopes", 1), float("inf"))),
-            ("extended", _set(("extended", "q_bounds"), [[0, 90]] * 4)),
-            ("extended", _set(("extended", "tau_bounds"), [[0, 50]] * 6)),
+             _set(("extended", "technologies", 0, "slopes", 1), float("inf")),
+             "technology parameters must be finite"),
+            ("extended", _set(("extended", "q_bounds"), [[0, 90]] * 4),
+             "tau_bounds and q_bounds must have length T"),
+            ("extended", _set(("extended", "tau_bounds"), [[0, 50]] * 6),
+             "tau_bounds and q_bounds must have length T"),
             ("extended",
-             _set(("extended", "q_bounds"), [[1, 90]] + [[0, 90]] * 4)),
+             _set(("extended", "q_bounds"), [[1, 90]] + [[0, 90]] * 4),
+             "extraction lower bounds must be 0"),
             ("extended",
-             _set(("extended", "tau_bounds"), [[0, float("nan")]] * 5)),
-            ("analytical", _set(("analytical", "alpha"), float("nan"))),
+             _set(("extended", "tau_bounds"), [[0, float("nan")]] * 5),
+             "bounds must be finite"),
+            ("analytical", _set(("analytical", "alpha"), float("nan")),
+             "analytical parameters must be finite"),
             ("extended",
-             _set(("extended", "technologies", 1, "slopes"), [3, 3, 2, 2, 2])),
+             _set(("extended", "technologies", 1, "slopes"), [3, 3, 2, 2, 2]),
+             "technology 2: stratum slopes must be nondecreasing"),
             ("analytical",
-             _set(("extended", "technologies", 1, "slopes"), [3, 3, 2, 2, 2])),
+             _set(("extended", "technologies", 1, "slopes"), [3, 3, 2, 2, 2]),
+             "technology 2: stratum slopes must be nondecreasing"),
+            ("extended", _set(("extended", "technologies", 0, "k"), -1),
+             "pollution coefficient k must be nonnegative"),
+            ("extended", _set(("extended", "technologies", 0, "alpha_er"), -1),
+             "cost coefficients must be nonnegative"),
+            ("extended", _set(("extended", "technologies", 0, "beta_er"), -1),
+             "cost coefficients must be nonnegative"),
+            ("extended", _set(("extended", "technologies", 0, "gamma_er"), -1),
+             "cost coefficients must be nonnegative"),
+            ("extended", _set(("extended", "technologies", 0, "slopes"), []),
+             "at least one stratum slope required"),
+            ("extended", _set(("extended", "strata", 2), 0),
+             "stratum amounts must be positive"),
+            ("extended", _set(("extended", "T"), 0),
+             "horizon T must be at least 1"),
+            ("extended", _set(("extended", "alpha"), [50, 55, 60, 65]),
+             "alpha and beta must have length T"),
+            ("extended", _set(("extended", "beta"), [0.1] * 6),
+             "alpha and beta must have length T"),
+            ("extended", _set(("extended", "beta", 3), 0),
+             "price slopes beta_t must be positive"),
+            ("extended", _set(("extended", "r"), -0.05),
+             "discount rate must be nonnegative"),
+            ("extended", _set(("extended", "technologies"), []),
+             "at least one technology required"),
+            ("extended", _set(("extended", "technologies", 1, "tech_id"), 1),
+             "technology ids must be unique"),
+            ("extended",
+             _set(("extended", "technologies", 2, "slopes"), [1, 2, 3, 4]),
+             "each technology needs one slope per stratum"),
+            ("extended", _set(("extended", "q_bounds"), [[0, 90], [0, -1]] * 2
+                              + [[0, 90]]),
+             "bounds must be ordered low <= high"),
+            ("extended", _del(("extended", "T")),
+             "extended config missing field 'T'"),
+            ("extended", _set(("extended", "r"), 10**400),
+             "extended config: int too large to convert to float"),
+            ("analytical", _set(("analytical", "alpha"), 10**400),
+             "analytical config: int too large to convert to float"),
+            ("analytical", _del(("analytical",)),
+             "config has no 'analytical' section"),
+            ("extended", _del(("extended",)),
+             "config has no 'extended' section"),
+            ("verify", _del(("analytical",)),
+             "config has no 'analytical' section"),
         ],
         ids=[
             "nan-alpha", "inf-r", "nan-stratum", "inf-slope", "short-q-bounds",
             "long-tau-bounds", "nonzero-q-lower-bound", "nan-tau-bound",
             "nan-analytical", "decreasing-slopes", "decreasing-slopes-analytical",
+            "negative-tech-k", "negative-alpha-er", "negative-beta-er",
+            "negative-gamma-er", "empty-slopes", "zero-stratum", "zero-T",
+            "short-alpha", "long-beta", "zero-beta", "negative-r",
+            "no-technologies", "duplicate-tech-ids", "short-slopes",
+            "unordered-q-bound", "missing-T", "huge-r", "huge-analytical-alpha",
+            "no-analytical-section", "no-extended-section",
+            "verify-without-analytical",
         ],
     )
-    def test_rejected_with_message(self, tmp_path, capsys, model, edit):
+    def test_rejected_with_message(self, tmp_path, capsys, model, edit, message):
         cfg = _bundled()
         edit(cfg)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        rc = main(["--model", model, "--config", str(path), "--pop-size", "4",
-                   "--generations", "1", "--out", str(tmp_path / "out")])
+        if model == "verify":
+            args = ["--verify", "--quick"]
+        else:
+            args = ["--model", model, "--pop-size", "4", "--generations", "1"]
+        rc = main(args + ["--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "where, depth",
+        [(("extended",), 100_000),
+         (("extended", "technologies", 0, "slopes"), 50_000)],
+        ids=["extended", "slopes"],
+    )
+    def test_deeply_nested_config_rejected(self, tmp_path, capsys, where, depth):
+        # json.load recurses once per level, and so would json.dumps: the
+        # nested array is spliced into the text
+        cfg = _bundled()
+        _set(where, "nested")(cfg)
+        text = json.dumps(cfg).replace('"nested"', "[" * depth + "]" * depth)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        rc = main(["--model", "extended", "--config", str(path), "--pop-size",
+                   "4", "--generations", "1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize(
         "model, edit",
@@ -815,6 +913,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("alpha", [1e308, 1e6])
+    def test_tax_axis_over_the_cap_is_usage_error(self, tmp_path, capsys, alpha):
+        # the closed-form check's tax grid holds alpha / 1e-3 points: inf at
+        # 1e308, whose int() raises OverflowError, and 1e9 floats at 1e6
+        cfg = _bundled()
+        cfg["analytical"]["alpha"] = alpha
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--verify", "--quick", "--config", str(path)])
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: grid axis 0: ") and "(cap 2000000)" in err
 
     def test_negative_damage_is_usage_error(self, tmp_path, capsys):
         cfg = _bundled()

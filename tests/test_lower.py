@@ -74,6 +74,11 @@ def _discounted_args(model, tech):
 
 
 class TestBestResponseFixedTech:
+    def test_short_strategy_rejected(self, model):
+        strat = LeaderStrategy(tau=(1.0,) * 4)
+        with pytest.raises(ValueError, match="^strategy length must equal the"):
+            best_response_fixed_tech(strat, model.tech(1), model)
+
     def test_prohibitive_taxes_shut_the_mine(self, model):
         for tech in model.techs:
             br = best_response_fixed_tech(_prohibitive(model), tech, model)
@@ -710,14 +715,14 @@ def test_skipping_matches_full_enumeration(instance):
 def test_certificate_never_exceeds_profit_gap(instance):
     # the bound and its fixed-cost part, which the skip also tests alone
     model, strat = instance
-    d = [model.discount(t) for t in range(1, model.T + 1)]
     for dom in model.dominance:
         a = best_response_fixed_tech(strat, dom.dominator, model)
         b = best_response_fixed_tech(strat, dom.tech, model)
         assert a.optimality_tag
-        bound = _profit_gap_bound(a.q, dom, model)
+        bound = _profit_gap_bound(a.q, dom, model, math.inf)
         margin = CERT_MARGIN * max(1.0, abs(a.profit))
-        assert max(bound, dom.fixed_gap * sum(d)) <= a.profit - b.profit + margin
+        fixed = dom.fixed_gap * sum(model.discount_factors)
+        assert max(bound, fixed) <= a.profit - b.profit + margin
 
 
 @given(instance=_technology_tables(rates=_RATES, costs=_two_tops))
@@ -739,11 +744,11 @@ def test_certificate_stops_once_past_need(instance, split):
     model, strat = instance
     for dom in model.dominance:
         q = best_response_fixed_tech(strat, dom.dominator, model).q
-        full = _profit_gap_bound(q, dom, model)
+        full = _profit_gap_bound(q, dom, model, math.inf)
         partial = [
-            _profit_gap_bound(q[:t], dom, model) for t in range(len(q) + 1)
+            _profit_gap_bound(q[:t], dom, model, math.inf)
+            for t in range(len(q) + 1)
         ]
-        assert full == partial[-1] == _profit_gap_bound(q, dom, model, math.inf)
         for need in partial + [split * full, math.nextafter(full, -math.inf)]:
             early = _profit_gap_bound(q, dom, model, need)
             assert early <= full
@@ -751,8 +756,9 @@ def test_certificate_stops_once_past_need(instance, split):
 
 
 def test_certificate_without_need_is_the_full_bound(model):
-    # technology 3 against 4 on the bundled table at r = 0: d_t = 1 and
-    # fixed_gap = 0, so G is the sum of the m_t
+    # at need = inf the sum runs to the end. Technology 3 against 4 on the
+    # bundled table at r = 0: d_t = 1 and fixed_gap = 0, so G is the sum of
+    # the m_t
     dom = model.dominance[2]
     strat = LeaderStrategy(tau=tuple(a / 2.0 for a in model.alpha))
     q = best_response_fixed_tech(strat, dom.dominator, model).q
@@ -764,5 +770,5 @@ def test_certificate_without_need_is_the_full_bound(model):
         else:
             expected += c * x * x
     assert dom.fixed_gap == 0.0 and expected > 0.0
-    assert _profit_gap_bound(q, dom, model) == expected
+    assert _profit_gap_bound(q, dom, model, math.inf) == expected
     assert _profit_gap_bound(q, dom, model, need=0.0) < expected

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minetax import (
-    AnalyticalParams,
     BestResponse,
     ExtendedModel,
     LeaderStrategy,
@@ -17,7 +16,6 @@ from minetax import (
     analytical_as_extended,
     cumulative_cost,
     leader_objectives,
-    period_profit,
     period_profits,
 )
 from minetax.analytical import follower_best_response, follower_profit
@@ -30,13 +28,13 @@ schedules = st.lists(
 
 
 class TestValidation:
-    def test_analytical_requires_profitable_extraction(self):
+    def test_analytical_requires_profitable_extraction(self, params):
         with pytest.raises(ValueError):
-            AnalyticalParams(alpha=1.0, gamma=2.0)
+            replace(params, alpha=1.0, gamma=2.0)
 
-    def test_analytical_rejects_nonpositive_beta(self):
+    def test_analytical_rejects_nonpositive_beta(self, params):
         with pytest.raises(ValueError):
-            AnalyticalParams(beta=0.0)
+            replace(params, beta=0.0)
 
     def test_tech_rejects_negative_slope(self):
         for slopes in ((1.0, -0.5), (3.0, 2.0)):
@@ -202,35 +200,33 @@ class TestExtractionRateCost:
 
 class TestPeriodProfit:
     def test_untaxed_third_period(self, model):
-        pi = period_profit(3, (0.0, 0.0, 10.0), 0.0, model.tech(1), model)
+        q = (0.0, 0.0, 10.0, 0.0, 0.0)
+        pi = period_profits(q, (0.0,) * 5, model.tech(1), model)[2]
         assert pi == pytest.approx(470.0, abs=1e-9)
 
     def test_idle_period_pays_fixed_cost(self, model):
-        pi = period_profit(1, (0.0,), 12.3, model.tech(1), model)
+        pi = period_profits((0.0,) * 5, (12.3,) * 5, model.tech(1), model)[0]
         assert pi == pytest.approx(-10.0, abs=1e-12)
 
     def test_idle_period_free_without_fixed_cost(self, model):
         tech = TechParams(tech_id=9, k=1, alpha_er=0.5, beta_er=5, gamma_er=0,
                           slopes=model.tech(1).slopes)
-        assert period_profit(2, (3.0, 0.0), 1.0, tech, model) == pytest.approx(
+        q = (3.0, 0.0, 0.0, 0.0, 0.0)
+        assert period_profits(q, (1.0,) * 5, tech, model)[1] == pytest.approx(
             0.0, abs=1e-12
         )
-
-    def test_index_out_of_range(self, model):
-        with pytest.raises(ValueError):
-            period_profit(6, (0.0,) * 6, 0.0, model.tech(1), model)
 
     @given(
         q=schedules, tau=schedules, tech_id=st.integers(1, 4),
         r=st.sampled_from([0.0, 0.05]),
     )
     @settings(max_examples=100)
-    def test_one_pass_equals_each_prefix(self, model, q, tau, tech_id, r):
+    def test_equals_period_by_period_reference(self, model, q, tau, tech_id, r):
         model = replace(model, r=r)
         tech = model.tech(tech_id)
 
         def reference(t):
-            # period t's profit as `period_profit` computed it by itself
+            # period t's profit from its own prefix of the schedule
             q_t, cum = q[t - 1], sum(q[:t])
             revenue = (model.alpha[t - 1] - model.beta[t - 1] * q_t) * q_t
             ep = cumulative_cost(cum, tech, model.strata) - cumulative_cost(
@@ -239,16 +235,12 @@ class TestPeriodProfit:
             return revenue - extraction_rate_cost(q_t, tech) - ep - tau[t - 1] * q_t
 
         periods = range(1, model.T + 1)
-        expected = [reference(t) for t in periods]
-        assert period_profits(q, tau, tech, model) == expected
-        assert [
-            period_profit(t, q[:t], tau[t - 1], tech, model) for t in periods
-        ] == expected
-        # the discounted sum as `follower_total_profit` took it, period by
+        assert period_profits(q, tau, tech, model) == [reference(t) for t in periods]
+        # the discounted sum as `follower_total_profit` takes it, period by
         # period
         total = 0.0
-        for t in periods:
-            total += model.discount(t) * reference(t)
+        for d, t in zip(model.discount_factors, periods):
+            total += d * reference(t)
         assert follower_total_profit(
             answer(q=q, a=tech_id), LeaderStrategy(tau=tau), model
         ) == total
@@ -279,16 +271,6 @@ class TestNonFiniteInputs:
             period_profits((1,) * 5, (bad, 1, 1, 1, 1), tech, model)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
-    def test_period_profit(self, model, bad):
-        tech = model.tech(1)
-        with pytest.raises(ValueError, match="^extraction q must be finite"):
-            period_profit(1, (bad,), 1.0, tech, model)
-        with pytest.raises(ValueError, match="^extraction q must be finite"):
-            period_profit(2, (bad, 1.0), 1.0, tech, model)
-        with pytest.raises(ValueError, match="^taxes tau must be finite"):
-            period_profit(1, (1.0,), bad, tech, model)
-
-    @pytest.mark.parametrize("bad", NON_FINITE)
     def test_costs_and_stratum(self, model, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             cumulative_cost(bad, model.tech(1), model.strata)
@@ -302,9 +284,6 @@ class TestNonFiniteInputs:
         zero = (0.0,) * 5
         assert period_profits((-0.0,) * 5, (-0.0,) * 5, tech, model) == (
             period_profits(zero, zero, tech, model)
-        )
-        assert period_profit(1, (-0.0,), -0.0, tech, model) == period_profit(
-            1, (0.0,), 0.0, tech, model
         )
 
 
@@ -403,6 +382,13 @@ class TestLeaderObjectives:
         )
         assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("short", ["q", "tau"])
+    def test_short_schedule_rejected(self, model, short):
+        q = (10.0,) * (4 if short == "q" else 5)
+        tau = (5.0,) * (4 if short == "tau" else 5)
+        with pytest.raises(ValueError, match="^schedule lengths must equal the"):
+            leader_objectives(answer(q=q, a=1), LeaderStrategy(tau=tau), model)
+
 
 class TestDiscounting:
     def test_positive_rate_discounts_late_periods(self, model):
@@ -430,7 +416,7 @@ class TestDiscounting:
             T=model.T, alpha=model.alpha, beta=model.beta,
             techs=model.techs, strata=model.strata, r=r,
         )
-        d = tuple(discounted.discount(t) for t in range(1, model.T + 1))
+        d = tuple((1.0 + r) ** (-(t - 1)) for t in range(1, model.T + 1))
         assert discounted.discount_factors == d
         assert discounted.cost_weights == tuple(
             a - b for a, b in zip(d, d[1:] + (0.0,))
@@ -465,7 +451,7 @@ class TestReplace:
         discounted = replace(model, r=0.05)
         assert discounted.discount_factors != model.discount_factors
         assert discounted.discount_factors == tuple(
-            discounted.discount(t) for t in range(1, model.T + 1)
+            (1.0 + 0.05) ** (-(t - 1)) for t in range(1, model.T + 1)
         )
         assert replace(model, techs=(model.tech(2),)).dominance == ()
 
@@ -484,9 +470,9 @@ class TestEmbedding:
                     follower_profit(q, tau, params), abs=1e-9
                 )
 
-    def test_embedding_requires_zero_fixed_cost(self):
+    def test_embedding_requires_zero_fixed_cost(self, params):
         with pytest.raises(ValueError):
-            analytical_as_extended(AnalyticalParams(phi=5.0))
+            analytical_as_extended(replace(params, phi=5.0))
 
 
 class TestConfig:

@@ -5,6 +5,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from composition import epsilon_indicator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,6 @@ from minetax.verify import (
     FOC_WEIGHTS,
     check_oracle_equivalence,
     check_threshold,
-    epsilon_indicator,
     frontier_metrics,
 )
 
@@ -59,6 +59,16 @@ class TestGridSpec:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(lows=(0.0, 0.0), highs=(1.0,), step=0.5)
+
+    @pytest.mark.parametrize("high", [1e308, 1e6, 2000.0])
+    def test_axis_over_the_cap_rejected_before_it_is_built(self, high):
+        # 1e308 / 1e-3 overflows to inf, which int() cannot take
+        with pytest.raises(ValueError, match=r"points \(cap 2000000\)$"):
+            GridSpec(lows=(0.0,), highs=(high,), step=1e-3).axis(0)
+
+    def test_axis_at_the_cap_is_built(self):
+        axis = GridSpec(lows=(0.0,), highs=(1999.0,), step=1e-3).axis(0)
+        assert len(axis) == 1999001 and axis[-1] <= 1999.0
 
 
 class TestGridBestResponse:
@@ -131,7 +141,7 @@ def _enumerated_argmax(tau, tech, model, grid):
     order, profit summed period by period as the DP sums it, first maximum
     kept."""
     axes = [grid.axis(t) for t in range(model.T)]
-    d = [model.discount(t) for t in range(1, model.T + 1)]
+    d = list(model.discount_factors)
     w = [a - b for a, b in zip(d, d[1:] + [0.0])]
     best = None
     for idx in itertools.product(*(range(len(a)) for a in axes)):
