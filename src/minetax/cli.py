@@ -39,17 +39,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load(cfg: argparse.Namespace) -> ModelConfig:
-    if cfg.config_path is None:
-        return default_config()
-    return load_config(cfg.config_path)
+def _load(cfg: argparse.Namespace, section: str) -> ModelConfig:
+    """The config of --config, or the bundled one; it must hold `section`."""
+    path = cfg.config_path
+    models = default_config() if path is None else load_config(path)
+    if getattr(models, section) is None:
+        raise ValueError(f"config has no '{section}' section")
+    return models
 
 
 def run_analytical(cfg: argparse.Namespace) -> int:
-    models = _load(cfg)
-    if models.analytical is None:
-        raise ValueError("config has no 'analytical' section")
-    p = models.analytical
+    p = _load(cfg, "analytical").analytical
     if cfg.points < 2:
         raise ValueError("'points' must be at least 2")
     out = Path(cfg.out)
@@ -70,7 +70,7 @@ def run_analytical(cfg: argparse.Namespace) -> int:
 def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     """frontier.csv and schedule.csv of `entries`, in one pass: each tau_t
     and q_t is formatted once for both files, and each entry is one write
-    to each."""
+    to each. Unchecked: `entries` come from `evolve` on this `model`."""
     T = model.T
     active_stratum = model.strata.active_stratum
     # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
@@ -91,10 +91,6 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
         for i, e in enumerate(entries):
             resp = e.response
             q, tau, a = resp.q, e.strategy.tau, resp.a
-            if len(q) != T or len(tau) != T:
-                raise ValueError(
-                    f"archive entry {i}: schedule lengths must equal the horizon T"
-                )
             qs, taus = [*map(fmt, q)], [*map(fmt, tau)]
             ff.write(front % (
                 i, a, e.revenue, e.damage, resp.profit, ",".join(taus), ",".join(qs)
@@ -120,10 +116,7 @@ def run_extended(cfg: argparse.Namespace) -> int:
         max_generations=cfg.generations,
         seed=cfg.seed,
     )
-    models = _load(cfg)
-    if models.extended is None:
-        raise ValueError("config has no 'extended' section")
-    model = models.extended
+    model = _load(cfg, "extended").extended
     # read from the full table, also for a run of one technology
     dominated = model.dominated_technologies
     if cfg.tech != "all":
@@ -187,9 +180,7 @@ def run_verify(cfg: argparse.Namespace) -> int:
     # bytecode cache that is a few ms of every start-up
     from .verify import format_report, run_all_checks
 
-    models = _load(cfg)
-    if models.analytical is None:
-        raise ValueError("config has no 'analytical' section")
+    models = _load(cfg, "analytical")
     results = run_all_checks(models.analytical, models.extended, quick=cfg.quick)
     print(format_report(results))
     if all(r.passed for r in results):

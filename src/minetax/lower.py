@@ -48,7 +48,6 @@ from .model import (
     ExtendedModel,
     LeaderStrategy,
     TechParams,
-    _nonnegative_floats,
     cumulative_cost,
     leader_objectives,
 )
@@ -76,7 +75,8 @@ class BestResponse(namedtuple(
     "BestResponse", "q a profit optimality_tag kkt_residual", defaults=(None,)
 )):
     """The follower's answer: per-period extraction schedule q, chosen
-    technology a, and the profit they earn."""
+    technology a, and the profit they earn. Unchecked: q is the tuple its
+    solver built, each q_t clipped into [0, qbar_t]."""
 
     __slots__ = ()
     q: tuple[float, ...]
@@ -86,12 +86,6 @@ class BestResponse(namedtuple(
     # KKT residual in units of extraction; set for every answer of this
     # module, None from the grid oracle, whose answers are lattice optima
     kkt_residual: float | None
-
-    def __new__(cls, q, a, profit, optimality_tag, kkt_residual=None):
-        return super().__new__(
-            cls, _nonnegative_floats("extraction q", q), a, profit,
-            optimality_tag, kkt_residual,
-        )
 
 
 # (lin_t, quad_t, hi_t) per period: period t adds d_t (lin_t - quad_t q_t) q_t
@@ -323,7 +317,7 @@ def best_response_fixed_tech(
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse(
-        q=q,
+        q=tuple(q),
         a=tech.tech_id,
         profit=profit,
         optimality_tag=residual <= KKT_TOL * max(1.0, total),

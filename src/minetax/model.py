@@ -415,19 +415,17 @@ def leader_objectives(
 def analytical_as_extended(p: AnalyticalParams) -> ExtendedModel:
     """Embed the single-period model as a T=1 extended instance.
 
-    The quadratic cost delta*q^2 + gamma*q maps onto the extraction-rate
-    cost (alpha_er = delta, beta_er = 0, gamma_er = 0) plus a single
-    stratum of slope gamma sized beyond any optimum. Requires phi = 0.
+    The cost delta*q^2 + gamma*q + phi maps onto the extraction-rate cost
+    (alpha_er = delta, beta_er = 0, gamma_er = phi) plus a single stratum
+    of slope gamma sized beyond any optimum: the profit of follower_profit.
     """
-    if p.phi != 0:
-        raise ValueError("embedding requires zero fixed cost")
     stock = p.alpha / p.beta  # far beyond the unconstrained optimum
     tech = TechParams(
         tech_id=1,
         k=p.k,
         alpha_er=p.delta,
         beta_er=0.0,
-        gamma_er=0.0,
+        gamma_er=p.phi,
         slopes=(p.gamma,),
     )
     return ExtendedModel(
@@ -482,19 +480,14 @@ def _pair(section: str, name: str, value) -> tuple[float, float]:
 def analytical_from_dict(d: dict) -> AnalyticalParams:
     section = "analytical config"
     d = _object(section, d)
-    try:
-        return AnalyticalParams(
-            alpha=_number(section, "alpha", d["alpha"]),
-            beta=_number(section, "beta", d["beta"]),
-            delta=_number(section, "delta", d["delta"]),
-            gamma=_number(section, "gamma", d["gamma"]),
-            phi=_number(section, "phi", d.get("phi", 0.0)),
-            k=_number(section, "k", d["k"]),
-        )
-    except KeyError as e:
-        raise ValueError(f"{section} missing field {e.args[0]!r}") from e
-    except OverflowError as e:
-        raise ValueError(f"{section}: {e}") from e
+    return AnalyticalParams(
+        alpha=_number(section, "alpha", d["alpha"]),
+        beta=_number(section, "beta", d["beta"]),
+        delta=_number(section, "delta", d["delta"]),
+        gamma=_number(section, "gamma", d["gamma"]),
+        phi=_number(section, "phi", d.get("phi", 0.0)),
+        k=_number(section, "k", d["k"]),
+    )
 
 
 def _technology(section: str, name: str, td) -> TechParams:
@@ -512,25 +505,20 @@ def _technology(section: str, name: str, td) -> TechParams:
 def extended_from_dict(d: dict) -> ExtendedModel:
     section = "extended config"
     d = _object(section, d)
-    try:
-        bounds = {
-            name: _array(section, name, d[name], _pair)
-            for name in ("tau_bounds", "q_bounds")
-            if d.get(name) is not None
-        }
-        return ExtendedModel(
-            T=_integer(section, "T", d["T"]),
-            alpha=_array(section, "alpha", d["alpha"]),
-            beta=_array(section, "beta", d["beta"]),
-            techs=_array(section, "technologies", d["technologies"], _technology),
-            strata=StrataTable(amounts=_array(section, "strata", d["strata"])),
-            r=_number(section, "r", d.get("r", 0.0)),
-            **bounds,
-        )
-    except KeyError as e:
-        raise ValueError(f"{section} missing field {e.args[0]!r}") from e
-    except OverflowError as e:
-        raise ValueError(f"{section}: {e}") from e
+    bounds = {
+        name: _array(section, name, d[name], _pair)
+        for name in ("tau_bounds", "q_bounds")
+        if d.get(name) is not None
+    }
+    return ExtendedModel(
+        T=_integer(section, "T", d["T"]),
+        alpha=_array(section, "alpha", d["alpha"]),
+        beta=_array(section, "beta", d["beta"]),
+        techs=_array(section, "technologies", d["technologies"], _technology),
+        strata=StrataTable(amounts=_array(section, "strata", d["strata"])),
+        r=_number(section, "r", d.get("r", 0.0)),
+        **bounds,
+    )
 
 
 class ModelConfig(namedtuple("ModelConfig", "analytical extended")):
@@ -540,13 +528,18 @@ class ModelConfig(namedtuple("ModelConfig", "analytical extended")):
 
 
 def config_from_dict(d: dict) -> ModelConfig:
+    """A missing field or a number too large for a float names its section."""
     d = _object("config", d)
-    return ModelConfig(
-        analytical=(
-            analytical_from_dict(d["analytical"]) if "analytical" in d else None
-        ),
-        extended=extended_from_dict(d["extended"]) if "extended" in d else None,
-    )
+    readers = (("analytical", analytical_from_dict), ("extended", extended_from_dict))
+    sections = {}
+    for name, read in readers:
+        try:
+            sections[name] = read(d[name]) if name in d else None
+        except KeyError as e:
+            raise ValueError(f"{name} config missing field {e.args[0]!r}") from e
+        except OverflowError as e:
+            raise ValueError(f"{name} config: {e}") from e
+    return ModelConfig(**sections)
 
 
 def load_config(path: str | Path) -> ModelConfig:

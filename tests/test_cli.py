@@ -179,7 +179,12 @@ class TestInvalidConfigs:
              "bounds must be ordered low <= high"),
             ("extended", _del(("extended", "T")),
              "extended config missing field 'T'"),
+            ("extended", _del(("extended", "technologies", 1, "k")),
+             "extended config missing field 'k'"),
             ("extended", _set(("extended", "r"), 10**400),
+             "extended config: int too large to convert to float"),
+            ("extended",
+             _set(("extended", "technologies", 0, "slopes", 2), 10**400),
              "extended config: int too large to convert to float"),
             ("analytical", _set(("analytical", "alpha"), 10**400),
              "analytical config: int too large to convert to float"),
@@ -198,7 +203,8 @@ class TestInvalidConfigs:
             "negative-gamma-er", "empty-slopes", "zero-stratum", "zero-T",
             "short-alpha", "long-beta", "zero-beta", "negative-r",
             "no-technologies", "duplicate-tech-ids", "short-slopes",
-            "unordered-q-bound", "missing-T", "huge-r", "huge-analytical-alpha",
+            "unordered-q-bound", "missing-T", "missing-tech-k", "huge-r",
+            "huge-slope", "huge-analytical-alpha",
             "no-analytical-section", "no-extended-section",
             "verify-without-analytical",
         ],
@@ -679,17 +685,6 @@ class TestStreamedWriters:
         self._same_bytes(tmp_path, [], model)
         assert (tmp_path / "frontier.csv").read_bytes().count(b"\r\n") == 1
 
-    @pytest.mark.parametrize("short", ["q", "tau"])
-    def test_schedule_shorter_than_the_horizon(self, tmp_path, model, short):
-        n_q, n_tau = (4, 5) if short == "q" else (5, 4)
-        q, tau = (1.0,) * n_q, (2.0,) * n_tau
-        entries = [ArchiveEntry(
-            damage=1.0, revenue=1.0, strategy=LeaderStrategy(tau=tau),
-            response=BestResponse(q=q, a=1, profit=0.0, optimality_tag=True),
-        )]
-        with pytest.raises(ValueError, match="^archive entry 0: .* horizon T$"):
-            _write_outputs(tmp_path, entries, model)
-
     @pytest.mark.parametrize("k", [1.0, 0.0])
     def test_analytical_sweep(self, tmp_path, params, k):
         sweep = ana.pareto_sweep(replace(params, k=k), 100)
@@ -705,7 +700,7 @@ class TestStreamedWriters:
                 revenue=awkward[j],
                 strategy=LeaderStrategy(tau=pick),
                 response=BestResponse(
-                    q=pick[::-1], a=tech, profit=-awkward[j] - 2.5,
+                    q=tuple(pick[::-1]), a=tech, profit=-awkward[j] - 2.5,
                     optimality_tag=True,
                 ),
             )
@@ -913,6 +908,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "[FAIL]" not in out
+
+    def test_fixed_cost_leaves_the_report_unchanged(self, tmp_path, capsys):
+        # phi is the embedded technology's fixed charge: it moves no
+        # optimum, so every check reads as at phi = 0
+        reports = []
+        for phi in (0, 5):
+            cfg = _bundled()
+            cfg["analytical"]["phi"] = phi
+            path = tmp_path / f"phi{phi}.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["--verify", "--quick", "--config", str(path)]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "all checks passed" in reports[1]
 
     @pytest.mark.parametrize("alpha", [1e308, 1e6])
     def test_tax_axis_over_the_cap_is_usage_error(self, tmp_path, capsys, alpha):

@@ -15,6 +15,7 @@ from minetax import (
     LeaderStrategy,
     StrataTable,
     TechParams,
+    analytical_as_extended,
     best_response,
     best_response_fixed_tech,
 )
@@ -229,6 +230,35 @@ class TestBestResponse:
         top = best_response(LeaderStrategy(tau=(0.0,) * 5), model).profit
         for strat in random_strategies(model, 10, seed=19):
             assert best_response(strat, model).profit <= top + 1e-6
+
+
+@given(
+    r=st.sampled_from([0.0, 0.05]), embedded=st.booleans(),
+    cap=st.sampled_from([1.0, 0.05]), data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_answers_are_schedules_within_the_caps(
+    model, params, r, embedded, cap, data
+):
+    # a `BestResponse` is not checked: its q must be a tuple of T floats in
+    # [0, qbar_t] by construction, for taxes in tau_bounds and at their
+    # ends; the caps at 0.05 of the bundled ones bind
+    base = analytical_as_extended(params) if embedded else model
+    caps = tuple((0.0, cap * hi) for _, hi in base.q_bounds)
+    model = replace(base, r=r, q_bounds=caps)
+    bounds = model.tau_bounds
+    tau = data.draw(st.one_of(
+        st.just((0.0,) * model.T),
+        st.just(tuple(hi for _, hi in bounds)),
+        st.tuples(*(st.floats(lo, hi) for lo, hi in bounds)),
+    ))
+    strat = LeaderStrategy(tau=tau)
+    answers = [best_response_fixed_tech(strat, t, model) for t in model.techs]
+    for resp in answers + [best_response(strat, model)]:
+        assert type(resp.q) is tuple and len(resp.q) == model.T
+        for x, (_, hi) in zip(resp.q, model.q_bounds):
+            # NaN and both infinities fail the bounds
+            assert type(x) is float and 0.0 <= x <= hi
 
 
 def _one_tech_model(alpha, beta, tech, amounts):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minetax import (
-    BestResponse,
     ExtendedModel,
     LeaderStrategy,
     StrataTable,
@@ -51,10 +50,6 @@ class TestValidation:
         assert s.active_stratum(20.5) == 2
         assert s.active_stratum(999.0) == 3
 
-    def test_negative_extraction_rejected(self):
-        with pytest.raises(ValueError):
-            BestResponse(q=(1.0, -1.0), a=1, profit=0.0, optimality_tag=True)
-
     def test_negative_tax_rejected(self):
         with pytest.raises(ValueError):
             LeaderStrategy(tau=(-0.1,))
@@ -63,16 +58,12 @@ class TestValidation:
     def test_nonfinite_or_negative_schedules_rejected(self, bad):
         with pytest.raises(ValueError, match=r"^taxes tau must be finite"):
             LeaderStrategy(tau=(1.0, bad))
-        with pytest.raises(ValueError, match=r"^extraction q must be finite"):
-            BestResponse(q=(bad, 1.0), a=1, profit=0.0, optimality_tag=True)
 
     def test_signed_zero_and_integers_accepted(self):
         strat = LeaderStrategy(tau=(-0.0, 2))
         assert strat.tau == (0.0, 2.0)
         assert math.copysign(1.0, strat.tau[0]) == -1.0
         assert type(strat.tau[1]) is float
-        resp = BestResponse(q=[-0.0, 3], a=1, profit=0.0, optimality_tag=True)
-        assert resp.q == (0.0, 3.0)
 
 
 class TestCumulativeCost:
@@ -458,21 +449,19 @@ class TestReplace:
 
 class TestEmbedding:
     def test_embedded_profit_matches_analytical(self, params):
-        emb = analytical_as_extended(params)
-        for tau in (0.0, 20.0, 49.5, 80.0):
-            for q in (0.0, 5.0, 12.375, 30.0):
-                got = follower_total_profit(
-                    answer(q=(q,), a=1),
-                    LeaderStrategy(tau=(tau,)),
-                    emb,
-                )
-                assert got == pytest.approx(
-                    follower_profit(q, tau, params), abs=1e-9
-                )
-
-    def test_embedding_requires_zero_fixed_cost(self, params):
-        with pytest.raises(ValueError):
-            analytical_as_extended(replace(params, phi=5.0))
+        # the fixed cost phi is the embedded technology's gamma_er
+        for p in (params, replace(params, phi=5.0)):
+            emb = analytical_as_extended(p)
+            for tau in (0.0, 20.0, 49.5, 80.0):
+                for q in (0.0, 5.0, 12.375, 30.0):
+                    got = follower_total_profit(
+                        answer(q=(q,), a=1),
+                        LeaderStrategy(tau=(tau,)),
+                        emb,
+                    )
+                    assert got == pytest.approx(
+                        follower_profit(q, tau, p), abs=1e-9
+                    )
 
 
 class TestConfig:
