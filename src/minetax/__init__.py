@@ -11,7 +11,6 @@ from .model import (
     default_config,
     leader_objectives,
     load_config,
-    period_profits,
 )
 from .analytical import (
     WeightedSolution,
@@ -64,6 +63,5 @@ __all__ = [
     "optimal_extraction",
     "optimal_tax",
     "pareto_sweep",
-    "period_profits",
     "reference_point",
 ]

@@ -9,7 +9,6 @@ frontier.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from collections import namedtuple
@@ -42,10 +41,15 @@ class ArchiveEntry(
 
 class ParetoArchive:
     """Nondominated set kept as one list of entries, sorted by damage (and
-    hence by revenue)."""
+    hence by revenue), with the area it dominates up to a reference point
+    whose revenue is no better than any entry's. Entries at or beyond the
+    reference damage add nothing, and the area ends at ref_damage."""
 
-    def __init__(self):
+    def __init__(self, ref_revenue: float, ref_damage: float):
         self._rows: list[ArchiveEntry] = []
+        self._ref_revenue = ref_revenue
+        self._ref_damage = ref_damage
+        self._hv = 0.0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -77,25 +81,29 @@ class ParetoArchive:
         j = i
         while j < n and rows[j][1] <= r:
             j += 1
+        ref_d = self._ref_damage
+        if d < ref_d:
+            # the area gained: from d to each next damage up to rows[j]'s,
+            # the newcomer's revenue over the height there before, which is
+            # row i-1's (or the reference revenue) and then each evicted
+            # row's. No term is negative, so the kept area never falls
+            below = rows[i - 1][1] if i else self._ref_revenue
+            hv, start = self._hv, d
+            for k in range(i, j + 1):
+                edge = rows[k][0] if k < n else ref_d
+                if edge >= ref_d:
+                    hv += (r - below) * (ref_d - start)
+                    break
+                hv += (r - below) * (edge - start)
+                below, start = rows[k][1], edge
+            self._hv = hv
         rows[i:j] = [entry]
         return True
 
-    def hypervolume(self, ref_revenue: float, ref_damage: float) -> float:
-        """Area dominated by the archive up to a reference point whose
-        revenue is no better than any entry's. Entries at or beyond the
-        reference damage add nothing, and the area ends at ref_damage."""
-        rows = self._rows
-        n = bisect.bisect_left(rows, (ref_damage,))
-        if not n:
-            return 0.0
-        # each row's revenue times the damage gap to the next row, in row
-        # order; subscripts beat unpacking here
-        hv = 0.0
-        prev = rows[0]
-        for row in itertools.islice(rows, 1, n):
-            hv += (prev[1] - ref_revenue) * (row[0] - prev[0])
-            prev = row
-        return hv + (prev[1] - ref_revenue) * (ref_damage - prev[0])
+    def hypervolume(self) -> float:
+        """Area dominated by the archive up to its reference point, kept
+        up to date by `insert`."""
+        return self._hv
 
 
 def nondominated_sort(points: Sequence[ArchiveEntry]) -> list[list[int]]:
@@ -193,7 +201,10 @@ class EvolveResult(namedtuple(
 
 
 def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
-    strat = LeaderStrategy(tau=tau)
+    # `evolve` draws every tax inside tau_bounds and `variation` clips it
+    # there, and ExtendedModel checked those bounds finite and nonnegative,
+    # so the namedtuple's own constructor skips LeaderStrategy's check
+    strat = LeaderStrategy._make((tuple(tau),))
     br = best_response(strat, model)
     revenue, damage = leader_objectives(br, strat, model)
     return ArchiveEntry(damage, revenue, strat, br)
@@ -249,7 +260,7 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
     lows = [lo for lo, _ in model.tau_bounds]
     highs = [hi for _, hi in model.tau_bounds]
     ref_r, ref_d = reference_point(model)
-    archive = ParetoArchive()
+    archive = ParetoArchive(ref_r, ref_d)
     failed = 0
 
     def make(tau: Sequence[float]) -> ArchiveEntry:
@@ -277,7 +288,7 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
             return pop[i if rank[i] < rank[j] else j].strategy.tau
         return pop[i if crowd[i] >= crowd[j] else j].strategy.tau
 
-    hv_history = [archive.hypervolume(ref_r, ref_d)]
+    hv_history = [archive.hypervolume()]
     reason = "max_generations"
     for _ in range(config.max_generations):
         offspring = []
@@ -285,7 +296,7 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
             for c in sbx_crossover(tournament(), tournament(), lows, highs, rng):
                 offspring.append(make(polynomial_mutation(c, lows, highs, rng)))
         pop, rank, crowd = _select(pop + offspring, n)
-        hv_history.append(archive.hypervolume(ref_r, ref_d))
+        hv_history.append(archive.hypervolume())
         # at zero reference damage every hypervolume is 0, so a flat history
         # says nothing about progress; the history holds one value more
         # than the generations run

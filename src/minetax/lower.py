@@ -317,11 +317,8 @@ def best_response_fixed_tech(
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse(
-        q=tuple(q),
-        a=tech.tech_id,
-        profit=profit,
-        optimality_tag=residual <= KKT_TOL * max(1.0, total),
-        kkt_residual=residual,
+        tuple(q), tech.tech_id, profit,
+        residual <= KKT_TOL * max(1.0, total), residual,
     )
 
 

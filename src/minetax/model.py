@@ -17,6 +17,7 @@ import json
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from operator import mul
 from pathlib import Path
 
 
@@ -211,8 +212,9 @@ class ExtendedModel(
         # every follower solver searches [0, hi] per period
         if any(lo != 0 for lo, _ in q_bounds):
             raise ValueError("extraction lower bounds must be 0")
-        # LeaderStrategy rejects a negative tax, so a negative lower bound
-        # would fail only when the EA happens to draw below 0
+        # `evolve` builds its strategies without LeaderStrategy's check, from
+        # taxes drawn and clipped into these bounds: this check is what keeps
+        # them nonnegative
         if any(lo < 0 for lo, _ in tau_bounds):
             raise ValueError("tax lower bounds must be nonnegative")
         model = super().__new__(
@@ -312,7 +314,10 @@ def _nonnegative_floats(what: str, values: Iterable[float]) -> tuple[float, ...]
 
 
 class LeaderStrategy(namedtuple("LeaderStrategy", "tau")):
-    """Per-period tax vector of the regulator."""
+    """Per-period tax vector of the regulator. Its constructor checks each
+    tax finite and nonnegative; `bilevel._evaluate` builds strategies with
+    the namedtuple's `_make` instead, from taxes inside the model's
+    tau_bounds, which `ExtendedModel` checked."""
 
     __slots__ = ()
     tau: tuple[float, ...]
@@ -380,20 +385,6 @@ def _period_profits(
     return profits
 
 
-def period_profits(
-    q: Sequence[float], tau: Sequence[float], tech: TechParams,
-    model: ExtendedModel,
-) -> list[float]:
-    """Undiscounted mine profit of every period of schedule q under taxes
-    tau, each schedule checked finite, nonnegative and of length T."""
-    if len(q) != model.T or len(tau) != model.T:
-        raise ValueError("schedule lengths must equal the horizon T")
-    return _period_profits(
-        _nonnegative_floats("extraction q", q),
-        _nonnegative_floats("taxes tau", tau), tech, model,
-    )
-
-
 def leader_objectives(
     resp, strat: LeaderStrategy, model: ExtendedModel
 ) -> tuple[float, float]:
@@ -406,9 +397,7 @@ def leader_objectives(
     """
     if len(resp.q) != model.T or len(strat.tau) != model.T:
         raise ValueError("schedule lengths must equal the horizon T")
-    revenue = sum(
-        d * x * v for d, x, v in zip(model.discount_factors, strat.tau, resp.q)
-    )
+    revenue = sum(map(mul, map(mul, model.discount_factors, strat.tau), resp.q))
     return revenue, model.tech(resp.a).k * sum(resp.q)
 
 

@@ -7,9 +7,10 @@ byte.
 import csv
 from pathlib import Path
 
+from follower_reference import period_profits
+
 from minetax.analytical import WeightedSolution
 from minetax.bilevel import ArchiveEntry
-from minetax.model import period_profits
 
 
 def _fmt(x: float) -> str:

@@ -3,6 +3,11 @@
 `answer` is a follower answer of a given schedule and technology, for the
 functions that read only those two.
 
+`period_profits` is the checked per-period profit: the schedule and the
+taxes are checked finite, nonnegative and of length T before
+`minetax.model._period_profits`, which the CLI's writer calls unchecked,
+computes them.
+
 `extraction_rate_cost` is the rate charge alpha_er q^2 + beta_er q +
 gamma_er of one period, which `minetax.model._period_profits` computes
 inline; the tests' period-by-period reference for `period_profits` builds
@@ -24,13 +29,33 @@ import math
 from collections.abc import Sequence
 
 from minetax.lower import BestResponse, _crossing, _Periods, _schedule
-from minetax.model import ExtendedModel, LeaderStrategy, TechParams, period_profits
+from minetax.model import (
+    ExtendedModel,
+    LeaderStrategy,
+    TechParams,
+    _nonnegative_floats,
+    _period_profits,
+)
 
 
 def answer(q: Sequence[float], a: int) -> BestResponse:
     """Schedule q with technology a, as a `BestResponse` whose profit is
     not evaluated (NaN) and which is not tagged optimal."""
     return BestResponse(q=q, a=a, profit=math.nan, optimality_tag=False)
+
+
+def period_profits(
+    q: Sequence[float], tau: Sequence[float], tech: TechParams,
+    model: ExtendedModel,
+) -> list[float]:
+    """Undiscounted mine profit of every period of schedule q under taxes
+    tau, each schedule checked finite, nonnegative and of length T."""
+    if len(q) != model.T or len(tau) != model.T:
+        raise ValueError("schedule lengths must equal the horizon T")
+    return _period_profits(
+        _nonnegative_floats("extraction q", q),
+        _nonnegative_floats("taxes tau", tau), tech, model,
+    )
 
 
 def extraction_rate_cost(q_t: float, tech: TechParams) -> float:

@@ -6,6 +6,14 @@ brute-force references build on.
 `detect_strata_kinks` flags the stratum boundaries at which a frontier
 shows a kink, for the acceptance criterion on strata discontinuities.
 
+`generator_leader_objectives` is `minetax.model.leader_objectives` as it
+was before the revenue was summed over `map(mul, ...)`: one generator of
+d_t * tau_t * q_t. The reference the objectives must equal to the bit.
+
+`full_pass_hypervolume` is `ParetoArchive.hypervolume` as it was before
+the archive kept its area up to date in `insert`: one pass over the
+entries per call. It is the reference the kept area must stay close to.
+
 `ThreeListArchive` and `negated_key_select` are the Pareto archive and the
 NSGA-II truncation of `minetax.bilevel` as they were before the archive
 kept one sorted list of entries: three parallel lists, and a truncation
@@ -14,6 +22,7 @@ match exactly.
 """
 
 import bisect
+import itertools
 from collections.abc import Sequence
 
 from minetax.bilevel import ArchiveEntry, crowding_distance, nondominated_sort
@@ -25,6 +34,36 @@ def dominates(a, b) -> bool:
     if a.revenue < b.revenue or a.damage > b.damage:
         return False
     return a.revenue > b.revenue or a.damage < b.damage
+
+
+def generator_leader_objectives(resp, strat, model) -> tuple[float, float]:
+    """Leader's (revenue, damage) at the follower's answer: revenue
+    discounted, damage not."""
+    if len(resp.q) != model.T or len(strat.tau) != model.T:
+        raise ValueError("schedule lengths must equal the horizon T")
+    revenue = sum(
+        d * x * v for d, x, v in zip(model.discount_factors, strat.tau, resp.q)
+    )
+    return revenue, model.tech(resp.a).k * sum(resp.q)
+
+
+def full_pass_hypervolume(
+    rows: Sequence[ArchiveEntry], ref_revenue: float, ref_damage: float
+) -> float:
+    """Area dominated by archive entries `rows` (sorted by damage) up to a
+    reference point whose revenue is no better than any entry's. Entries at
+    or beyond the reference damage add nothing, and the area ends at
+    ref_damage."""
+    n = bisect.bisect_left(rows, (ref_damage,))
+    if not n:
+        return 0.0
+    # each row's revenue times the damage gap to the next row, in row order
+    hv = 0.0
+    prev = rows[0]
+    for row in itertools.islice(rows, 1, n):
+        hv += (prev[1] - ref_revenue) * (row[0] - prev[0])
+        prev = row
+    return hv + (prev[1] - ref_revenue) * (ref_damage - prev[0])
 
 
 class ThreeListArchive:

@@ -292,9 +292,9 @@ class TestInvalidConfigs:
 
     @pytest.mark.parametrize("lo", [-5, -1e-9])
     def test_negative_tax_bound_rejected_on_load(self, tmp_path, capsys, lo):
-        # LeaderStrategy rejects a negative tax, so rejecting the bound at
-        # load is the only check that does not depend on the draws: at
-        # -1e-9 no draw of this run falls below 0
+        # `evolve` builds its strategies without LeaderStrategy's check, so
+        # rejecting the bound at load is what keeps every tax nonnegative,
+        # whatever the draws: at -1e-9 no draw of this run falls below 0
         cfg = _bundled()
         cfg["extended"]["tau_bounds"] = [[lo, 10]] * 5
         path = tmp_path / "cfg.json"

@@ -3,9 +3,15 @@ import math
 import re
 
 import pytest
-from follower_reference import answer, extraction_rate_cost, follower_total_profit
+from follower_reference import (
+    answer,
+    extraction_rate_cost,
+    follower_total_profit,
+    period_profits,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from leader_reference import generator_leader_objectives
 
 from minetax import (
     ExtendedModel,
@@ -15,7 +21,6 @@ from minetax import (
     analytical_as_extended,
     cumulative_cost,
     leader_objectives,
-    period_profits,
 )
 from minetax.analytical import follower_best_response, follower_profit
 from minetax.model import config_from_dict, load_config, replace
@@ -372,6 +377,19 @@ class TestLeaderObjectives:
             resp, LeaderStrategy(tau=tuple(c * t for t in tau)), model
         )
         assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-9)
+
+    @given(
+        q=schedules, tau=schedules, tech_id=st.integers(1, 4),
+        r=st.sampled_from([0.0, 0.05, 0.37]),
+    )
+    @settings(max_examples=200)
+    def test_equals_the_generator_form(self, model, q, tau, tech_id, r):
+        model = replace(model, r=r)
+        resp, strat = answer(q=tuple(q), a=tech_id), LeaderStrategy(tau=tau)
+        # the same products, summed in the same order: equal to the bit
+        assert leader_objectives(resp, strat, model) == (
+            generator_leader_objectives(resp, strat, model)
+        )
 
     @pytest.mark.parametrize("short", ["q", "tau"])
     def test_short_schedule_rejected(self, model, short):

@@ -13,6 +13,9 @@ fresh interpreter with PYTHONPATH=<root>/src and the same config file:
   r = 0.05, with --tech all at seeds 0-3: technologies 3 and 4 are then
   both undominated (1 is dominated by 3, 2 by 4), so `best_response`
   weighs the profit-gap certificate against a second solved technology;
+- the bundled table with tau_bounds [5, 30] in every period, at r = 0 and
+  r = 0.05, with --tech all at seeds 0-3: SBX and mutation then clip many
+  genes onto the box edges, and those taxes reach the archive unchecked;
 - the bundled config at r = 0 with --min-revenue 1000 --max-damage 400 at
   seeds 0-3, so the objective-bound filter keeps part of the archive.
 
@@ -54,9 +57,12 @@ def cases() -> list[tuple[str, dict, list[str]]]:
     two_top = [dict(t) for t in bundled["extended"]["technologies"]]
     (tech3,) = (t for t in two_top if t["tech_id"] == 3)
     tech3["beta_er"] = 1.5
+    narrow = [[5, 30]] * bundled["extended"]["T"]
     tables = [
         ("bundled", bundled["extended"], ("all", "4")),
         ("two undominated", dict(bundled["extended"], technologies=two_top),
+         ("all",)),
+        ("tau_bounds [5, 30]", dict(bundled["extended"], tau_bounds=narrow),
          ("all",)),
     ]
     for label, extended, techs in tables:
