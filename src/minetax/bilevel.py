@@ -117,22 +117,24 @@ def nondominated_sort(points: Sequence[ArchiveEntry]) -> list[list[int]]:
     rise with the front.
     """
     n = len(points)
-    keys = [(-p.revenue, p.damage) for p in points]
-    order = sorted(range(n), key=keys.__getitem__)
+    damages = [p.damage for p in points]
+    revenues = [p.revenue for p in points]
+    # two stable sorts order as one on (-revenue, damage) pairs, ties by index
+    order = sorted(range(n), key=damages.__getitem__)
+    order.sort(key=revenues.__getitem__, reverse=True)
     rank = [0] * n
     least_damage: list[float] = []
-    prev = None
+    prev_r = prev_d = math.nan
     f = 0
     for i in order:
-        key = keys[i]
-        if key != prev:
-            prev = key
-            damage = key[1]
-            f = bisect.bisect_right(least_damage, damage)
+        r, d = revenues[i], damages[i]
+        if r != prev_r or d != prev_d:
+            prev_r, prev_d = r, d
+            f = bisect.bisect_right(least_damage, d)
             if f == len(least_damage):
-                least_damage.append(damage)
+                least_damage.append(d)
             else:
-                least_damage[f] = damage
+                least_damage[f] = d
         rank[i] = f
     fronts: list[list[int]] = [[] for _ in least_damage]
     for i in range(n):

@@ -4,9 +4,11 @@ Loads model parameters from JSON, runs the analytical sweep or the
 evolutionary bilevel solver, and writes plot-ready CSV/JSON artifacts.
 `frontier.csv` and `schedule.csv` are written in one pass over the
 archive: each entry's tau_t and q_t are formatted once for both files,
-each entry is one write to each, and the bytes are those `csv.writer`
-would write (floats as "%.12g", rows ending in CRLF).
-Exit codes: 0 success, 1 usage/config error (argparse errors included),
+each entry is one write to each, each period profit is computed inline
+from the technology's constants, read once per call, and the bytes are
+those `csv.writer` would write (floats as "%.12g", rows ending in CRLF).
+Exit codes: 0 success, 1 usage/config error (argparse errors included)
+or a stdout closed before the output was written (`minetax ... | head`),
 2 verification failure, 3 empty-result warning.
 """
 
@@ -15,15 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
+from bisect import bisect_left
 from pathlib import Path
 
 from . import analytical as ana
 from .bilevel import ArchiveEntry, EaConfig, evolve
 from .model import (
     ModelConfig,
-    _period_profits,
+    _cumulative_cost,
     default_config,
     load_config,
     replace,
@@ -69,10 +73,15 @@ def run_analytical(cfg: argparse.Namespace) -> int:
 
 def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     """frontier.csv and schedule.csv of `entries`, in one pass: each tau_t
-    and q_t is formatted once for both files, and each entry is one write
-    to each. Unchecked: `entries` come from `evolve` on this `model`."""
-    T = model.T
-    active_stratum = model.strata.active_stratum
+    and q_t is formatted once for both files, each entry is one write to
+    each, and each period profit has the float expressions of the tests'
+    reference `period_profits`. Unchecked: `entries` come from `evolve` on
+    this `model`."""
+    T, alpha, beta = model.T, model.alpha, model.beta
+    bps = model.strata.breakpoints
+    M, cost = len(bps), _cumulative_cost
+    techs = {t.tech_id: (t.slopes, t.alpha_er, t.beta_er, t.gamma_er)
+             for t in model.techs}
     # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
     fmt = "%.12g".__mod__
     front = "%s,%s,%.12g,%.12g,%.12g,%s,%s\r\n"
@@ -91,17 +100,23 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
         for i, e in enumerate(entries):
             resp = e.response
             q, tau, a = resp.q, e.strategy.tau, resp.a
+            slopes, alpha_er, beta_er, gamma_er = techs[a]
             qs, taus = [*map(fmt, q)], [*map(fmt, tau)]
             ff.write(front % (
                 i, a, e.revenue, e.damage, resp.profit, ",".join(taus), ",".join(qs)
             ))
-            rows = []
-            cum = 0.0
-            for t, pi in enumerate(_period_profits(q, tau, model.tech(a), model)):
-                cum += q[t]
-                rows.append(
-                    sched % (i, t + 1, taus[t], qs[t], pi, cum, active_stratum(cum))
-                )
+            rows, cum = [], 0.0
+            for t, (tau_t, q_t) in enumerate(zip(tau, q)):
+                # X_t, the extraction through this period, is a fresh sum: from
+                # Python 3.12 it is compensated, so cum could be another float
+                x_t = sum(q[:t + 1])
+                pi = ((alpha[t] - beta[t] * q_t) * q_t
+                      - (alpha_er * q_t * q_t + beta_er * q_t + gamma_er)
+                      - (cost(x_t, slopes, bps) - cost(x_t - q_t, slopes, bps))
+                      - tau_t * q_t)
+                cum += q_t
+                rows.append(sched % (i, t + 1, taus[t], qs[t], pi, cum,
+                                     min(bisect_left(bps, cum) + 1, M)))
             sf.write("".join(rows))
 
 
@@ -240,12 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     cfg = build_parser().parse_args(argv)
+    run = (run_verify if cfg.verify
+           else run_analytical if cfg.model == "analytical" else run_extended)
     try:
-        if cfg.verify:
-            return run_verify(cfg)
-        if cfg.model == "analytical":
-            return run_analytical(cfg)
-        return run_extended(cfg)
+        rc = run(cfg)
+        # a reader gone from stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # as in Python's SIGPIPE recipe: the rest of stdout goes to devnull,
+        # so the flush at exit stays quiet, and the exit code is 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

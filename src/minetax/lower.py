@@ -283,7 +283,8 @@ def best_response_fixed_tech(
     ]
     slopes, strata = tech.slopes, model.strata
     d, w = model.discount_factors, model.cost_weights
-    if model.r > 0.0:
+    discounted = model.r > 0.0
+    if discounted:
         inner = strata.breakpoints[:-1]
         # a pinned X_t leaves the periods after t as the same problem from b
         q: list[float] = []
@@ -310,16 +311,16 @@ def best_response_fixed_tech(
     profit = -model.discounted_periods * tech.gamma_er - w[-1] * cumulative_cost(
         total, tech, strata
     )
-    if model.r > 0.0:
+    if discounted:
         for wt, x in zip(w[:-1], itertools.accumulate(q)):
             if wt:
                 profit -= wt * cumulative_cost(x, tech, strata)
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
-    return BestResponse(
+    return BestResponse._make((
         tuple(q), tech.tech_id, profit,
         residual <= KKT_TOL * max(1.0, total), residual,
-    )
+    ))
 
 
 def _pick_optimistic(

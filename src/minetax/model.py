@@ -358,33 +358,6 @@ def cumulative_cost(x: float, tech: TechParams, strata: StrataTable) -> float:
     return _cumulative_cost(x, tech.slopes, strata.breakpoints)
 
 
-def _period_profits(
-    q: Sequence[float], taus: Sequence[float], tech: TechParams,
-    model: ExtendedModel,
-) -> list[float]:
-    """Mine profit in each period of schedule q under taxes taus, both
-    over the whole horizon; unchecked. The extraction/purification charge
-    is the increment of the cumulative cost curve over the period; the rate
-    charge is alpha_er q_t^2 + beta_er q_t + gamma_er, whose fixed part is
-    charged regardless of q_t."""
-    alpha, beta = model.alpha, model.beta
-    slopes, breakpoints = tech.slopes, model.strata.breakpoints
-    alpha_er, beta_er, gamma_er = tech.alpha_er, tech.beta_er, tech.gamma_er
-    profits = []
-    for t, tau_t in enumerate(taus, 1):
-        q_t = q[t - 1]
-        # X_t is sum(q[:t]): from Python 3.12 a float sum is compensated, so
-        # a running total could be another float
-        x_t = sum(q[:t])
-        revenue = (alpha[t - 1] - beta[t - 1] * q_t) * q_t
-        ep = _cumulative_cost(x_t, slopes, breakpoints) - _cumulative_cost(
-            x_t - q_t, slopes, breakpoints
-        )
-        rate = alpha_er * q_t * q_t + beta_er * q_t + gamma_er
-        profits.append(revenue - rate - ep - tau_t * q_t)
-    return profits
-
-
 def leader_objectives(
     resp, strat: LeaderStrategy, model: ExtendedModel
 ) -> tuple[float, float]:

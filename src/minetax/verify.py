@@ -37,7 +37,7 @@ class CheckResult(
 
 
 FOC_WEIGHTS = (0.02, 0.1, 0.25, 0.5, 0.75, 1.0)
-# tax grid step of the closed-form check, and its tolerance
+# tax grid step of the closed-form check, and its tolerance on the tax
 FOC_GRID_STEP = 1e-3
 # samples of the closed-form frontier, uniform in damage
 FRONTIER_SAMPLES = 4001
@@ -54,6 +54,8 @@ def check_closed_form(p: AnalyticalParams) -> CheckResult:
     w_min = ana.feasibility_threshold(p)
     weights = [w for w in FOC_WEIGHTS if w > w_min]
     grid = GridSpec(lows=(0.0,), highs=(p.alpha,), step=FOC_GRID_STEP)
+    # a tax error h moves the extraction by h / (2 (beta + delta))
+    q_step = FOC_GRID_STEP / (2 * (p.beta + p.delta))
     worst = 0.0
     for w, (tau_grid, _) in zip(weights, weighted_scalar_check(p, weights, grid)):
         tau = ana.optimal_tax(w, p)
@@ -69,7 +71,7 @@ def check_closed_form(p: AnalyticalParams) -> CheckResult:
         worst = max(worst, abs(d_pi), abs(d_f))
         worst = max(worst, abs(tau_grid - tau) - FOC_GRID_STEP)
         q_grid = ana.follower_best_response(tau_grid, p)
-        worst = max(worst, abs(q_grid - q) - FOC_GRID_STEP)
+        worst = max(worst, abs(q_grid - q) - q_step)
     return CheckResult(
         name="closed-form first-order conditions and grid oracle",
         passed=worst <= 1e-6,

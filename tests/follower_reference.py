@@ -5,13 +5,13 @@ functions that read only those two.
 
 `period_profits` is the checked per-period profit: the schedule and the
 taxes are checked finite, nonnegative and of length T before
-`minetax.model._period_profits`, which the CLI's writer calls unchecked,
-computes them.
+`_period_profits` computes them. It is the independent reference for the
+profits that the CLI's writer computes inline, with the same float
+expressions: `tests/csv_writers.py` writes its schedules from it.
 
 `extraction_rate_cost` is the rate charge alpha_er q^2 + beta_er q +
-gamma_er of one period, which `minetax.model._period_profits` computes
-inline; the tests' period-by-period reference for `period_profits` builds
-on it.
+gamma_er of one period, which `_period_profits` computes inline; the
+tests' period-by-period reference for `period_profits` builds on it.
 
 `follower_total_profit` sums the discounted period profits of a schedule,
 as `period_profits`, the one checked per-period profit, returns them,
@@ -33,8 +33,8 @@ from minetax.model import (
     ExtendedModel,
     LeaderStrategy,
     TechParams,
+    _cumulative_cost,
     _nonnegative_floats,
-    _period_profits,
 )
 
 
@@ -42,6 +42,33 @@ def answer(q: Sequence[float], a: int) -> BestResponse:
     """Schedule q with technology a, as a `BestResponse` whose profit is
     not evaluated (NaN) and which is not tagged optimal."""
     return BestResponse(q=q, a=a, profit=math.nan, optimality_tag=False)
+
+
+def _period_profits(
+    q: Sequence[float], taus: Sequence[float], tech: TechParams,
+    model: ExtendedModel,
+) -> list[float]:
+    """Mine profit in each period of schedule q under taxes taus, both
+    over the whole horizon; unchecked. The extraction/purification charge
+    is the increment of the cumulative cost curve over the period; the rate
+    charge is alpha_er q_t^2 + beta_er q_t + gamma_er, whose fixed part is
+    charged regardless of q_t."""
+    alpha, beta = model.alpha, model.beta
+    slopes, breakpoints = tech.slopes, model.strata.breakpoints
+    alpha_er, beta_er, gamma_er = tech.alpha_er, tech.beta_er, tech.gamma_er
+    profits = []
+    for t, tau_t in enumerate(taus, 1):
+        q_t = q[t - 1]
+        # X_t is sum(q[:t]): from Python 3.12 a float sum is compensated, so
+        # a running total could be another float
+        x_t = sum(q[:t])
+        revenue = (alpha[t - 1] - beta[t - 1] * q_t) * q_t
+        ep = _cumulative_cost(x_t, slopes, breakpoints) - _cumulative_cost(
+            x_t - q_t, slopes, breakpoints
+        )
+        rate = alpha_er * q_t * q_t + beta_er * q_t + gamma_er
+        profits.append(revenue - rate - ep - tau_t * q_t)
+    return profits
 
 
 def period_profits(

@@ -347,6 +347,17 @@ class TestNondominatedSort:
         assert nondominated_sort(pts) == [[2, 3], [0, 1]]
         assert deb_nondominated_sort(pts) == [[2, 3], [1, 0]]
 
+    def test_signed_zeros_and_duplicates(self):
+        # -0.0 == 0.0, so the float sorts tie them as one tuple sort did;
+        # the three copies of (3, 0) and of (0, 1) each share a front
+        pts = _points([
+            (0.0, 1.0), (-0.0, 1.0), (3.0, -0.0), (3.0, 0.0),
+            (0.0, 1.0), (3.0, -0.0), (-0.0, -0.0), (0.0, 0.0),
+        ])
+        expected = [[2, 3, 5], [6, 7], [0, 1, 4]]
+        assert deb_fronts_in_index_order(pts) == expected
+        assert nondominated_sort(pts) == expected
+
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=40))
     @settings(max_examples=300)
     def test_matches_reference_on_integer_grids(self, pairs):

@@ -909,6 +909,19 @@ class TestVerify:
         assert rc == EXIT_OK
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("beta, delta", [(0.05, 0.01), (0.1, 0.05), (0.15, 0.01)])
+    def test_small_price_and_cost_slopes_pass(self, tmp_path, capsys, beta, delta):
+        # 2 (beta + delta) < 1: a tax error h on the grid moves the
+        # extraction by h / (2 (beta + delta)), more than h
+        cfg = _bundled()
+        cfg["analytical"].update(beta=beta, delta=delta)
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--verify", "--quick", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert "[FAIL]" not in out
+
     def test_fixed_cost_leaves_the_report_unchanged(self, tmp_path, capsys):
         # phi is the embedded technology's fixed charge: it moves no
         # optimum, so every check reads as at phi = 0
@@ -963,3 +976,25 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: technology 1: ") and "nondecreasing" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("args", [
+        ["--model", "analytical", "--points", "5"],
+        ["--verify", "--quick"],
+    ])
+    def test_exits_1_without_a_message(self, tmp_path, args):
+        # the reader of stdout is gone before the CLI writes to it, as in
+        # `minetax ... | head` once head has what it wants
+        src = str(Path(minetax.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "minetax.cli", *args, "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait() == EXIT_USAGE
+        # no "error:" line, no traceback, no "Exception ignored" at exit
+        assert err == ""
