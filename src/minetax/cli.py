@@ -7,6 +7,8 @@ archive: each entry's tau_t and q_t are formatted once for both files,
 each entry is one write to each, each period profit is computed inline
 from the technology's constants, read once per call, and the bytes are
 those `csv.writer` would write (floats as "%.12g", rows ending in CRLF).
+Period 1 needs no prefix: its charge is C(q_1), and its cumulative
+extraction is q_1's string already formatted.
 Exit codes: 0 success, 1 usage/config error (argparse errors included)
 or a stdout closed before the output was written (`minetax ... | head`),
 2 verification failure, 3 empty-result warning.
@@ -75,8 +77,10 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     """frontier.csv and schedule.csv of `entries`, in one pass: each tau_t
     and q_t is formatted once for both files, each entry is one write to
     each, and each period profit has the float expressions of the tests'
-    reference `period_profits`. Unchecked: `entries` come from `evolve` on
-    this `model`."""
+    reference `period_profits`. Period 1 takes no empty prefix: X_1 = q_1
+    and C(0) = 0, so its charge is C(q_1) and its cumulative column is q_1's
+    string ("0" for -0.0). Unchecked: `entries` come from `evolve` on this
+    `model`."""
     T, alpha, beta = model.T, model.alpha, model.beta
     bps = model.strata.breakpoints
     M, cost = len(bps), _cumulative_cost
@@ -86,6 +90,7 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     fmt = "%.12g".__mod__
     front = "%s,%s,%.12g,%.12g,%.12g,%s,%s\r\n"
     sched = "%s,%s,%s,%s,%.12g,%.12g,%s\r\n"
+    first = "%s,%s,%s,%s,%.12g,%s,%s\r\n"  # period 1's X_1 is q_1's string
     with open(out / "frontier.csv", "w", newline="") as ff, \
             open(out / "schedule.csv", "w", newline="") as sf:
         ff.write(",".join(
@@ -107,16 +112,25 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
             ))
             rows, cum = [], 0.0
             for t, (tau_t, q_t) in enumerate(zip(tau, q)):
-                # X_t, the extraction through this period, is a fresh sum: from
-                # Python 3.12 it is compensated, so cum could be another float
-                x_t = sum(q[:t + 1])
+                cum += q_t
+                if t:
+                    # X_t, the extraction through this period, is a fresh sum:
+                    # from Python 3.12 it is compensated, so cum could be
+                    # another float
+                    x_t = sum(q[:t + 1])
+                    charge = cost(x_t, slopes, bps) - cost(x_t - q_t, slopes, bps)
+                    row, shown = sched, cum
+                else:
+                    # X_1 = q_1 and C(0) = 0.0, and 0.0 + q_1 is q_1 bit for
+                    # bit, apart from -0.0, which the sum makes 0
+                    charge = cost(q_t, slopes, bps)
+                    row, shown = first, qs[0] if q_t else "0"
                 pi = ((alpha[t] - beta[t] * q_t) * q_t
                       - (alpha_er * q_t * q_t + beta_er * q_t + gamma_er)
-                      - (cost(x_t, slopes, bps) - cost(x_t - q_t, slopes, bps))
+                      - charge
                       - tau_t * q_t)
-                cum += q_t
-                rows.append(sched % (i, t + 1, taus[t], qs[t], pi, cum,
-                                     min(bisect_left(bps, cum) + 1, M)))
+                rows.append(row % (i, t + 1, taus[t], qs[t], pi, shown,
+                                   min(bisect_left(bps, cum) + 1, M)))
             sf.write("".join(rows))
 
 

@@ -32,7 +32,8 @@ both rates.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
-certificate cannot rule it out of the follower's tie set.
+certificate cannot rule it out of the follower's tie set. A table of one
+technology skips the enumeration: its one answer is the follower's.
 """
 
 from __future__ import annotations
@@ -385,8 +386,11 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     A technology that another one dominates (`ExtendedModel.dominance`) is
     solved only when `_profit_gap_bound` cannot show it out of the profit
     tie; the answer is the one the full enumeration gives. A model with
-    one technology has no dominance, so that technology is solved once.
+    one technology has no dominance and no tie to break, so that
+    technology's answer is returned as it is.
     """
+    if len(model.techs) == 1:
+        return best_response_fixed_tech(strat, model.techs[0], model)
     answers = [
         best_response_fixed_tech(strat, tech, model) for tech in model.undominated
     ]

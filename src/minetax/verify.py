@@ -43,8 +43,17 @@ FOC_GRID_STEP = 1e-3
 FRONTIER_SAMPLES = 4001
 
 
-def _fd_central(f, x: float) -> float:
-    return (f(x + 1e-4) - f(x - 1e-4)) / 2e-4
+# central-difference step, relative to the scale of the point (absolute
+# below 1). Both differenced objectives are quadratics where they are
+# differenced, so a step of any size has no truncation error; their rounding
+# grows like alpha^2 / (beta + delta), and a step that grows with the point
+# keeps it small against 1e-6
+FD_STEP = 1e-4
+
+
+def _fd_central(f, x: float, scale: float) -> float:
+    h = FD_STEP * max(1.0, scale)
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 def check_closed_form(p: AnalyticalParams) -> CheckResult:
@@ -61,13 +70,15 @@ def check_closed_form(p: AnalyticalParams) -> CheckResult:
         tau = ana.optimal_tax(w, p)
         q = ana.optimal_extraction(w, p)
         # follower FOC at the induced extraction
-        d_pi = _fd_central(lambda x: ana.follower_profit(x, tau, p), q)
+        d_pi = _fd_central(lambda x: ana.follower_profit(x, tau, p), q, q)
         # leader FOC in the tax, with the follower on its best response
         def leader(t: float) -> float:
             qt = ana.follower_best_response(t, p)
             return w * t * qt - (1.0 - w) * p.k * qt
 
-        d_f = _fd_central(leader, tau)
+        # its step stays short of alpha - gamma, where the extraction
+        # clamps at 0 and the leader's objective has a kink
+        d_f = _fd_central(leader, tau, min(tau, p.alpha - p.gamma - tau))
         worst = max(worst, abs(d_pi), abs(d_f))
         worst = max(worst, abs(tau_grid - tau) - FOC_GRID_STEP)
         q_grid = ana.follower_best_response(tau_grid, p)

@@ -690,11 +690,15 @@ class TestStreamedWriters:
         sweep = ana.pareto_sweep(replace(params, k=k), 100)
         self._same_sweep_bytes(tmp_path, sweep)
 
-    def test_awkward_floats(self, tmp_path, model):
-        awkward = (0.0, 5e-324, 1e16, 123456789012.5, 3.0, 1.0 / 3.0)
+    def test_awkward_floats(self, tmp_path, model, params):
+        # 20.0 is the bundled table's first breakpoint; every value here
+        # starts some schedule, -0.0 included, whose cumulative extraction
+        # prints as 0, not as q_1's "-0"
+        awkward = (0.0, 5e-324, 1e16, 123456789012.5, 3.0, 1.0 / 3.0, -0.0,
+                   model.strata.breakpoints[0])
 
-        def entry(j, tech):
-            pick = [awkward[(j + t) % len(awkward)] for t in range(model.T)]
+        def entry(j, tech, T):
+            pick = [awkward[(j + t) % len(awkward)] for t in range(T)]
             return ArchiveEntry(
                 damage=float(j),
                 revenue=awkward[j],
@@ -705,13 +709,14 @@ class TestStreamedWriters:
                 ),
             )
 
-        entries = [
-            entry(j, tech.tech_id)
-            for j in range(len(awkward))
-            for tech in model.techs
-        ]
-        self._same_bytes(tmp_path, entries, model)
-        self._same_bytes(tmp_path, [], model)
+        for m in (model, analytical_as_extended(params)):
+            entries = [
+                entry(j, tech.tech_id, m.T)
+                for j in range(len(awkward))
+                for tech in m.techs
+            ]
+            self._same_bytes(tmp_path, entries, m)
+            self._same_bytes(tmp_path, [], m)
         sweep = [
             ana.WeightedSolution(*(awkward[(j + i) % len(awkward)] for i in range(6)))
             for j in range(len(awkward))
@@ -921,6 +926,38 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "alpha, beta, delta", [(500, 0.005, 0.005), (459, 0.02, 0.019)]
+    )
+    def test_closed_form_at_large_alpha_over_beta_plus_delta(
+        self, params, alpha, beta, delta
+    ):
+        # the objectives grow like alpha^2 / (beta + delta): with an absolute
+        # difference step of 1e-4 their rounding read 4.66e-6 and 1.16e-6
+        p = replace(params, alpha=alpha, beta=beta, delta=delta)
+        res = verify.check_closed_form(p)
+        assert res.passed, res.deviation
+
+    def test_closed_form_just_above_the_feasibility_threshold(self, params):
+        # w_min = 0.49999 puts the weight 0.5 within 2e-3 in tax of
+        # alpha - gamma, where the extraction clamps at 0: the leader's
+        # difference step must stay short of it
+        w_min = 0.49999
+        k = (params.alpha - params.gamma) * w_min / (1.0 - w_min)
+        res = verify.check_closed_form(replace(params, k=k))
+        assert res.passed, res.deviation
+
+    @pytest.mark.parametrize("alpha, beta, delta", [(100, 1, 1), (500, 0.005, 0.005)])
+    def test_closed_form_catches_a_wrong_tax(
+        self, params, monkeypatch, alpha, beta, delta
+    ):
+        p = replace(params, alpha=alpha, beta=beta, delta=delta)
+        tax = ana.optimal_tax
+        monkeypatch.setattr(ana, "optimal_tax", lambda w, p: 1.001 * tax(w, p))
+        res = verify.check_closed_form(p)
+        assert not res.passed
+        assert res.deviation > 1e-3
 
     def test_fixed_cost_leaves_the_report_unchanged(self, tmp_path, capsys):
         # phi is the embedded technology's fixed charge: it moves no

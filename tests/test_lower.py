@@ -194,15 +194,21 @@ class TestBestResponse:
         assert br.a == oracle.a
         assert br.profit == pytest.approx(oracle.profit, abs=1e-6)
 
-    def test_single_technology_model_degenerates(self, model):
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    @pytest.mark.parametrize("pick", range(4))
+    def test_single_technology_model_degenerates(self, model, monkeypatch, r, pick):
+        # both solver paths: one fixed-technology solve, returned as it is
         single = ExtendedModel(
             T=model.T, alpha=model.alpha, beta=model.beta,
-            techs=(model.tech(2),), strata=model.strata,
+            techs=(model.tech(2),), strata=model.strata, r=r,
         )
-        strat = LeaderStrategy(tau=(10.0,) * 5)
-        assert best_response(strat, single) == best_response_fixed_tech(
-            strat, model.tech(2), single
-        )
+        strats = [LeaderStrategy(tau=(10.0,) * 5),
+                  *random_strategies(single, 3, seed=23)]
+        strat = strats[pick]
+        expected = best_response_fixed_tech(strat, model.tech(2), single)
+        calls = _count_fixed_tech_solves(monkeypatch)
+        assert best_response(strat, single) == expected
+        assert calls == [2]
 
     @pytest.mark.parametrize("r", [0.0, 0.05])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -16,6 +16,10 @@ fresh interpreter with PYTHONPATH=<root>/src and the same config file:
 - the bundled table with tau_bounds [5, 30] in every period, at r = 0 and
   r = 0.05, with --tech all at seeds 0-3: SBX and mutation then clip many
   genes onto the box edges, and those taxes reach the archive unchecked;
+- the bundled table with period 1's tau_bounds pinned at [alpha_1,
+  alpha_1] (the others [0, alpha_t]), at r = 0 and r = 0.05, with --tech
+  all at seeds 0-3: then q_1 = 0 in every row, the edge case of the
+  writer's first schedule row;
 - the bundled config at r = 0 with --min-revenue 1000 --max-damage 400 at
   seeds 0-3, so the objective-bound filter keeps part of the archive.
 
@@ -58,12 +62,16 @@ def cases() -> list[tuple[str, dict, list[str]]]:
     (tech3,) = (t for t in two_top if t["tech_id"] == 3)
     tech3["beta_er"] = 1.5
     narrow = [[5, 30]] * bundled["extended"]["T"]
+    alpha = bundled["extended"]["alpha"]
+    pinned = [[alpha[0], alpha[0]]] + [[0, a] for a in alpha[1:]]
     tables = [
         ("bundled", bundled["extended"], ("all", "4")),
         ("two undominated", dict(bundled["extended"], technologies=two_top),
          ("all",)),
         ("tau_bounds [5, 30]", dict(bundled["extended"], tau_bounds=narrow),
          ("all",)),
+        (f"tau_1 pinned at {alpha[0]}",
+         dict(bundled["extended"], tau_bounds=pinned), ("all",)),
     ]
     for label, extended, techs in tables:
         for r in (0.0, 0.05):
