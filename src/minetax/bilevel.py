@@ -212,6 +212,13 @@ def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
     return ArchiveEntry(damage, revenue, strat, br)
 
 
+def _same_floats(x: tuple[float, ...], y: tuple[float, ...]) -> bool:
+    """x and y hold the same floats bit for bit; -0.0 and 0.0 differ."""
+    return x == y and all(
+        a or math.copysign(1.0, a) == math.copysign(1.0, b) for a, b in zip(x, y)
+    )
+
+
 def reference_point(model: ExtendedModel) -> tuple[float, float]:
     """Fixed hypervolume reference: zero revenue, and the worst-case
     damage over the model's technologies."""
@@ -252,6 +259,9 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
     one technology is the run on a model whose table holds only that one.
     `_select` sorts each merged population once; the ranks and crowding
     distances it returns drive the next generation's binary tournaments.
+    A child that is its own parent's tax vector bit for bit, as crossover
+    passes a parent through and mutation may leave every gene alone, is
+    that parent's entry again: no solve and no archive insert.
     The run stops after `max_generations`, or when the archive's
     hypervolume has stalled (`HV_STALL_TOL`, `HV_STALL_GENERATIONS`).
     Every draw is `random.Random(config.seed).random()`, a sequence Python
@@ -274,6 +284,16 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
             failed += 1
         return entry
 
+    def copy_of(parent: ArchiveEntry) -> ArchiveEntry:
+        """The entry of a child that is its parent's tax vector bit for
+        bit: the parent's own. The follower would give the same answer, and
+        the archive has already seen its objectives, so there is nothing
+        to solve or insert; an untagged answer still counts as failed."""
+        nonlocal failed
+        if not parent.response.optimality_tag:
+            failed += 1
+        return parent
+
     n = config.population_size
     pop, rank, crowd = _select(
         [
@@ -283,20 +303,29 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
         n,
     )
 
-    def tournament() -> tuple[float, ...]:
+    def tournament() -> ArchiveEntry:
         i = int(n * rng.random())
         j = int(n * rng.random())
         if rank[i] != rank[j]:
-            return pop[i if rank[i] < rank[j] else j].strategy.tau
-        return pop[i if crowd[i] >= crowd[j] else j].strategy.tau
+            return pop[i if rank[i] < rank[j] else j]
+        return pop[i if crowd[i] >= crowd[j] else j]
 
     hv_history = [archive.hypervolume()]
     reason = "max_generations"
     for _ in range(config.max_generations):
         offspring = []
         while len(offspring) < n:
-            for c in sbx_crossover(tournament(), tournament(), lows, highs, rng):
-                offspring.append(make(polynomial_mutation(c, lows, highs, rng)))
+            parents = tournament(), tournament()
+            children = sbx_crossover(
+                parents[0].strategy.tau, parents[1].strategy.tau, lows, highs, rng
+            )
+            # child i comes from parent i's genes, crossed or not
+            for parent, c in zip(parents, children):
+                tau = tuple(polynomial_mutation(c, lows, highs, rng))
+                offspring.append(
+                    copy_of(parent) if _same_floats(tau, parent.strategy.tau)
+                    else make(tau)
+                )
         pop, rank, crowd = _select(pop + offspring, n)
         hv_history.append(archive.hypervolume())
         # at zero reference damage every hypervolume is 0, so a flat history

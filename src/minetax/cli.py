@@ -5,7 +5,8 @@ evolutionary bilevel solver, and writes plot-ready CSV/JSON artifacts.
 `frontier.csv` and `schedule.csv` are written in one pass over the
 archive: each entry's tau_t and q_t are formatted once for both files,
 each entry is one write to each, each period profit is computed inline
-from the technology's constants, read once per call, and the bytes are
+from the technology's constants and its costs at the stratum starts
+(`StrataTable.cost_table`), read once per call, and the bytes are
 those `csv.writer` would write (floats as "%.12g", rows ending in CRLF).
 Period 1 needs no prefix: its charge is C(q_1), and its cumulative
 extraction is q_1's string already formatted.
@@ -27,13 +28,7 @@ from pathlib import Path
 
 from . import analytical as ana
 from .bilevel import ArchiveEntry, EaConfig, evolve
-from .model import (
-    ModelConfig,
-    _cumulative_cost,
-    default_config,
-    load_config,
-    replace,
-)
+from .model import ModelConfig, default_config, load_config, replace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,9 +77,11 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     string ("0" for -0.0). Unchecked: `entries` come from `evolve` on this
     `model`."""
     T, alpha, beta = model.T, model.alpha, model.beta
-    bps = model.strata.breakpoints
-    M, cost = len(bps), _cumulative_cost
-    techs = {t.tech_id: (t.slopes, t.alpha_er, t.beta_er, t.gamma_er)
+    strata = model.strata
+    bps = strata.breakpoints
+    M = len(bps)
+    techs = {t.tech_id: (strata.cost_table(t.slopes), t.alpha_er, t.beta_er,
+                         t.gamma_er)
              for t in model.techs}
     # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
     fmt = "%.12g".__mod__
@@ -105,7 +102,7 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
         for i, e in enumerate(entries):
             resp = e.response
             q, tau, a = resp.q, e.strategy.tau, resp.a
-            slopes, alpha_er, beta_er, gamma_er = techs[a]
+            (lows, pieces, costs), alpha_er, beta_er, gamma_er = techs[a]
             qs, taus = [*map(fmt, q)], [*map(fmt, tau)]
             ff.write(front % (
                 i, a, e.revenue, e.damage, resp.profit, ",".join(taus), ",".join(qs)
@@ -118,12 +115,16 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
                     # from Python 3.12 it is compensated, so cum could be
                     # another float
                     x_t = sum(q[:t + 1])
-                    charge = cost(x_t, slopes, bps) - cost(x_t - q_t, slopes, bps)
+                    x_s = x_t - q_t
+                    m, n = bisect_left(bps, x_t), bisect_left(bps, x_s)
+                    charge = ((costs[m] + pieces[m] * (x_t - lows[m]))
+                              - (costs[n] + pieces[n] * (x_s - lows[n])))
                     row, shown = sched, cum
                 else:
                     # X_1 = q_1 and C(0) = 0.0, and 0.0 + q_1 is q_1 bit for
                     # bit, apart from -0.0, which the sum makes 0
-                    charge = cost(q_t, slopes, bps)
+                    m = bisect_left(bps, q_t)
+                    charge = costs[m] + pieces[m] * (q_t - lows[m])
                     row, shown = first, qs[0] if q_t else "0"
                 pi = ((alpha[t] - beta[t] * q_t) * q_t
                       - (alpha_er * q_t * q_t + beta_er * q_t + gamma_er)

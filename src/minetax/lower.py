@@ -17,10 +17,14 @@ Shooting on S_1 with mu_t the slope of X_t's stratum gives W(S_1) = sum_t
 w_t mu_t; a larger S_1 lowers every X_t, so S_1 - W(S_1) is increasing
 and its root is the optimum. Bounds W(lo) and W(hi) close in on the root
 until the strata agree on both sides (then the schedule is in closed
-form) or stall. Then the first X_t whose stratum differs is walked across
-its breakpoints: the root lies inside one stratum, which is fixed, or X_t
-is pinned on a breakpoint b with mu_t between its slopes, and the periods
-after t are the same problem from extraction b.
+form) or stall. W(hi) is run first, and lo starts at the larger of its
+initial value and W(hi): W does not increase, so the root stays
+bracketed. On technology 4 of the bundled table at r = 0.05 a shoot then
+ran W 2.57 times on average, against 3.50 with W(lo) first. On a stall
+the first X_t whose stratum differs is walked across its breakpoints:
+the root lies inside one stratum, which is fixed, or X_t is pinned on a
+breakpoint b with mu_t between its slopes, and the periods after t are
+the same problem from extraction b.
 
 Every answer carries its KKT residual. At r = 0 the schedule is q(lam) by
 construction, so the residual is the subgradient check on lam alone; at
@@ -28,7 +32,9 @@ r > 0 it is `_discounted_kkt_residual`. That one would certify r = 0
 answers too, but in its place it made an r = 0 solve 16-17% slower at
 T = 1 and 42-57% slower at T = 5, the lower figures with its bisects
 skipped where w_t = 0. One profit sum, taken from the schedule, serves
-both rates.
+both rates; it reads each C(X_t) off the technology's costs at the stratum
+starts (`StrataTable.cost_table`), with one bisect and no walk up the
+strata.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
@@ -49,7 +55,6 @@ from .model import (
     ExtendedModel,
     LeaderStrategy,
     TechParams,
-    cumulative_cost,
     leader_objectives,
 )
 
@@ -181,13 +186,16 @@ def _shoot(
             total += u
         return m, total
 
-    # W is nonincreasing in s, so W(lo) and W(hi) bound the root in turn
+    # W is nonincreasing in s, so W(lo) and W(hi) bound the root in turn.
+    # W(hi) is run first, as lo's first tightening: the first run at lo
+    # starts from it
     base, top = slopes[bisect.bisect_left(inner, x0)], slopes[-1]
     lo = sum(w[t] * base for t in range(t0, T))
     hi = sum(w[t] * top for t in range(t0, T))
     fixed: list[int] = []
-    m_lo, w_lo = run(lo, fixed)
     m_hi, w_hi = run(hi, fixed)
+    lo = max(lo, w_hi)
+    m_lo, w_lo = run(lo, fixed)
     while m_lo != m_hi:
         if w_lo < hi:
             hi = w_lo
@@ -308,14 +316,19 @@ def best_response_fixed_tech(
             total - starts[bisect.bisect_right(slopes, lam)],
         )
     # -(sum_t d_t) gamma_er - sum_t w_t C(X_t) + sum_t d_t (a_t - c_t q_t) q_t,
-    # with X_T = sum(q); at r = 0 every w_t before T is 0
-    profit = -model.discounted_periods * tech.gamma_er - w[-1] * cumulative_cost(
-        total, tech, strata
+    # with X_T = sum(q); at r = 0 every w_t before T is 0. C(x) is read off
+    # the costs at the stratum starts (`StrataTable.cost_table`)
+    lows, pieces, costs = strata.cost_table(slopes)
+    bps = strata.breakpoints
+    m = bisect.bisect_left(bps, total)
+    profit = -model.discounted_periods * tech.gamma_er - w[-1] * (
+        costs[m] + pieces[m] * (total - lows[m])
     )
     if discounted:
         for wt, x in zip(w[:-1], itertools.accumulate(q)):
             if wt:
-                profit -= wt * cumulative_cost(x, tech, strata)
+                m = bisect.bisect_left(bps, x)
+                profit -= wt * (costs[m] + pieces[m] * (x - lows[m]))
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse._make((

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from operator import mul
 from pathlib import Path
 
@@ -126,6 +126,39 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
         """(0, b_1, ..., b_{M-1}, inf): where each stratum starts, and inf
         for the one past the last. Computed once per table."""
         return (0.0,) + self.breakpoints[:-1] + (math.inf,)
+
+    @functools.cached_property
+    def _cost_tables(self) -> dict:
+        return {}
+
+    def cost_table(
+        self, slopes: tuple[float, ...]
+    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """(lows, pieces, costs) of the cumulative cost C with these
+        stratum slopes: piece m starts at lows[m], in (0, b_1, ..., b_M),
+        has slope pieces[m] (the last slope twice) and cost costs[m] =
+        C(lows[m]) there. With m = bisect_left(breakpoints, x),
+
+            C(x) = costs[m] + pieces[m] * (x - lows[m]),
+
+        which is the float a walk up the strata returns, at 0, -0.0, on a
+        breakpoint and past the last one, since costs[m] is summed as that
+        walk sums it. Keyed by the slopes, not a technology id, so a
+        technology outside a model's table gets its own costs (slopes
+        -0.0 and 0.0 share a key and give the same floats, as costs[m] is
+        never -0.0); computed once per table and slopes."""
+        table = self._cost_tables.get(slopes)
+        if table is None:
+            if len(slopes) != len(self.amounts):
+                raise ValueError("each technology needs one slope per stratum")
+            costs, cost, prev = [0.0], 0.0, 0.0
+            for slope, b in zip(slopes, self.breakpoints):
+                cost += slope * (b - prev)
+                costs.append(cost)
+                prev = b
+            table = (0.0,) + self.breakpoints, slopes + slopes[-1:], tuple(costs)
+            self._cost_tables[slopes] = table
+        return table
 
     def active_stratum(self, x: float) -> int:
         """1-based stratum index containing cumulative extraction x.
@@ -332,30 +365,18 @@ def replace(obj, /, **changes):
     return type(obj)(**{**obj._asdict(), **changes})
 
 
-def _cumulative_cost(
-    x: float, slopes: Sequence[float], breakpoints: Sequence[float]
-) -> float:
-    """C(x) of `cumulative_cost` from the technology's slopes and the
-    strata's breakpoints; unchecked."""
-    cost = 0.0
-    prev = 0.0
-    for slope, b in zip(slopes, breakpoints):
-        if x <= b:
-            return cost + slope * (x - prev)
-        cost += slope * (b - prev)
-        prev = b
-    return cost + slopes[-1] * (x - prev)
-
-
 def cumulative_cost(x: float, tech: TechParams, strata: StrataTable) -> float:
     """Piecewise-linear cumulative extraction/purification cost C(x).
 
     Marginal cost within stratum m is tech.slopes[m]; past the last
-    breakpoint the last slope extends unbounded.
+    breakpoint the last slope extends unbounded. Read off
+    `StrataTable.cost_table`.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("cumulative extraction must be finite and nonnegative")
-    return _cumulative_cost(x, tech.slopes, strata.breakpoints)
+    lows, pieces, costs = strata.cost_table(tech.slopes)
+    m = bisect.bisect_left(strata.breakpoints, x)
+    return costs[m] + pieces[m] * (x - lows[m])
 
 
 def leader_objectives(

@@ -51,8 +51,10 @@ FRONTIER_SAMPLES = 4001
 FD_STEP = 1e-4
 
 
-def _fd_central(f, x: float, scale: float) -> float:
-    h = FD_STEP * max(1.0, scale)
+def _fd_central(f, x: float, scale: float, cap: float = math.inf) -> float:
+    """Central difference of f at x, with a step of FD_STEP relative to
+    `scale`, and at most `cap`."""
+    h = min(FD_STEP * max(1.0, scale), cap)
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
@@ -77,8 +79,12 @@ def check_closed_form(p: AnalyticalParams) -> CheckResult:
             return w * t * qt - (1.0 - w) * p.k * qt
 
         # its step stays short of alpha - gamma, where the extraction
-        # clamps at 0 and the leader's objective has a kink
-        d_f = _fd_central(leader, tau, min(tau, p.alpha - p.gamma - tau))
+        # clamps at 0 and the leader's objective has a kink: at most half
+        # the way there, as a weight just above w_min puts the tax nearer
+        # to it than the step of 1e-4 kept below a scale of 1
+        room = p.alpha - p.gamma - tau
+        cap = 0.5 * room if room > 0.0 else math.inf
+        d_f = _fd_central(leader, tau, min(tau, room), cap)
         worst = max(worst, abs(d_pi), abs(d_f))
         worst = max(worst, abs(tau_grid - tau) - FOC_GRID_STEP)
         q_grid = ana.follower_best_response(tau_grid, p)

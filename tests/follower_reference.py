@@ -17,6 +17,11 @@ tests' period-by-period reference for `period_profits` builds on it.
 as `period_profits`, the one checked per-period profit, returns them,
 independently of the solvers' own profit sum.
 
+`cumulative_cost_walk` is C(x) as a walk up the strata, the loop that
+`StrataTable.cost_table` replaced: the package reads C off the costs at
+the stratum starts, and the tests check that both give the same floats.
+`_period_profits` computes its charges with the walk.
+
 `waterfill_walk` is the r = 0 water-fill as a linear walk up the strata.
 `minetax.lower._waterfill` finds its stopping stratum by bisection; this is
 the walk it replaced, kept so the tests can check that both return the same
@@ -33,7 +38,6 @@ from minetax.model import (
     ExtendedModel,
     LeaderStrategy,
     TechParams,
-    _cumulative_cost,
     _nonnegative_floats,
 )
 
@@ -42,6 +46,21 @@ def answer(q: Sequence[float], a: int) -> BestResponse:
     """Schedule q with technology a, as a `BestResponse` whose profit is
     not evaluated (NaN) and which is not tagged optimal."""
     return BestResponse(q=q, a=a, profit=math.nan, optimality_tag=False)
+
+
+def cumulative_cost_walk(
+    x: float, slopes: Sequence[float], breakpoints: Sequence[float]
+) -> float:
+    """C(x) from the technology's slopes and the strata's breakpoints,
+    one stratum at a time; unchecked."""
+    cost = 0.0
+    prev = 0.0
+    for slope, b in zip(slopes, breakpoints):
+        if x <= b:
+            return cost + slope * (x - prev)
+        cost += slope * (b - prev)
+        prev = b
+    return cost + slopes[-1] * (x - prev)
 
 
 def _period_profits(
@@ -63,7 +82,7 @@ def _period_profits(
         # a running total could be another float
         x_t = sum(q[:t])
         revenue = (alpha[t - 1] - beta[t - 1] * q_t) * q_t
-        ep = _cumulative_cost(x_t, slopes, breakpoints) - _cumulative_cost(
+        ep = cumulative_cost_walk(x_t, slopes, breakpoints) - cumulative_cost_walk(
             x_t - q_t, slopes, breakpoints
         )
         rate = alpha_er * q_t * q_t + beta_er * q_t + gamma_er

@@ -31,6 +31,7 @@ from minetax import (
     reference_point,
 )
 from minetax.model import replace
+from minetax.variation import polynomial_mutation, sbx_crossover
 from minetax.verify import random_strategies
 
 
@@ -684,6 +685,72 @@ class TestEvolve:
         assert set(result.hv_history) == {0.0}
         assert result.termination_reason == "max_generations"
         assert result.generations_run == 40
+
+
+class TestVerbatimCopies:
+    """A child that is its own parent's tax vector bit for bit is that
+    parent's entry again: no follower solve and no archive insert."""
+
+    CFG = EaConfig(population_size=8, max_generations=5, seed=0)
+
+    def _run(self, model, monkeypatch, follower=best_response):
+        """`evolve` with its follower solves counted and each child paired
+        with its own parent: the result, the solves and the children that
+        copy their parent bit for bit."""
+        solves, parents, children = [], [], []
+
+        def counted(strat, m):
+            solves.append(strat)
+            return follower(strat, m)
+
+        def crossed(p1, p2, *args):
+            parents.extend((p1, p2))
+            return sbx_crossover(p1, p2, *args)
+
+        def mutated(x, *args):
+            children.append(polynomial_mutation(x, *args))
+            return children[-1]
+
+        monkeypatch.setattr(bilevel, "best_response", counted)
+        monkeypatch.setattr(bilevel, "sbx_crossover", crossed)
+        monkeypatch.setattr(bilevel, "polynomial_mutation", mutated)
+        result = evolve(model, self.CFG)
+        # float.hex tells -0.0 from 0.0
+        copies = sum(
+            list(map(float.hex, c)) == list(map(float.hex, p))
+            for p, c in zip(parents, children)
+        )
+        return result, len(solves), copies
+
+    def test_a_copy_is_not_solved(self, model, monkeypatch):
+        discounted = replace(model, r=0.05)
+        _, solves, copies = self._run(discounted, monkeypatch)
+        assert copies > 0
+        assert solves + copies == 8 * 6
+
+    def test_same_run_without_the_reuse(self, model, monkeypatch):
+        discounted = replace(model, r=0.05)
+        reused, _, _ = self._run(discounted, monkeypatch)
+        monkeypatch.setattr(bilevel, "_same_floats", lambda x, y: False)
+        solved, solves, _ = self._run(discounted, monkeypatch)
+        assert solves == 8 * 6
+        assert reused.hv_history == solved.hv_history
+        assert reused.archive.entries == solved.archive.entries
+        assert reused.failed_evaluations == solved.failed_evaluations == 0
+
+    def test_an_untagged_copy_counts_as_failed(self, model, monkeypatch):
+        def untagged(strat, m):
+            return BestResponse(
+                q=(0.0,) * m.T, a=m.techs[0].tech_id, profit=0.0,
+                optimality_tag=False,
+            )
+
+        result, _, copies = self._run(
+            replace(model, r=0.05), monkeypatch, follower=untagged
+        )
+        assert copies > 0
+        assert result.failed_evaluations == 8 * 6
+        assert len(result.archive) == 0
 
 
 class TestFrontierComposition:

@@ -948,6 +948,25 @@ class TestVerify:
         res = verify.check_closed_form(replace(params, k=k))
         assert res.passed, res.deviation
 
+    def test_closed_form_nearer_the_feasibility_threshold(
+        self, params, tmp_path, capsys
+    ):
+        # w_min = 0.4999999 puts the tax at the weight 0.5 within 1.98e-5 of
+        # alpha - gamma, under the step of 1e-4 kept below a scale of 1:
+        # that step crossed the kink and read 6.0e-6
+        k = 98.99996040000792
+        p = replace(params, k=k)
+        assert ana.feasibility_threshold(p) == pytest.approx(0.4999999, abs=1e-15)
+        res = verify.check_closed_form(p)
+        assert res.passed, res.deviation
+        # and the whole quick battery, as CI runs it
+        cfg = _bundled()
+        cfg["analytical"]["k"] = k
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--verify", "--quick", "--config", str(path)]) == EXIT_OK
+        assert "[FAIL]" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("alpha, beta, delta", [(100, 1, 1), (500, 0.005, 0.005)])
     def test_closed_form_catches_a_wrong_tax(
         self, params, monkeypatch, alpha, beta, delta
