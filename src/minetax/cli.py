@@ -1,18 +1,10 @@
 """Command-line front end.
 
 Loads model parameters from JSON, runs the analytical sweep or the
-evolutionary bilevel solver, and writes plot-ready CSV/JSON artifacts.
-`frontier.csv` and `schedule.csv` are written in one pass over the
-archive: each entry's tau_t and q_t are formatted once for both files,
-each entry is one write to each, each period profit is computed inline
-from the technology's constants and its costs at the stratum starts
-(`StrataTable.cost_table`), read once per call, and the bytes are
-those `csv.writer` would write (floats as "%.12g", rows ending in CRLF).
-Period 1 needs no prefix: its charge is C(q_1), and its cumulative
-extraction is q_1's string already formatted.
-Exit codes: 0 success, 1 usage/config error (argparse errors included)
-or a stdout closed before the output was written (`minetax ... | head`),
-2 verification failure, 3 empty-result warning.
+evolutionary bilevel solver, and writes plot-ready CSV/JSON artifacts
+(`_write_outputs`). Exit codes: 0 success, 1 usage/config error (argparse
+errors included) or a stdout closed before the output was written
+(`minetax ... | head`), 2 verification failure, 3 empty-result warning.
 """
 
 from __future__ import annotations
@@ -72,15 +64,16 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     """frontier.csv and schedule.csv of `entries`, in one pass: each tau_t
     and q_t is formatted once for both files, each entry is one write to
     each, and each period profit has the float expressions of the tests'
-    reference `period_profits`. Period 1 takes no empty prefix: X_1 = q_1
-    and C(0) = 0, so its charge is C(q_1) and its cumulative column is q_1's
-    string ("0" for -0.0). Unchecked: `entries` come from `evolve` on this
-    `model`."""
+    reference `period_profits`, with C from `StrataTable.cost_curve`,
+    looked up once per technology and call. Period 1 takes no empty
+    prefix: X_1 = q_1 and C(0) = 0, so its charge is C(q_1) and its
+    cumulative column is q_1's string ("0" for -0.0). Unchecked: `entries`
+    come from `evolve` on this `model`."""
     T, alpha, beta = model.T, model.alpha, model.beta
     strata = model.strata
     bps = strata.breakpoints
     M = len(bps)
-    techs = {t.tech_id: (strata.cost_table(t.slopes), t.alpha_er, t.beta_er,
+    techs = {t.tech_id: (strata.cost_curve(t.slopes), t.alpha_er, t.beta_er,
                          t.gamma_er)
              for t in model.techs}
     # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
@@ -102,7 +95,7 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
         for i, e in enumerate(entries):
             resp = e.response
             q, tau, a = resp.q, e.strategy.tau, resp.a
-            (lows, pieces, costs), alpha_er, beta_er, gamma_er = techs[a]
+            cost, alpha_er, beta_er, gamma_er = techs[a]
             qs, taus = [*map(fmt, q)], [*map(fmt, tau)]
             ff.write(front % (
                 i, a, e.revenue, e.damage, resp.profit, ",".join(taus), ",".join(qs)
@@ -115,16 +108,12 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
                     # from Python 3.12 it is compensated, so cum could be
                     # another float
                     x_t = sum(q[:t + 1])
-                    x_s = x_t - q_t
-                    m, n = bisect_left(bps, x_t), bisect_left(bps, x_s)
-                    charge = ((costs[m] + pieces[m] * (x_t - lows[m]))
-                              - (costs[n] + pieces[n] * (x_s - lows[n])))
+                    charge = cost(x_t) - cost(x_t - q_t)
                     row, shown = sched, cum
                 else:
                     # X_1 = q_1 and C(0) = 0.0, and 0.0 + q_1 is q_1 bit for
                     # bit, apart from -0.0, which the sum makes 0
-                    m = bisect_left(bps, q_t)
-                    charge = costs[m] + pieces[m] * (q_t - lows[m])
+                    charge = cost(q_t)
                     row, shown = first, qs[0] if q_t else "0"
                 pi = ((alpha[t] - beta[t] * q_t) * q_t
                       - (alpha_er * q_t * q_t + beta_er * q_t + gamma_er)
@@ -282,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         # so the flush at exit stays quiet, and the exit code is 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,12 +19,10 @@ and its root is the optimum. Bounds W(lo) and W(hi) close in on the root
 until the strata agree on both sides (then the schedule is in closed
 form) or stall. W(hi) is run first, and lo starts at the larger of its
 initial value and W(hi): W does not increase, so the root stays
-bracketed. On technology 4 of the bundled table at r = 0.05 a shoot then
-ran W 2.57 times on average, against 3.50 with W(lo) first. On a stall
-the first X_t whose stratum differs is walked across its breakpoints:
-the root lies inside one stratum, which is fixed, or X_t is pinned on a
-breakpoint b with mu_t between its slopes, and the periods after t are
-the same problem from extraction b.
+bracketed. On a stall the first X_t whose stratum differs is walked
+across its breakpoints: the root lies inside one stratum, which is
+fixed, or X_t is pinned on a breakpoint b with mu_t between its slopes,
+and the periods after t are the same problem from extraction b.
 
 Every answer carries its KKT residual. At r = 0 the schedule is q(lam) by
 construction, so the residual is the subgradient check on lam alone; at
@@ -32,9 +30,7 @@ r > 0 it is `_discounted_kkt_residual`. That one would certify r = 0
 answers too, but in its place it made an r = 0 solve 16-17% slower at
 T = 1 and 42-57% slower at T = 5, the lower figures with its bisects
 skipped where w_t = 0. One profit sum, taken from the schedule, serves
-both rates; it reads each C(X_t) off the technology's costs at the stratum
-starts (`StrataTable.cost_table`), with one bisect and no walk up the
-strata.
+both rates; it reads each C(X_t) off `StrataTable.cost_curve`.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
@@ -316,19 +312,13 @@ def best_response_fixed_tech(
             total - starts[bisect.bisect_right(slopes, lam)],
         )
     # -(sum_t d_t) gamma_er - sum_t w_t C(X_t) + sum_t d_t (a_t - c_t q_t) q_t,
-    # with X_T = sum(q); at r = 0 every w_t before T is 0. C(x) is read off
-    # the costs at the stratum starts (`StrataTable.cost_table`)
-    lows, pieces, costs = strata.cost_table(slopes)
-    bps = strata.breakpoints
-    m = bisect.bisect_left(bps, total)
-    profit = -model.discounted_periods * tech.gamma_er - w[-1] * (
-        costs[m] + pieces[m] * (total - lows[m])
-    )
+    # with X_T = sum(q); at r = 0 every w_t before T is 0
+    cost = strata.cost_curve(slopes)
+    profit = -model.discounted_periods * tech.gamma_er - w[-1] * cost(total)
     if discounted:
         for wt, x in zip(w[:-1], itertools.accumulate(q)):
             if wt:
-                m = bisect.bisect_left(bps, x)
-                profit -= wt * (costs[m] + pieces[m] * (x - lows[m]))
+                profit -= wt * cost(x)
     for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse._make((

@@ -16,8 +16,8 @@ import itertools
 import json
 import math
 from collections import namedtuple
-from collections.abc import Iterable
-from operator import mul
+from collections.abc import Callable, Iterable
+from operator import mul, sub
 from pathlib import Path
 
 
@@ -128,37 +128,39 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
         return (0.0,) + self.breakpoints[:-1] + (math.inf,)
 
     @functools.cached_property
-    def _cost_tables(self) -> dict:
+    def _cost_curves(self) -> dict:
         return {}
 
-    def cost_table(
-        self, slopes: tuple[float, ...]
-    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        """(lows, pieces, costs) of the cumulative cost C with these
-        stratum slopes: piece m starts at lows[m], in (0, b_1, ..., b_M),
-        has slope pieces[m] (the last slope twice) and cost costs[m] =
-        C(lows[m]) there. With m = bisect_left(breakpoints, x),
+    def cost_curve(self, slopes: tuple[float, ...]) -> Callable[[float], float]:
+        """The cumulative cost C with these stratum slopes, as a function
+        of x >= 0 that checks nothing. Piece m starts at low_m, in (0, b_1,
+        ..., b_M), has slope s_m (the last slope twice) and cost P_m =
+        C(low_m) there. With m = bisect_left(breakpoints, x),
 
-            C(x) = costs[m] + pieces[m] * (x - lows[m]),
+            C(x) = P_m + s_m (x - low_m),
 
         which is the float a walk up the strata returns, at 0, -0.0, on a
-        breakpoint and past the last one, since costs[m] is summed as that
-        walk sums it. Keyed by the slopes, not a technology id, so a
-        technology outside a model's table gets its own costs (slopes
-        -0.0 and 0.0 share a key and give the same floats, as costs[m] is
-        never -0.0); computed once per table and slopes."""
-        table = self._cost_tables.get(slopes)
-        if table is None:
+        breakpoint and past the last one, since P_m is summed as that walk
+        sums it. Keyed by the slopes, not a technology id, so a technology
+        outside a model's table gets its own curve (slopes -0.0 and 0.0
+        share a key and give the same floats, as P_m is never -0.0); built
+        once per table and slopes."""
+        curve = self._cost_curves.get(slopes)
+        if curve is None:
             if len(slopes) != len(self.amounts):
                 raise ValueError("each technology needs one slope per stratum")
-            costs, cost, prev = [0.0], 0.0, 0.0
-            for slope, b in zip(slopes, self.breakpoints):
-                cost += slope * (b - prev)
-                costs.append(cost)
-                prev = b
-            table = (0.0,) + self.breakpoints, slopes + slopes[-1:], tuple(costs)
-            self._cost_tables[slopes] = table
-        return table
+            bps, lows = self.breakpoints, (0.0,) + self.breakpoints
+            # P_0 = 0.0, P_m = P_{m-1} + s_m (b_m - b_{m-1}): the walk's sums
+            costs = itertools.accumulate(map(mul, slopes, map(sub, bps, lows)),
+                                         initial=0.0)
+            pieces = tuple(zip(costs, slopes + slopes[-1:], lows))
+
+            def curve(x: float) -> float:
+                p, s, low = pieces[bisect.bisect_left(bps, x)]
+                return p + s * (x - low)
+
+            self._cost_curves[slopes] = curve
+        return curve
 
     def active_stratum(self, x: float) -> int:
         """1-based stratum index containing cumulative extraction x.
@@ -370,13 +372,11 @@ def cumulative_cost(x: float, tech: TechParams, strata: StrataTable) -> float:
 
     Marginal cost within stratum m is tech.slopes[m]; past the last
     breakpoint the last slope extends unbounded. Read off
-    `StrataTable.cost_table`.
+    `StrataTable.cost_curve`.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("cumulative extraction must be finite and nonnegative")
-    lows, pieces, costs = strata.cost_table(tech.slopes)
-    m = bisect.bisect_left(strata.breakpoints, x)
-    return costs[m] + pieces[m] * (x - lows[m])
+    return strata.cost_curve(tech.slopes)(x)
 
 
 def leader_objectives(
@@ -531,6 +531,8 @@ def load_config(path: str | Path) -> ModelConfig:
             d = json.load(f)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: {e}") from None
     return config_from_dict(d)
 
 

@@ -21,7 +21,6 @@ from .model import (
     ExtendedModel,
     LeaderStrategy,
     analytical_as_extended,
-    cumulative_cost,
 )
 from .oracle import GridSpec, grid_best_response, weighted_scalar_check
 
@@ -141,15 +140,13 @@ def check_telescoping(model: ExtendedModel, n_schedules: int) -> CheckResult:
     for _ in range(n_schedules):
         q = [hi * rng.random() for _, hi in model.q_bounds]
         for tech in model.techs:
-            total = 0.0
-            cum = 0.0
+            cost = model.strata.cost_curve(tech.slopes)
+            total = cum = 0.0
             for x in q:
                 nxt = cum + x
-                total += cumulative_cost(nxt, tech, model.strata) - cumulative_cost(
-                    cum, tech, model.strata
-                )
+                total += cost(nxt) - cost(cum)
                 cum = nxt
-            worst = max(worst, abs(total - cumulative_cost(cum, tech, model.strata)))
+            worst = max(worst, abs(total - cost(cum)))
     return CheckResult(
         name="telescoping of extraction/purification increments",
         passed=worst <= 1e-9,
@@ -158,21 +155,17 @@ def check_telescoping(model: ExtendedModel, n_schedules: int) -> CheckResult:
 
 
 def check_cost_convexity(model: ExtendedModel) -> CheckResult:
-    """Midpoint convexity of `cumulative_cost` at 200 random pairs, per
-    technology. `TechParams` already rejects decreasing slopes; this tests
-    that the cost function computes the convex curve they define."""
+    """Midpoint convexity of `StrataTable.cost_curve` at 200 random pairs,
+    per technology. `TechParams` already rejects decreasing slopes; this
+    tests that the curve computes the convex cost they define."""
     worst = 0.0
     rng = random.Random(0)
     span = 1.5 * model.strata.stock
     for _ in range(200):
         x, y = span * rng.random(), span * rng.random()
         for tech in model.techs:
-            mid = cumulative_cost((x + y) / 2.0, tech, model.strata)
-            avg = 0.5 * (
-                cumulative_cost(x, tech, model.strata)
-                + cumulative_cost(y, tech, model.strata)
-            )
-            gap = mid - avg
+            cost = model.strata.cost_curve(tech.slopes)
+            gap = cost((x + y) / 2.0) - 0.5 * (cost(x) + cost(y))
             if gap > 1e-9:
                 worst = max(worst, gap)
     return CheckResult(

@@ -18,9 +18,8 @@ as `period_profits`, the one checked per-period profit, returns them,
 independently of the solvers' own profit sum.
 
 `cumulative_cost_walk` is C(x) as a walk up the strata, the loop that
-`StrataTable.cost_table` replaced: the package reads C off the costs at
-the stratum starts, and the tests check that both give the same floats.
-`_period_profits` computes its charges with the walk.
+`StrataTable.cost_curve` replaced; the tests check that both give the
+same floats. `_period_profits` computes its charges with the walk.
 
 `waterfill_walk` is the r = 0 water-fill as a linear walk up the strata.
 `minetax.lower._waterfill` finds its stopping stratum by bisection; this is

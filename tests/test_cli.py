@@ -244,6 +244,23 @@ class TestInvalidConfigs:
         err = capsys.readouterr().err
         assert err == f"error: {path}: JSON nested too deeply\n"
 
+    @pytest.mark.parametrize("text", ['{"extended": ', ""], ids=["truncated", "empty"])
+    @pytest.mark.parametrize(
+        "args",
+        [["--model", "extended", "--pop-size", "4", "--generations", "1"],
+         ["--verify", "--quick"]],
+        ids=["extended", "verify"],
+    )
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, text, args):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc = main(args + ["--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "model, edit",
         [

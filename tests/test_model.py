@@ -116,9 +116,9 @@ class TestCumulativeCost:
     @given(data=st.data(), m=st.integers(1, 6))
     @settings(max_examples=200)
     def test_costs_at_the_stratum_starts_match_the_walk(self, data, m):
-        # C read off the costs at the stratum starts is the walk's float,
-        # sign of zero included, at 0, -0.0, on and beside each breakpoint,
-        # between breakpoints and past the last one
+        # the cost curve gives the walk's float, sign of zero included, at
+        # 0, -0.0, on and beside each breakpoint, between breakpoints and
+        # past the last one
         slopes = sorted(data.draw(st.lists(
             st.one_of(st.just(-0.0), st.floats(0.0, 1e3)), min_size=m, max_size=m
         )))
@@ -128,6 +128,7 @@ class TestCumulativeCost:
         tech = TechParams(tech_id=1, k=1.0, alpha_er=0.0, beta_er=0.0,
                           gamma_er=0.0, slopes=slopes)
         strata = StrataTable(amounts=amounts)
+        cost = strata.cost_curve(tech.slopes)
         bps = strata.breakpoints
         points = [0.0, -0.0, 2.0 * bps[-1] + 1.0]
         for lo, b in zip((0.0,) + bps, bps):
@@ -135,30 +136,33 @@ class TestCumulativeCost:
                        0.5 * (lo + b)]
         points += data.draw(st.lists(st.floats(0.0, 3.0 * bps[-1]), max_size=5))
         for x in points:
-            got = cumulative_cost(x, tech, strata)
+            got = cost(x)
             want = cumulative_cost_walk(x, tech.slopes, bps)
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_costs_are_keyed_by_the_slopes(self, model):
-        # a technology outside the table with a table technology's id gets
-        # its own costs, also after the table's costs were computed
+        # one curve per slope vector: a technology with equal slopes shares
+        # it, and one outside the table with a table technology's id gets
+        # its own, also after the table's curve was built
         strata = model.strata
         tech = model.tech(4)
-        cumulative_cost(50.0, tech, strata)
+        cost = strata.cost_curve(tech.slopes)
+        assert strata.cost_curve(tech.slopes) is cost
+        twin = replace(tech, tech_id=99, alpha_er=tech.alpha_er + 1.0)
+        assert strata.cost_curve(twin.slopes) is cost
         steeper = replace(tech, slopes=tuple(2.0 * s for s in tech.slopes))
+        steep = strata.cost_curve(steeper.slopes)
+        assert steep is not cost
         for x in (0.0, 20.0, 50.0, 150.0):
-            assert cumulative_cost(x, steeper, strata) == cumulative_cost_walk(
+            assert steep(x) == cumulative_cost_walk(
                 x, steeper.slopes, strata.breakpoints
             )
-        assert cumulative_cost(50.0, steeper, strata) == 2.0 * cumulative_cost(
-            50.0, tech, strata
-        )
+        assert steep(50.0) == 2.0 * cost(50.0)
 
     def test_one_slope_per_stratum(self, model):
-        tech = replace(model.tech(1), slopes=(1.0, 2.0))
         with pytest.raises(ValueError, match="one slope per stratum"):
-            cumulative_cost(1.0, tech, model.strata)
+            model.strata.cost_curve((1.0, 2.0))
 
 
 def _tech(tech_id, alpha_er=0.3, beta_er=2.0, gamma_er=5.0, slopes=(1.0, 2.0)):
