@@ -30,7 +30,10 @@ r > 0 it is `_discounted_kkt_residual`. That one would certify r = 0
 answers too, but in its place it made an r = 0 solve 16-17% slower at
 T = 1 and 42-57% slower at T = 5, the lower figures with its bisects
 skipped where w_t = 0. One profit sum, taken from the schedule, serves
-both rates; it reads each C(X_t) off `StrataTable.cost_curve`.
+both rates. What a solve reads of the model and the technology (C, c_t,
+the strata, d, w, the first bracket of the shooting) is built once per
+model and table technology, `ExtendedModel.follower_constants`; any
+other technology record gets its constants built afresh.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
@@ -49,6 +52,7 @@ from collections.abc import Sequence
 from .model import (
     Dominance,
     ExtendedModel,
+    FollowerConstants,
     LeaderStrategy,
     TechParams,
     leader_objectives,
@@ -159,13 +163,14 @@ def _crossing(periods: _Periods, target: float, lo: float, hi: float) -> float:
 
 
 def _shoot(
-    t0: int, x0: float, periods: _Periods, d: Sequence[float],
-    w: Sequence[float], slopes: Sequence[float], inner: Sequence[float],
+    t0: int, x0: float, periods: _Periods, k: FollowerConstants
 ) -> tuple[list[float], float]:
     """Optimal q_t from period t0 on, given X_{t0-1} = x0, by shooting on
     S_{t0} (see the module docstring): the schedule to T, or, when X_{t*}
-    is pinned on a breakpoint b, the schedule to t* and b."""
+    is pinned on a breakpoint b, the schedule to t* and b. x0 = 0 at
+    t0 = 0, the only start whose bracket is in `k`."""
     T = len(periods)
+    d, w, slopes, inner = k.d, k.w, k.slopes, k.inner
 
     def run(s: float, fixed: list[int]) -> tuple[list[int], float]:
         """The strata m_t of the X_t from S_{t0} = s, the first len(fixed)
@@ -185,9 +190,12 @@ def _shoot(
     # W is nonincreasing in s, so W(lo) and W(hi) bound the root in turn.
     # W(hi) is run first, as lo's first tightening: the first run at lo
     # starts from it
-    base, top = slopes[bisect.bisect_left(inner, x0)], slopes[-1]
-    lo = sum(w[t] * base for t in range(t0, T))
-    hi = sum(w[t] * top for t in range(t0, T))
+    if t0:
+        base, top = slopes[bisect.bisect_left(inner, x0)], slopes[-1]
+        lo = sum(w[t] * base for t in range(t0, T))
+        hi = sum(w[t] * top for t in range(t0, T))
+    else:
+        lo, hi = k.bracket
     fixed: list[int] = []
     m_hi, w_hi = run(hi, fixed)
     lo = max(lo, w_hi)
@@ -281,31 +289,28 @@ def best_response_fixed_tech(
     """Unique profit-maximizing schedule for fixed taxes and technology."""
     if len(strat.tau) != model.T:
         raise ValueError("strategy length must equal the horizon T")
-    beta_er, alpha_er = tech.beta_er, tech.alpha_er
-    periods = [
-        (a - x - beta_er, b + alpha_er, h)
-        for a, b, x, (_, h) in zip(model.alpha, model.beta, strat.tau, model.q_bounds)
-    ]
-    slopes, strata = tech.slopes, model.strata
-    d, w = model.discount_factors, model.cost_weights
-    discounted = model.r > 0.0
-    if discounted:
-        inner = strata.breakpoints[:-1]
+    k = model.follower_constants.get(tech.tech_id)
+    if k is None or k.tech is not tech:
+        # outside the table, or the table's id with other costs
+        k = FollowerConstants.build(tech, model)
+    beta_er = tech.beta_er
+    periods = [(a - x - beta_er, c, h) for (a, c, h), x in zip(k.rows, strat.tau)]
+    if k.discounted:
         # a pinned X_t leaves the periods after t as the same problem from b
         q: list[float] = []
         x0 = 0.0
         while len(q) < len(periods):
-            tail, x0 = _shoot(len(q), x0, periods, d, w, slopes, inner)
+            tail, x0 = _shoot(len(q), x0, periods, k)
             q += tail
         total = sum(q)
-        residual = _discounted_kkt_residual(q, periods, d, w, slopes, inner)
+        residual = _discounted_kkt_residual(q, periods, k.d, k.w, k.slopes, k.inner)
     else:
-        q, lam = _waterfill(periods, slopes, strata.breakpoints)
+        q, lam = _waterfill(periods, k.slopes, k.breakpoints)
         total = sum(q)
         # KKT residual, in units of extraction: q is q(lam) by construction,
         # and lam must be a subgradient of C at the total, which then covers
         # every stratum cheaper than lam and enters none dearer than it
-        starts = strata.starts
+        starts, slopes = k.starts, k.slopes
         residual = max(
             0.0,
             starts[bisect.bisect_left(slopes, lam)] - total,
@@ -313,13 +318,13 @@ def best_response_fixed_tech(
         )
     # -(sum_t d_t) gamma_er - sum_t w_t C(X_t) + sum_t d_t (a_t - c_t q_t) q_t,
     # with X_T = sum(q); at r = 0 every w_t before T is 0
-    cost = strata.cost_curve(slopes)
-    profit = -model.discounted_periods * tech.gamma_er - w[-1] * cost(total)
-    if discounted:
-        for wt, x in zip(w[:-1], itertools.accumulate(q)):
+    cost = k.cost
+    profit = k.fixed_cost - k.w_last * cost(total)
+    if k.discounted:
+        for wt, x in zip(k.w_head, itertools.accumulate(q)):
             if wt:
                 profit -= wt * cost(x)
-    for (a, c, _), dt, v in zip(periods, d, q):
+    for (a, c, _), dt, v in zip(periods, k.d, q):
         profit += dt * ((a - c * v) * v)
     return BestResponse._make((
         tuple(q), tech.tech_id, profit,

@@ -144,7 +144,8 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
         sums it. Keyed by the slopes, not a technology id, so a technology
         outside a model's table gets its own curve (slopes -0.0 and 0.0
         share a key and give the same floats, as P_m is never -0.0); built
-        once per table and slopes."""
+        once per table and slopes. The follower looks it up once per model
+        and technology (`FollowerConstants`)."""
         curve = self._cost_curves.get(slopes)
         if curve is None:
             if len(slopes) != len(self.amounts):
@@ -189,6 +190,36 @@ class Dominance(namedtuple("Dominance", "tech dominator fixed_gap unit_gap")):
     dominator: TechParams
     fixed_gap: float
     unit_gap: float
+
+
+class FollowerConstants(namedtuple(
+    "FollowerConstants",
+    "tech cost rows slopes breakpoints inner starts d w w_head w_last"
+    " discounted fixed_cost bracket",
+)):
+    """What a fixed-technology follower solve (`lower.best_response_fixed_tech`)
+    reads of the model and of `tech`, none of which depends on the taxes:
+    the cost curve C, rows (alpha_t, beta_t + alpha_er, qbar_t) per period,
+    the strata (inner = breakpoints[:-1]), d, w, w[:-1] and w_T, whether
+    r > 0, -(sum_t d_t) gamma_er, and the shooting's first bracket
+    (sum_t w_t s_1, sum_t w_t s_M), summed as `lower._shoot` sums it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def build(cls, tech: TechParams, model: ExtendedModel) -> FollowerConstants:
+        strata, slopes, w = model.strata, tech.slopes, model.cost_weights
+        rows = tuple(
+            (a, b + tech.alpha_er, h)
+            for a, b, (_, h) in zip(model.alpha, model.beta, model.q_bounds)
+        )
+        bracket = tuple(sum(wt * s for wt in w) for s in (slopes[0], slopes[-1]))
+        return cls(
+            tech, strata.cost_curve(slopes), rows, slopes, strata.breakpoints,
+            strata.breakpoints[:-1], strata.starts, model.discount_factors, w,
+            w[:-1], w[-1], model.r > 0.0,
+            -model.discounted_periods * tech.gamma_er, bracket,
+        )
 
 
 class ExtendedModel(
@@ -307,6 +338,12 @@ class ExtendedModel(
         Computed once per model."""
         dominated = self.dominated_technologies
         return tuple(t for t in self.techs if t.tech_id not in dominated)
+
+    @functools.cached_property
+    def follower_constants(self) -> dict[int, FollowerConstants]:
+        """Each technology's `FollowerConstants`, by id. Computed once per
+        model."""
+        return {t.tech_id: FollowerConstants.build(t, self) for t in self.techs}
 
     @functools.cached_property
     def _techs_by_id(self) -> dict[int, TechParams]:

@@ -6,11 +6,12 @@ import random
 import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
 from follower_reference import answer, follower_total_profit, waterfill_walk
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import minetax.lower as lower
 from minetax import (
+    EaConfig,
     ExtendedModel,
     LeaderStrategy,
     StrataTable,
@@ -18,6 +19,7 @@ from minetax import (
     analytical_as_extended,
     best_response,
     best_response_fixed_tech,
+    evolve,
 )
 from minetax.lower import (
     CERT_MARGIN,
@@ -29,7 +31,7 @@ from minetax.lower import (
     _shoot,
     _waterfill,
 )
-from minetax.model import replace
+from minetax.model import FollowerConstants, replace
 from minetax.oracle import GridSpec, _refine, grid_best_response
 from minetax.verify import random_strategies
 
@@ -67,9 +69,8 @@ def _periods(strat, tech, model):
 
 
 def _discounted_args(model, tech):
-    """The r > 0 solvers' arguments after the periods (and, for `_shoot`,
-    after the start period and extraction): d, w, slopes and the inner
-    breakpoints."""
+    """The r > 0 solvers' arguments after the periods: d, w, slopes and the
+    inner breakpoints."""
     return (model.discount_factors, model.cost_weights, tech.slopes,
             model.strata.breakpoints[:-1])
 
@@ -178,6 +179,29 @@ class TestTechnologyConstants:
             assert first == self._alone(strat, twin, model)
             assert second == self._alone(strat, tech, model)
             assert first.q != second.q
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_constants_built_once_per_model(self, model, monkeypatch, r):
+        model = replace(model, r=r)
+        built, curves = [], []
+        build, curve = FollowerConstants.build.__func__, StrataTable.cost_curve
+
+        def counted_build(cls, tech, model):
+            built.append(tech.tech_id)
+            return build(cls, tech, model)
+
+        def counted_curve(self, slopes):
+            curves.append(slopes)
+            return curve(self, slopes)
+
+        monkeypatch.setattr(FollowerConstants, "build", classmethod(counted_build))
+        monkeypatch.setattr(StrataTable, "cost_curve", counted_curve)
+        solves = _count_fixed_tech_solves(monkeypatch)
+        evolve(model, EaConfig(20, 5, 7))
+        ids = [t.tech_id for t in model.techs]
+        assert len(solves) > 10 * len(ids)
+        assert sorted(built) == ids
+        assert sorted(curves) == sorted(t.slopes for t in model.techs)
 
 
 class TestBestResponse:
@@ -410,8 +434,12 @@ class TestDiscountedFollower:
         # the pin step puts X_1 on it and solves period 2 from there
         model, tech, strat = _pinned_instance()
         periods, args = _periods(strat, tech, model), _discounted_args(model, tech)
-        assert _shoot(0, 0.0, periods, *args) == ([10.0], 10.0)
-        assert _shoot(1, 10.0, periods, *args) == ([5.0], 10.0)
+        k = model.follower_constants[tech.tech_id]
+        assert _shoot(0, 0.0, periods, k) == ([10.0], 10.0)
+        assert _shoot(1, 10.0, periods, k) == ([5.0], 10.0)
+        # the bracket in k is the one at t0 = 0 only: a shoot after a pin
+        # sums its own
+        assert _shoot(1, 10.0, periods, k._replace(bracket=None)) == ([5.0], 10.0)
         assert _discounted_schedule(periods, *args) == [10.0, 5.0]
         br = best_response_fixed_tech(strat, tech, model)
         assert br.q == (10.0, 5.0)
@@ -552,10 +580,10 @@ def test_discounted_follower_matches_the_dp(instance):
 
 
 @st.composite
-def _planted_instances(draw):
+def _planted_instances(draw, rates=st.floats(0.01, 0.5)):
     """A discounted instance with one inner breakpoint moved onto a prefix
     sum of the DP's optimum, so that an X_t may sit or be pinned on it."""
-    model, tech, strat = draw(_convex_instances(rates=st.floats(0.01, 0.5)))
+    model, tech, strat = draw(_convex_instances(rates=rates))
     periods = _periods(strat, tech, model)
     dp = _discounted_schedule(periods, *_discounted_args(model, tech))
     x = draw(st.sampled_from(list(itertools.accumulate(dp))))
@@ -577,6 +605,33 @@ def test_discounted_follower_matches_the_dp_on_planted_breakpoints(instance):
     # breakpoint that the solve puts it on, so the two may differ in the
     # last bits (the q tolerance still holds)
     _check_against_dp(instance, same_as_guess=False)
+
+
+@given(instance=st.one_of(
+    _convex_instances(rates=st.sampled_from((0.0, 0.05, 0.3))),
+    _planted_instances(rates=st.sampled_from((0.05, 0.3))),
+))
+@example(instance=_pinned_instance())
+@settings(max_examples=100, deadline=None)
+def test_cached_constants_give_the_fresh_answer(instance):
+    # an equal TechParams that is not the table's own record takes the
+    # uncached path, which builds its constants afresh
+    model, tech, strat = instance
+    k = model.follower_constants[tech.tech_id]
+    twin = TechParams(*tech)
+    assert k.tech is tech and twin == tech and twin is not tech
+    cached = best_response_fixed_tech(strat, tech, model)
+    fresh = best_response_fixed_tech(strat, twin, model)
+    # bit for bit: a float's repr tells -0.0 from 0.0
+    assert repr(cached) == repr(fresh)
+    assert FollowerConstants.build(twin, model)[1:] == k[1:]
+    assert model.follower_constants[tech.tech_id] is k
+    # the bracket is the one `_shoot` would sum at t0 = 0 on this interpreter
+    w, T = model.cost_weights, model.T
+    expected = tuple(
+        sum(w[t] * s for t in range(T)) for s in (tech.slopes[0], tech.slopes[-1])
+    )
+    assert repr(k.bracket) == repr(expected)
 
 
 @given(instance=_convex_instances(rates=_RATES))
