@@ -209,7 +209,7 @@ def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
     strat = LeaderStrategy._make((tuple(tau),))
     br = best_response(strat, model)
     revenue, damage = leader_objectives(br, strat, model)
-    return ArchiveEntry(damage, revenue, strat, br)
+    return ArchiveEntry._make((damage, revenue, strat, br))
 
 
 def _same_floats(x: tuple[float, ...], y: tuple[float, ...]) -> bool:

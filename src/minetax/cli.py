@@ -163,12 +163,16 @@ def run_extended(cfg: argparse.Namespace) -> int:
     result = evolve(model, ea)
     elapsed = time.perf_counter() - start
     entries = result.archive.entries
-    filtered = [
-        e
-        for e in entries
-        if (cfg.min_revenue is None or e.revenue >= cfg.min_revenue)
-        and (cfg.max_damage is None or e.damage <= cfg.max_damage)
-    ]
+    # without a bound every entry is kept, in order: no pass over them
+    if cfg.min_revenue is None and cfg.max_damage is None:
+        filtered = entries
+    else:
+        filtered = [
+            e
+            for e in entries
+            if (cfg.min_revenue is None or e.revenue >= cfg.min_revenue)
+            and (cfg.max_damage is None or e.damage <= cfg.max_damage)
+        ]
     _write_outputs(out, filtered, model)
     meta = {
         "config": vars(cfg),

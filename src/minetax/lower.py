@@ -37,7 +37,9 @@ other technology record gets its constants built afresh.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
-certificate cannot rule it out of the follower's tie set. A table of one
+certificate cannot rule it out of the follower's tie set. Which answer
+each certificate starts from, and its fixed-cost part, are read off a
+plan built once per model, `ExtendedModel.choice_plan`. A table of one
 technology skips the enumeration: its one answer is the follower's.
 """
 
@@ -391,11 +393,15 @@ def _profit_gap_bound(
 def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     """Follower optimum over schedule and the model's technologies.
 
-    A technology that another one dominates (`ExtendedModel.dominance`) is
+    The undominated technologies are solved first, in table order. A
+    technology that another one dominates (`ExtendedModel.dominance`) is
     solved only when `_profit_gap_bound` cannot show it out of the profit
-    tie; the answer is the one the full enumeration gives. A model with
-    one technology has no dominance and no tie to break, so that
-    technology's answer is returned as it is.
+    tie; the answer is the one the full enumeration gives. What that skip
+    reads of the model, each record with its dominator's position among
+    the undominated answers and the bound's fixed-cost part, is built once
+    per model (`ExtendedModel.choice_plan`). A model with one technology
+    has no dominance and no tie to break, so that technology's answer is
+    returned as it is.
     """
     if len(model.techs) == 1:
         return best_response_fixed_tech(strat, model.techs[0], model)
@@ -403,19 +409,23 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
         best_response_fixed_tech(strat, tech, model) for tech in model.undominated
     ]
     # with nothing dominated this is the full enumeration
-    if model.dominance:
+    plan = model.choice_plan
+    if plan:
         # the best profit of the full enumeration is at least this one, so a
         # profit below best - slack stays out of its tie set too
-        best = max(br.profit for br in answers)
+        best = (
+            answers[0].profit if len(answers) == 1
+            else max(br.profit for br in answers)
+        )
         slack = max(TIE_TOL, TIE_TOL * abs(best)) + CERT_MARGIN * max(1.0, abs(best))
-        solved = {br.a: br for br in answers}
-        for dom in model.dominance:
-            ref = solved[dom.dominator.tech_id]
+        # appended answers go after the undominated ones, so each position
+        # still names its dominator's answer
+        for dom, at, fixed_part in plan:
+            ref = answers[at]
             need = best - ref.profit + slack
             # the bound's fixed-cost part alone often settles it
             if ref.optimality_tag and (
-                dom.fixed_gap * model.discounted_periods > need
-                or _profit_gap_bound(ref.q, dom, model, need) > need
+                fixed_part > need or _profit_gap_bound(ref.q, dom, model, need) > need
             ):
                 continue
             answers.append(best_response_fixed_tech(strat, dom.tech, model))

@@ -346,6 +346,18 @@ class ExtendedModel(
         return {t.tech_id: FollowerConstants.build(t, self) for t in self.techs}
 
     @functools.cached_property
+    def choice_plan(self) -> tuple[tuple[Dominance, int, float], ...]:
+        """What `lower.best_response` reads to skip dominated technologies:
+        per `Dominance` record, in order, the record, its dominator's
+        position in `undominated` and the fixed-cost part of the profit-gap
+        bound, fixed_gap * sum_t d_t. Computed once per model."""
+        at = {t.tech_id: i for i, t in enumerate(self.undominated)}
+        return tuple(
+            (dom, at[dom.dominator.tech_id], dom.fixed_gap * self.discounted_periods)
+            for dom in self.dominance
+        )
+
+    @functools.cached_property
     def _techs_by_id(self) -> dict[int, TechParams]:
         """Each technology by its id. Computed once per model."""
         return {t.tech_id: t for t in self.techs}
@@ -429,7 +441,12 @@ def leader_objectives(
     if len(resp.q) != model.T or len(strat.tau) != model.T:
         raise ValueError("schedule lengths must equal the horizon T")
     revenue = sum(map(mul, map(mul, model.discount_factors, strat.tau), resp.q))
-    return revenue, model.tech(resp.a).k * sum(resp.q)
+    # the id map behind `ExtendedModel.tech`, read without the method call
+    try:
+        k = model._techs_by_id[resp.a].k
+    except KeyError:
+        raise KeyError(f"unknown technology id {resp.a}") from None
+    return revenue, k * sum(resp.q)
 
 
 def analytical_as_extended(p: AnalyticalParams) -> ExtendedModel:

@@ -9,6 +9,11 @@ from __future__ import annotations
 ETA_CROSSOVER = 15.0
 ETA_MUTATION = 20.0
 CROSSOVER_RATE = 0.9
+# the exponents both operators raise to, computed once: 1 / (eta + 1) of
+# each, and the mutation's eta + 1
+_SBX_POWER = 1.0 / (ETA_CROSSOVER + 1.0)
+_MUTATION_POWER = 1.0 / (ETA_MUTATION + 1.0)
+_MUTATION_ORDER = ETA_MUTATION + 1.0
 
 
 def sbx_crossover(p1, p2, lows, highs, rng):
@@ -17,7 +22,6 @@ def sbx_crossover(p1, p2, lows, highs, rng):
     Returns two children; with probability 1 - CROSSOVER_RATE the parents
     pass through unchanged.
     """
-    eta = ETA_CROSSOVER
     c1, c2 = list(p1), list(p2)
     if rng.random() > CROSSOVER_RATE:
         return c1, c2
@@ -30,9 +34,9 @@ def sbx_crossover(p1, p2, lows, highs, rng):
         lo, hi = min(x1, x2), max(x1, x2)
         u = rng.random()
         beta = (
-            (2.0 * u) ** (1.0 / (eta + 1.0))
+            (2.0 * u) ** _SBX_POWER
             if u <= 0.5
-            else (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta + 1.0))
+            else (1.0 / (2.0 * (1.0 - u))) ** _SBX_POWER
         )
         c1[i] = 0.5 * ((1.0 + beta) * lo + (1.0 - beta) * hi)
         c2[i] = 0.5 * ((1.0 - beta) * lo + (1.0 + beta) * hi)
@@ -44,7 +48,6 @@ def sbx_crossover(p1, p2, lows, highs, rng):
 def polynomial_mutation(x, lows, highs, rng):
     """Polynomial mutation; each variable mutates with probability
     1 / len(x)."""
-    eta = ETA_MUTATION
     rate = 1.0 / len(x)
     y = list(x)
     for i in range(len(y)):
@@ -57,12 +60,11 @@ def polynomial_mutation(x, lows, highs, rng):
         u = rng.random()
         d1 = (y[i] - lo) / span
         d2 = (hi - y[i]) / span
-        mpow = 1.0 / (eta + 1.0)
         if u <= 0.5:
-            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (eta + 1.0)
-            delta = val**mpow - 1.0
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** _MUTATION_ORDER
+            delta = val**_MUTATION_POWER - 1.0
         else:
-            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (eta + 1.0)
-            delta = 1.0 - val**mpow
+            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** _MUTATION_ORDER
+            delta = 1.0 - val**_MUTATION_POWER
         y[i] = min(max(y[i] + delta * span, lo), hi)
     return y

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from minetax import (
     analytical_as_extended,
     best_response,
     best_response_fixed_tech,
+    default_config,
     evolve,
 )
 from minetax.lower import (
@@ -816,7 +818,30 @@ def test_certificate_never_exceeds_profit_gap(instance):
         assert max(bound, fixed) <= a.profit - b.profit + margin
 
 
+def _wrong_dominator_instance():
+    """Two undominated technologies where certifying from the wrong one's
+    answer skips a technology that wins the tie-break.
+
+    T = 1, r = 0, c = 1, one stratum of slope 0, tax 8. Technology 2
+    (beta_er 0, gamma_er 1.5) extracts q = 1 for profit -0.5; technology 3
+    (beta_er 2) extracts 0 for profit 0, the best. Technology 1 (beta_er
+    3.5) is dominated by 3 with fixed_gap 0 and unit_gap 1.5: it extracts
+    0 too, ties with 3, and wins on its id. From 3's answer the bound is
+    0, so 1 is solved. From 2's it would be 1.5 - 1.5^2 / 4 = 0.9375,
+    above 2's shortfall of 0.5, and 1 would be skipped.
+    """
+    techs = tuple(
+        TechParams(tech_id=i, k=1.0, alpha_er=0.0, beta_er=b, gamma_er=g,
+                   slopes=(0.0,))
+        for i, b, g in ((1, 3.5, 0.0), (2, 0.0, 1.5), (3, 2.0, 0.0))
+    )
+    model = ExtendedModel(T=1, alpha=(10.0,), beta=(1.0,), techs=techs,
+                          strata=StrataTable(amounts=(50.0,)))
+    return model, LeaderStrategy(tau=(8.0,))
+
+
 @given(instance=_technology_tables(rates=_RATES, costs=_two_tops))
+@example(instance=_wrong_dominator_instance())
 @settings(max_examples=300, deadline=None)
 def test_skipping_matches_full_enumeration_with_two_undominated(instance):
     model, strat = instance
@@ -844,6 +869,43 @@ def test_certificate_stops_once_past_need(instance, split):
             early = _profit_gap_bound(q, dom, model, need)
             assert early <= full
             assert (early > need) == (full > need)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_choice_plan_built_once_per_model(model, monkeypatch, r):
+    # `ExtendedModel.choice_plan`, what `best_response` reads to skip a
+    # dominated technology, is built on the first solve and then reused
+    model = replace(model, r=r)
+    built = []
+    plan = ExtendedModel.choice_plan.func
+
+    def counted(self):
+        built.append(self)
+        return plan(self)
+
+    counted_plan = functools.cached_property(counted)
+    counted_plan.__set_name__(ExtendedModel, "choice_plan")
+    monkeypatch.setattr(ExtendedModel, "choice_plan", counted_plan)
+    solves = _count_fixed_tech_solves(monkeypatch)
+    evolve(model, EaConfig(20, 5, 7))
+    assert len(solves) > 10 * len(model.techs)
+    assert len(built) == 1 and built[0] is model
+
+
+@given(instance=st.one_of(
+    _technology_tables(rates=_RATES),
+    _technology_tables(rates=_RATES, costs=_two_tops),
+))
+# the bundled table: technology 4 dominates the other three
+@example(instance=(default_config().extended, None))
+@settings(max_examples=200, deadline=None)
+def test_plan_positions_name_the_dominators(instance):
+    model, _ = instance
+    plan = model.choice_plan
+    assert [dom for dom, _, _ in plan] == list(model.dominance)
+    for dom, at, fixed_part in plan:
+        assert model.undominated[at] is dom.dominator
+        assert fixed_part == dom.fixed_gap * model.discounted_periods
 
 
 def test_certificate_without_need_is_the_full_bound(model):

@@ -393,6 +393,12 @@ class TestLeaderObjectives:
         strat = LeaderStrategy(tau=(5.0,) * 5)
         assert leader_objectives(resp, strat, model) == pytest.approx((250.0, 150.0))
 
+    def test_unknown_technology_id(self, model):
+        resp = answer(q=(10.0,) * 5, a=9)
+        with pytest.raises(KeyError) as e:
+            leader_objectives(resp, LeaderStrategy(tau=(5.0,) * 5), model)
+        assert e.value.args == ("unknown technology id 9",)
+
     def test_idle_mine(self, model):
         obj = leader_objectives(
             answer(q=(0.0,) * 5, a=2),
