@@ -64,18 +64,16 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     """frontier.csv and schedule.csv of `entries`, in one pass: each tau_t
     and q_t is formatted once for both files, each entry is one write to
     each, and each period profit has the float expressions of the tests'
-    reference `period_profits`, with C from `StrataTable.cost_curve`,
-    looked up once per technology and call. Period 1 takes no empty
-    prefix: X_1 = q_1 and C(0) = 0, so its charge is C(q_1) and its
-    cumulative column is q_1's string ("0" for -0.0). Unchecked: `entries`
-    come from `evolve` on this `model`."""
+    reference `period_profits`, with C, alpha_er, beta_er and gamma_er
+    read off `model.follower_constants` once per technology and call.
+    Period 1 takes no empty prefix: X_1 = q_1 and C(0) = 0, so its charge
+    is C(q_1) and its cumulative column is q_1's string ("0" for -0.0).
+    Unchecked: `entries` come from `evolve` on this `model`."""
     T, alpha, beta = model.T, model.alpha, model.beta
-    strata = model.strata
-    bps = strata.breakpoints
+    bps = model.strata.breakpoints
     M = len(bps)
-    techs = {t.tech_id: (strata.cost_curve(t.slopes), t.alpha_er, t.beta_er,
-                         t.gamma_er)
-             for t in model.techs}
+    techs = {a: (k.cost, k.tech.alpha_er, k.tech.beta_er, k.tech.gamma_er)
+             for a, k in model.follower_constants.items()}
     # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
     fmt = "%.12g".__mod__
     front = "%s,%s,%.12g,%.12g,%.12g,%s,%s\r\n"

@@ -33,14 +33,15 @@ skipped where w_t = 0. One profit sum, taken from the schedule, serves
 both rates. What a solve reads of the model and the technology (C, c_t,
 the strata, d, w, the first bracket of the shooting) is built once per
 model and table technology, `ExtendedModel.follower_constants`; any
-other technology record gets its constants built afresh.
+other technology record gets its constants, C included, built afresh.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
 certificate cannot rule it out of the follower's tie set. Which answer
 each certificate starts from, and its fixed-cost part, are read off a
-plan built once per model, `ExtendedModel.choice_plan`. A table of one
-technology skips the enumeration: its one answer is the follower's.
+plan built once per model, `ExtendedModel.choice_plan`, and its c_t off
+the dominator's `FollowerConstants`. A table of one technology skips the
+enumeration: its one answer is the follower's.
 """
 
 from __future__ import annotations
@@ -364,22 +365,21 @@ def _profit_gap_bound(
     On any schedule q, B costs at least d_t (fixed_gap + unit_gap q_t) more
     than A per period (`Dominance`; the cumulative cost enters through
     sum_t w_t X_t = sum_t d_t q_t). A's profit is strongly concave with
-    modulus d_t c_t, c_t = beta_t + alpha_er,A, so it lies at least
-    sum_t d_t c_t (q_t - q*_t)^2 below its optimum. Hence, with delta =
-    unit_gap, G = sum_t d_t [fixed_gap + m_t], m_t the least of
-    c_t (q - q*_t)^2 + delta q over q >= 0: delta q*_t - delta^2 / (4 c_t)
-    where q*_t >= delta / (2 c_t), else c_t q*_t^2. G is 0 at zero
-    extraction when fixed_gap = 0.
+    modulus d_t c_t, c_t = beta_t + alpha_er,A (read off A's
+    `FollowerConstants` rows), so it lies at least sum_t d_t c_t (q_t -
+    q*_t)^2 below its optimum. Hence, with delta = unit_gap, G = sum_t
+    d_t [fixed_gap + m_t], m_t the least of c_t (q - q*_t)^2 + delta q
+    over q >= 0: delta q*_t - delta^2 / (4 c_t) where q*_t >= delta /
+    (2 c_t), else c_t q*_t^2. G is 0 at zero extraction when fixed_gap = 0.
 
     Every term is at least 0, so the sum stops as soon as it exceeds
     `need`: the partial sum returned then exceeds `need` as G does, and
     whether G > need is all the caller asks. At need = inf it is G.
     """
     delta, fixed_gap = dom.unit_gap, dom.fixed_gap
-    alpha_er = dom.dominator.alpha_er
+    rows = model.follower_constants[dom.dominator.tech_id].rows
     bound = 0.0
-    for dt, beta, x in zip(model.discount_factors, model.beta, q):
-        c = beta + alpha_er
+    for dt, (_, c, _), x in zip(model.discount_factors, rows, q):
         if 2.0 * c * x >= delta:
             m = delta * x - delta * delta / (4.0 * c)
         else:

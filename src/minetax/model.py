@@ -101,7 +101,7 @@ class TechParams(
 class StrataTable(namedtuple("StrataTable", "amounts")):
     """Amounts of ore per stratum and the derived cumulative breakpoints."""
 
-    # no __slots__: the cached properties need an instance dict
+    # no __slots__: the cached property needs an instance dict
     amounts: tuple[float, ...]
 
     def __new__(cls, amounts):
@@ -121,16 +121,6 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
     def stock(self) -> float:
         return self.breakpoints[-1]
 
-    @functools.cached_property
-    def starts(self) -> tuple[float, ...]:
-        """(0, b_1, ..., b_{M-1}, inf): where each stratum starts, and inf
-        for the one past the last. Computed once per table."""
-        return (0.0,) + self.breakpoints[:-1] + (math.inf,)
-
-    @functools.cached_property
-    def _cost_curves(self) -> dict:
-        return {}
-
     def cost_curve(self, slopes: tuple[float, ...]) -> Callable[[float], float]:
         """The cumulative cost C with these stratum slopes, as a function
         of x >= 0 that checks nothing. Piece m starts at low_m, in (0, b_1,
@@ -139,28 +129,22 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
 
             C(x) = P_m + s_m (x - low_m),
 
-        which is the float a walk up the strata returns, at 0, -0.0, on a
-        breakpoint and past the last one, since P_m is summed as that walk
-        sums it. Keyed by the slopes, not a technology id, so a technology
-        outside a model's table gets its own curve (slopes -0.0 and 0.0
-        share a key and give the same floats, as P_m is never -0.0); built
-        once per table and slopes. The follower looks it up once per model
-        and technology (`FollowerConstants`)."""
-        curve = self._cost_curves.get(slopes)
-        if curve is None:
-            if len(slopes) != len(self.amounts):
-                raise ValueError("each technology needs one slope per stratum")
-            bps, lows = self.breakpoints, (0.0,) + self.breakpoints
-            # P_0 = 0.0, P_m = P_{m-1} + s_m (b_m - b_{m-1}): the walk's sums
-            costs = itertools.accumulate(map(mul, slopes, map(sub, bps, lows)),
-                                         initial=0.0)
-            pieces = tuple(zip(costs, slopes + slopes[-1:], lows))
+        which is the float the walk up the strata of `cumulative_cost`
+        returns, at 0, -0.0, on a breakpoint and past the last one, since
+        P_m is summed as that walk sums it. Built afresh on each call:
+        `FollowerConstants` holds each table technology's curve."""
+        if len(slopes) != len(self.amounts):
+            raise ValueError("each technology needs one slope per stratum")
+        bps, lows = self.breakpoints, (0.0,) + self.breakpoints
+        # P_0 = 0.0, P_m = P_{m-1} + s_m (b_m - b_{m-1}): the walk's sums
+        costs = itertools.accumulate(map(mul, slopes, map(sub, bps, lows)),
+                                     initial=0.0)
+        pieces = tuple(zip(costs, slopes + slopes[-1:], lows))
 
-            def curve(x: float) -> float:
-                p, s, low = pieces[bisect.bisect_left(bps, x)]
-                return p + s * (x - low)
+        def curve(x: float) -> float:
+            p, s, low = pieces[bisect.bisect_left(bps, x)]
+            return p + s * (x - low)
 
-            self._cost_curves[slopes] = curve
         return curve
 
     def active_stratum(self, x: float) -> int:
@@ -199,16 +183,19 @@ class FollowerConstants(namedtuple(
 )):
     """What a fixed-technology follower solve (`lower.best_response_fixed_tech`)
     reads of the model and of `tech`, none of which depends on the taxes:
-    the cost curve C, rows (alpha_t, beta_t + alpha_er, qbar_t) per period,
-    the strata (inner = breakpoints[:-1]), d, w, w[:-1] and w_T, whether
-    r > 0, -(sum_t d_t) gamma_er, and the shooting's first bracket
-    (sum_t w_t s_1, sum_t w_t s_M), summed as `lower._shoot` sums it."""
+    C, rows (alpha_t, c_t = beta_t + alpha_er, qbar_t), the strata (inner =
+    breakpoints[:-1], starts = (0, inner, inf)), d, w, w[:-1], w_T, r > 0,
+    -(sum_t d_t) gamma_er, and the shooting's first bracket (sum_t w_t s_1,
+    sum_t w_t s_M), summed as `lower._shoot` sums it. The one record of a
+    technology's costs: the writer, the battery and the profit-gap
+    certificate read C and c_t here."""
 
     __slots__ = ()
 
     @classmethod
     def build(cls, tech: TechParams, model: ExtendedModel) -> FollowerConstants:
         strata, slopes, w = model.strata, tech.slopes, model.cost_weights
+        inner = strata.breakpoints[:-1]
         rows = tuple(
             (a, b + tech.alpha_er, h)
             for a, b, (_, h) in zip(model.alpha, model.beta, model.q_bounds)
@@ -216,7 +203,7 @@ class FollowerConstants(namedtuple(
         bracket = tuple(sum(wt * s for wt in w) for s in (slopes[0], slopes[-1]))
         return cls(
             tech, strata.cost_curve(slopes), rows, slopes, strata.breakpoints,
-            strata.breakpoints[:-1], strata.starts, model.discount_factors, w,
+            inner, (0.0,) + inner + (math.inf,), model.discount_factors, w,
             w[:-1], w[-1], model.r > 0.0,
             -model.discounted_periods * tech.gamma_er, bracket,
         )
@@ -420,12 +407,22 @@ def cumulative_cost(x: float, tech: TechParams, strata: StrataTable) -> float:
     """Piecewise-linear cumulative extraction/purification cost C(x).
 
     Marginal cost within stratum m is tech.slopes[m]; past the last
-    breakpoint the last slope extends unbounded. Read off
-    `StrataTable.cost_curve`.
+    breakpoint the last slope extends unbounded. A walk up the strata,
+    apart from `StrataTable.cost_curve`, the C the follower charges: the
+    grid oracle reads C here, so it shares none with the solver it checks.
     """
     if not 0.0 <= x < math.inf:
         raise ValueError("cumulative extraction must be finite and nonnegative")
-    return strata.cost_curve(tech.slopes)(x)
+    slopes = tech.slopes
+    if len(slopes) != len(strata.amounts):
+        raise ValueError("each technology needs one slope per stratum")
+    cost = prev = 0.0
+    for slope, b in zip(slopes, strata.breakpoints):
+        if x <= b:
+            return cost + slope * (x - prev)
+        cost += slope * (b - prev)
+        prev = b
+    return cost + slopes[-1] * (x - prev)
 
 
 def leader_objectives(

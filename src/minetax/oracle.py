@@ -79,7 +79,8 @@ def _grid_argmax_fixed_tech(
     enumeration; another point could win only where rounding later merges
     two prefix profits that differ.
     """
-    # the model's own discount_factors are among what this oracle checks
+    # the model's own discount_factors are among what this oracle checks,
+    # and so is the solver's cost curve: C is `cumulative_cost`'s own walk
     d = [(1.0 + model.r) ** (-(t - 1)) for t in range(1, model.T + 1)]
     w = [a - b for a, b in zip(d, d[1:] + [0.0])]
     # X_t -> (-profit, schedule) of the best prefix: the least pair has the

@@ -134,13 +134,13 @@ def check_frontier_endpoints(p: AnalyticalParams) -> CheckResult:
 
 
 def check_telescoping(model: ExtendedModel, n_schedules: int) -> CheckResult:
-    """Per-period cost increments must sum exactly to the cumulative cost."""
+    """Per-period increments of each charged cost curve must sum to C."""
     rng = random.Random(0)
     worst = 0.0
+    costs = [k.cost for k in model.follower_constants.values()]
     for _ in range(n_schedules):
         q = [hi * rng.random() for _, hi in model.q_bounds]
-        for tech in model.techs:
-            cost = model.strata.cost_curve(tech.slopes)
+        for cost in costs:
             total = cum = 0.0
             for x in q:
                 nxt = cum + x
@@ -155,16 +155,17 @@ def check_telescoping(model: ExtendedModel, n_schedules: int) -> CheckResult:
 
 
 def check_cost_convexity(model: ExtendedModel) -> CheckResult:
-    """Midpoint convexity of `StrataTable.cost_curve` at 200 random pairs,
-    per technology. `TechParams` already rejects decreasing slopes; this
-    tests that the curve computes the convex cost they define."""
+    """Midpoint convexity of the cost curve each technology's follower
+    charges (`FollowerConstants.cost`) at 200 random pairs. `TechParams`
+    already rejects decreasing slopes; this tests that the curve computes
+    the convex cost they define."""
     worst = 0.0
     rng = random.Random(0)
     span = 1.5 * model.strata.stock
+    costs = [k.cost for k in model.follower_constants.values()]
     for _ in range(200):
         x, y = span * rng.random(), span * rng.random()
-        for tech in model.techs:
-            cost = model.strata.cost_curve(tech.slopes)
+        for cost in costs:
             gap = cost((x + y) / 2.0) - 0.5 * (cost(x) + cost(y))
             if gap > 1e-9:
                 worst = max(worst, gap)

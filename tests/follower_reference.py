@@ -17,9 +17,10 @@ tests' period-by-period reference for `period_profits` builds on it.
 as `period_profits`, the one checked per-period profit, returns them,
 independently of the solvers' own profit sum.
 
-`cumulative_cost_walk` is C(x) as a walk up the strata, the loop that
-`StrataTable.cost_curve` replaced; the tests check that both give the
-same floats. `_period_profits` computes its charges with the walk.
+`_period_profits` computes its charges with `minetax.model.cumulative_cost`,
+C(x) as a walk up the strata, apart from `StrataTable.cost_curve`, the
+curve the solver and the writer charge; the tests check that both give
+the same floats.
 
 `waterfill_walk` is the r = 0 water-fill as a linear walk up the strata.
 `minetax.lower._waterfill` finds its stopping stratum by bisection; this is
@@ -38,6 +39,7 @@ from minetax.model import (
     LeaderStrategy,
     TechParams,
     _nonnegative_floats,
+    cumulative_cost,
 )
 
 
@@ -45,21 +47,6 @@ def answer(q: Sequence[float], a: int) -> BestResponse:
     """Schedule q with technology a, as a `BestResponse` whose profit is
     not evaluated (NaN) and which is not tagged optimal."""
     return BestResponse(q=q, a=a, profit=math.nan, optimality_tag=False)
-
-
-def cumulative_cost_walk(
-    x: float, slopes: Sequence[float], breakpoints: Sequence[float]
-) -> float:
-    """C(x) from the technology's slopes and the strata's breakpoints,
-    one stratum at a time; unchecked."""
-    cost = 0.0
-    prev = 0.0
-    for slope, b in zip(slopes, breakpoints):
-        if x <= b:
-            return cost + slope * (x - prev)
-        cost += slope * (b - prev)
-        prev = b
-    return cost + slopes[-1] * (x - prev)
 
 
 def _period_profits(
@@ -72,7 +59,7 @@ def _period_profits(
     charge is alpha_er q_t^2 + beta_er q_t + gamma_er, whose fixed part is
     charged regardless of q_t."""
     alpha, beta = model.alpha, model.beta
-    slopes, breakpoints = tech.slopes, model.strata.breakpoints
+    strata = model.strata
     alpha_er, beta_er, gamma_er = tech.alpha_er, tech.beta_er, tech.gamma_er
     profits = []
     for t, tau_t in enumerate(taus, 1):
@@ -81,8 +68,8 @@ def _period_profits(
         # a running total could be another float
         x_t = sum(q[:t])
         revenue = (alpha[t - 1] - beta[t - 1] * q_t) * q_t
-        ep = cumulative_cost_walk(x_t, slopes, breakpoints) - cumulative_cost_walk(
-            x_t - q_t, slopes, breakpoints
+        ep = cumulative_cost(x_t, tech, strata) - cumulative_cost(
+            x_t - q_t, tech, strata
         )
         rate = alpha_er * q_t * q_t + beta_er * q_t + gamma_er
         profits.append(revenue - rate - ep - tau_t * q_t)

@@ -626,7 +626,13 @@ def test_cached_constants_give_the_fresh_answer(instance):
     fresh = best_response_fixed_tech(strat, twin, model)
     # bit for bit: a float's repr tells -0.0 from 0.0
     assert repr(cached) == repr(fresh)
-    assert FollowerConstants.build(twin, model)[1:] == k[1:]
+    fresh_k = FollowerConstants.build(twin, model)
+    assert fresh_k[2:] == k[2:]
+    # each build makes its own curve: the two must agree at 0, at each
+    # breakpoint and past the stock
+    stock = model.strata.stock
+    for x in (0.0,) + model.strata.breakpoints + (stock + 1.0, 2.0 * stock):
+        assert repr(fresh_k.cost(x)) == repr(k.cost(x))
     assert model.follower_constants[tech.tech_id] is k
     # the bracket is the one `_shoot` would sum at t0 = 0 on this interpreter
     w, T = model.cost_weights, model.T

@@ -5,7 +5,6 @@ import re
 import pytest
 from follower_reference import (
     answer,
-    cumulative_cost_walk,
     extraction_rate_cost,
     follower_total_profit,
     period_profits,
@@ -98,6 +97,11 @@ class TestCumulativeCost:
         with pytest.raises(ValueError):
             cumulative_cost(-1.0, model.tech(1), model.strata)
 
+    def test_walk_needs_one_slope_per_stratum(self, model):
+        tech = replace(model.tech(1), slopes=(1.0, 2.0))
+        with pytest.raises(ValueError, match="one slope per stratum"):
+            cumulative_cost(1.0, tech, model.strata)
+
     @given(x=st.floats(0, 150), y=st.floats(0, 150))
     @settings(max_examples=200)
     def test_midpoint_convexity(self, model, x, y):
@@ -116,9 +120,9 @@ class TestCumulativeCost:
     @given(data=st.data(), m=st.integers(1, 6))
     @settings(max_examples=200)
     def test_costs_at_the_stratum_starts_match_the_walk(self, data, m):
-        # the cost curve gives the walk's float, sign of zero included, at
-        # 0, -0.0, on and beside each breakpoint, between breakpoints and
-        # past the last one
+        # the cost curve gives the float of `cumulative_cost`'s walk, sign
+        # of zero included, at 0, -0.0, on and beside each breakpoint,
+        # between breakpoints and past the last one
         slopes = sorted(data.draw(st.lists(
             st.one_of(st.just(-0.0), st.floats(0.0, 1e3)), min_size=m, max_size=m
         )))
@@ -137,27 +141,21 @@ class TestCumulativeCost:
         points += data.draw(st.lists(st.floats(0.0, 3.0 * bps[-1]), max_size=5))
         for x in points:
             got = cost(x)
-            want = cumulative_cost_walk(x, tech.slopes, bps)
+            want = cumulative_cost(x, tech, strata)
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_costs_are_keyed_by_the_slopes(self, model):
-        # one curve per slope vector: a technology with equal slopes shares
-        # it, and one outside the table with a table technology's id gets
-        # its own, also after the table's curve was built
+        # a curve is a function of the slopes alone: a technology outside
+        # the table with a table technology's id gets the walk's floats for
+        # its own slopes, also after the table's curve was built
         strata = model.strata
         tech = model.tech(4)
         cost = strata.cost_curve(tech.slopes)
-        assert strata.cost_curve(tech.slopes) is cost
-        twin = replace(tech, tech_id=99, alpha_er=tech.alpha_er + 1.0)
-        assert strata.cost_curve(twin.slopes) is cost
         steeper = replace(tech, slopes=tuple(2.0 * s for s in tech.slopes))
         steep = strata.cost_curve(steeper.slopes)
-        assert steep is not cost
         for x in (0.0, 20.0, 50.0, 150.0):
-            assert steep(x) == cumulative_cost_walk(
-                x, steeper.slopes, strata.breakpoints
-            )
+            assert steep(x) == cumulative_cost(x, steeper, strata)
         assert steep(50.0) == 2.0 * cost(50.0)
 
     def test_one_slope_per_stratum(self, model):

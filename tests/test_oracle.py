@@ -17,6 +17,7 @@ from minetax import (
     TechParams,
     analytical_as_extended,
     cumulative_cost,
+    default_config,
     evolve,
     follower_best_response,
     optimal_tax,
@@ -117,6 +118,21 @@ class TestGridBestResponse:
         )
         assert result.passed, result
         assert time.perf_counter() - start < 60.0
+
+    def test_equivalence_catches_a_wrong_cost_curve(self, monkeypatch):
+        # a curve that charges 0.5 more on every positive extraction: the
+        # solver charges it, while the oracle walks the strata on its own
+        curve = StrataTable.cost_curve
+
+        def mutant(self, slopes):
+            cost = curve(self, slopes)
+            return lambda x: cost(x) + 0.5 if x > 0 else cost(x)
+
+        monkeypatch.setattr(StrataTable, "cost_curve", mutant)
+        # a fresh model, whose new table and constants hold the mutant
+        result = check_oracle_equivalence(default_config().extended, 5)
+        assert not result.passed
+        assert result.deviation == pytest.approx(0.5, abs=1e-6)
 
     def test_dimension_mismatch_rejected(self, model):
         grid = GridSpec(lows=(0.0,), highs=(10.0,), step=1.0)
