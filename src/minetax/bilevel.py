@@ -8,9 +8,9 @@ frontier.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -70,7 +70,7 @@ class ParetoArchive:
         rows = self._rows
         # (d,) sorts before every entry of damage d, so entries compare by
         # damage alone and never past it
-        i = bisect.bisect_left(rows, (d,))
+        i = bisect_left(rows, (d,))
         # rows with strictly smaller damage sit before i; the one at i-1
         # carries the largest revenue among them
         if i > 0 and rows[i - 1][1] >= r:
@@ -130,7 +130,7 @@ def nondominated_sort(points: Sequence[ArchiveEntry]) -> list[list[int]]:
         r, d = revenues[i], damages[i]
         if r != prev_r or d != prev_d:
             prev_r, prev_d = r, d
-            f = bisect.bisect_right(least_damage, d)
+            f = bisect_right(least_damage, d)
             if f == len(least_damage):
                 least_damage.append(d)
             else:
@@ -295,17 +295,18 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
         return parent
 
     n = config.population_size
+    draw = rng.random
     pop, rank, crowd = _select(
         [
-            make([lo + (hi - lo) * rng.random() for lo, hi in zip(lows, highs)])
+            make([lo + (hi - lo) * draw() for lo, hi in zip(lows, highs)])
             for _ in range(n)
         ],
         n,
     )
 
     def tournament() -> ArchiveEntry:
-        i = int(n * rng.random())
-        j = int(n * rng.random())
+        i = int(n * draw())
+        j = int(n * draw())
         if rank[i] != rank[j]:
             return pop[i if rank[i] < rank[j] else j]
         return pop[i if crowd[i] >= crowd[j] else j]

@@ -27,8 +27,8 @@ and the periods after t are the same problem from extraction b.
 Every answer carries its KKT residual. At r = 0 the schedule is q(lam) by
 construction, so the residual is the subgradient check on lam alone; at
 r > 0 it is `_discounted_kkt_residual`. That one would certify r = 0
-answers too, but in its place it made an r = 0 solve 16-17% slower at
-T = 1 and 42-57% slower at T = 5, the lower figures with its bisects
+answers too, but in its place it made an r = 0 solve 1.6 times as slow
+at T = 1 and 1.5-1.7 times at T = 5, the lower figure with its bisects
 skipped where w_t = 0. One profit sum, taken from the schedule, serves
 both rates. What a solve reads of the model and the technology (C, c_t,
 the strata, d, w, the first bracket of the shooting) is built once per
@@ -46,9 +46,9 @@ enumeration: its one answer is the follower's.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -179,12 +179,13 @@ def _shoot(
         """The strata m_t of the X_t from S_{t0} = s, the first len(fixed)
         of them given, and W(s) = sum_t w_t slopes[m_t]."""
         m, x, total = fixed[:], x0, 0.0
+        given = t0 + len(fixed)
         for t in range(t0, T):
             a, c, h = periods[t]
             v = (a - s / d[t]) / (2.0 * c)
             x += 0.0 if v <= 0.0 else h if v >= h else v
-            if t - t0 == len(m):
-                m.append(bisect.bisect_left(inner, x))
+            if t >= given:
+                m.append(bisect_left(inner, x))
             u = w[t] * slopes[m[t - t0]]
             s -= u
             total += u
@@ -194,7 +195,7 @@ def _shoot(
     # W(hi) is run first, as lo's first tightening: the first run at lo
     # starts from it
     if t0:
-        base, top = slopes[bisect.bisect_left(inner, x0)], slopes[-1]
+        base, top = slopes[bisect_left(inner, x0)], slopes[-1]
         lo = sum(w[t] * base for t in range(t0, T))
         hi = sum(w[t] * top for t in range(t0, T))
     else:
@@ -262,25 +263,27 @@ def _discounted_kkt_residual(
     breakpoint.
     """
     eps = _ACTIVE_TOL * max(1.0, sum(q))
-    prefix, x = [], 0.0
-    for v in q:
-        x += v
-        prefix.append(x)
+    # X_t = 0.0 + q_1 + ... + q_t; zipped forward, so that d and w pair
+    # with q by index
+    prefix = itertools.islice(itertools.accumulate(q, initial=0.0), 1, None)
     lo = hi = residual = 0.0
-    for t in range(len(q) - 1, -1, -1):
-        a, c, h = periods[t]
+    for (a, c, h), dt, wt, v, x in reversed(list(zip(periods, d, w, q, prefix))):
         # the slopes below and above every breakpoint within eps of X_t
-        c_lo = slopes[bisect.bisect_left(inner, prefix[t] - eps)]
-        c_hi = slopes[bisect.bisect_right(inner, prefix[t] + eps)]
-        lo, hi = lo + w[t] * c_lo, hi + w[t] * c_hi
-        grad = d[t] * (a - 2.0 * c * q[t])
-        need_lo = -math.inf if q[t] >= h - eps else grad
-        need_hi = math.inf if q[t] <= eps else grad
-        new_lo, new_hi = max(lo, need_lo), min(hi, need_hi)
+        c_lo = slopes[bisect_left(inner, x - eps)]
+        c_hi = slopes[bisect_right(inner, x + eps)]
+        lo, hi = lo + wt * c_lo, hi + wt * c_hi
+        grad = dt * (a - 2.0 * c * v)
+        need_lo = -math.inf if v >= h - eps else grad
+        need_hi = math.inf if v <= eps else grad
+        # max(lo, need_lo) and min(hi, need_hi), ties to lo and hi
+        new_lo = need_lo if need_lo > lo else lo
+        new_hi = need_hi if need_hi < hi else hi
         if new_lo <= new_hi:
             lo, hi = new_lo, new_hi
         else:
-            residual = max(residual, (new_lo - new_hi) / (2.0 * d[t] * c))
+            gap = (new_lo - new_hi) / (2.0 * dt * c)
+            if gap > residual:
+                residual = gap
             # go on from the reachable value nearest the requirement
             lo = hi = hi if hi < need_lo else lo
     return residual
@@ -316,8 +319,8 @@ def best_response_fixed_tech(
         starts, slopes = k.starts, k.slopes
         residual = max(
             0.0,
-            starts[bisect.bisect_left(slopes, lam)] - total,
-            total - starts[bisect.bisect_right(slopes, lam)],
+            starts[bisect_left(slopes, lam)] - total,
+            total - starts[bisect_right(slopes, lam)],
         )
     # -(sum_t d_t) gamma_er - sum_t w_t C(X_t) + sum_t d_t (a_t - c_t q_t) q_t,
     # with X_T = sum(q); at r = 0 every w_t before T is 0
@@ -401,7 +404,7 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     the undominated answers and the bound's fixed-cost part, is built once
     per model (`ExtendedModel.choice_plan`). A model with one technology
     has no dominance and no tie to break, so that technology's answer is
-    returned as it is.
+    returned as it is, as is a lone answer after the skip.
     """
     if len(model.techs) == 1:
         return best_response_fixed_tech(strat, model.techs[0], model)
@@ -429,4 +432,6 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
             ):
                 continue
             answers.append(best_response_fixed_tech(strat, dom.tech, model))
+    if len(answers) == 1:
+        return answers[0]
     return _pick_optimistic(answers, strat, model)

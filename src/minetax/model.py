@@ -10,11 +10,11 @@ All evaluation functions are pure; parameter objects are immutable.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import json
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from operator import mul, sub
@@ -142,7 +142,7 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
         pieces = tuple(zip(costs, slopes + slopes[-1:], lows))
 
         def curve(x: float) -> float:
-            p, s, low = pieces[bisect.bisect_left(bps, x)]
+            p, s, low = pieces[bisect_left(bps, x)]
             return p + s * (x - low)
 
         return curve
@@ -155,7 +155,7 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
         # false for NaN and both infinities; -0.0 passes
         if not 0.0 <= x < math.inf:
             raise ValueError("cumulative extraction must be finite and nonnegative")
-        return min(bisect.bisect_left(self.breakpoints, x) + 1, len(self.amounts))
+        return min(bisect_left(self.breakpoints, x) + 1, len(self.amounts))
 
 
 class Dominance(namedtuple("Dominance", "tech dominator fixed_gap unit_gap")):

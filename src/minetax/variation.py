@@ -23,25 +23,31 @@ def sbx_crossover(p1, p2, lows, highs, rng):
     pass through unchanged.
     """
     c1, c2 = list(p1), list(p2)
-    if rng.random() > CROSSOVER_RATE:
+    draw = rng.random
+    if draw() > CROSSOVER_RATE:
         return c1, c2
     for i in range(len(p1)):
-        if rng.random() > 0.5:
+        if draw() > 0.5:
             continue
         x1, x2 = p1[i], p2[i]
         if abs(x1 - x2) < 1e-14:
             continue
-        lo, hi = min(x1, x2), max(x1, x2)
-        u = rng.random()
+        # min(x1, x2), max(x1, x2): the parents differ here
+        lo, hi = (x2, x1) if x2 < x1 else (x1, x2)
+        u = draw()
         beta = (
             (2.0 * u) ** _SBX_POWER
             if u <= 0.5
             else (1.0 / (2.0 * (1.0 - u))) ** _SBX_POWER
         )
-        c1[i] = 0.5 * ((1.0 + beta) * lo + (1.0 - beta) * hi)
-        c2[i] = 0.5 * ((1.0 - beta) * lo + (1.0 + beta) * hi)
-        c1[i] = min(max(c1[i], lows[i]), highs[i])
-        c2[i] = min(max(c2[i], lows[i]), highs[i])
+        # each child is min(max(y, low), high), ties to y and then to high
+        low, high = lows[i], highs[i]
+        y = 0.5 * ((1.0 + beta) * lo + (1.0 - beta) * hi)
+        y = low if low > y else y
+        c1[i] = high if high < y else y
+        y = 0.5 * ((1.0 - beta) * lo + (1.0 + beta) * hi)
+        y = low if low > y else y
+        c2[i] = high if high < y else y
     return c1, c2
 
 
@@ -50,21 +56,26 @@ def polynomial_mutation(x, lows, highs, rng):
     1 / len(x)."""
     rate = 1.0 / len(x)
     y = list(x)
+    draw = rng.random
     for i in range(len(y)):
-        if rng.random() > rate:
+        if draw() > rate:
             continue
         lo, hi = lows[i], highs[i]
         span = hi - lo
         if span <= 0:
             continue
-        u = rng.random()
-        d1 = (y[i] - lo) / span
-        d2 = (hi - y[i]) / span
+        u = draw()
+        v = y[i]
+        d1 = (v - lo) / span
+        d2 = (hi - v) / span
         if u <= 0.5:
             val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** _MUTATION_ORDER
             delta = val**_MUTATION_POWER - 1.0
         else:
             val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** _MUTATION_ORDER
             delta = 1.0 - val**_MUTATION_POWER
-        y[i] = min(max(y[i] + delta * span, lo), hi)
+        # min(max(v, lo), hi), ties to v and then to hi
+        v += delta * span
+        v = lo if lo > v else v
+        y[i] = hi if hi < v else v
     return y

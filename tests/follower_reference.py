@@ -26,14 +26,26 @@ the same floats.
 `minetax.lower._waterfill` finds its stopping stratum by bisection; this is
 the walk it replaced, kept so the tests can check that both return the same
 floats.
+
+`index_walk_kkt_residual` is `minetax.lower._discounted_kkt_residual` as it
+was before it zipped its backward pass: a walk over the period indices,
+with X_t from a prefix list and `max`/`min` in its clips. The tests check
+that both return the same float bit for bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 
-from minetax.lower import BestResponse, _crossing, _Periods, _schedule
+from minetax.lower import (
+    _ACTIVE_TOL,
+    BestResponse,
+    _crossing,
+    _Periods,
+    _schedule,
+)
 from minetax.model import (
     ExtendedModel,
     LeaderStrategy,
@@ -133,3 +145,42 @@ def waterfill_walk(
             return q, s
         floor = breakpoints[m]
     raise AssertionError("unreachable: the last stratum is unbounded")
+
+
+def index_walk_kkt_residual(
+    q: Sequence[float], periods: _Periods, d: Sequence[float],
+    w: Sequence[float], slopes: Sequence[float], inner: Sequence[float],
+) -> float:
+    """Largest violation of the r > 0 KKT conditions, in units of extraction.
+
+    Stationarity asks for subgradients c_s of C at X_s with S_t = sum_{s>=t}
+    w_s c_s equal to d_t g_t'(q_t) where q_t is interior, at least it where
+    q_t = 0 and at most it where q_t = qbar_t. The reachable S_t form an
+    interval, built backwards from S_{T+1} = 0; where it misses the
+    requirement, the gap over d_t g_t'' is the move of q_t it would take.
+    Within a small tolerance, q_t counts as on a bound and X_t on a
+    breakpoint.
+    """
+    eps = _ACTIVE_TOL * max(1.0, sum(q))
+    prefix, x = [], 0.0
+    for v in q:
+        x += v
+        prefix.append(x)
+    lo = hi = residual = 0.0
+    for t in range(len(q) - 1, -1, -1):
+        a, c, h = periods[t]
+        # the slopes below and above every breakpoint within eps of X_t
+        c_lo = slopes[bisect.bisect_left(inner, prefix[t] - eps)]
+        c_hi = slopes[bisect.bisect_right(inner, prefix[t] + eps)]
+        lo, hi = lo + w[t] * c_lo, hi + w[t] * c_hi
+        grad = d[t] * (a - 2.0 * c * q[t])
+        need_lo = -math.inf if q[t] >= h - eps else grad
+        need_hi = math.inf if q[t] <= eps else grad
+        new_lo, new_hi = max(lo, need_lo), min(hi, need_hi)
+        if new_lo <= new_hi:
+            lo, hi = new_lo, new_hi
+        else:
+            residual = max(residual, (new_lo - new_hi) / (2.0 * d[t] * c))
+            # go on from the reachable value nearest the requirement
+            lo = hi = hi if hi < need_lo else lo
+    return residual

@@ -19,6 +19,13 @@ NSGA-II truncation of `minetax.bilevel` as they were before the archive
 kept one sorted list of entries: three parallel lists, and a truncation
 sorted on -cd[i]. The references the one-list archive and `_select` must
 match exactly.
+
+`minmax_sbx_crossover` and `minmax_polynomial_mutation` are the variation
+operators of `minetax.variation` as they were before they bound
+`rng.random` once and clipped with comparisons: `rng.random()` looked up
+at every draw, and `min`/`max` calls for the parents' order and the
+clips. The references both operators must match bit for bit, in the
+children and in the draws they take.
 """
 
 import bisect
@@ -26,6 +33,12 @@ import itertools
 from collections.abc import Sequence
 
 from minetax.bilevel import ArchiveEntry, crowding_distance, nondominated_sort
+from minetax.variation import (
+    _MUTATION_ORDER,
+    _MUTATION_POWER,
+    _SBX_POWER,
+    CROSSOVER_RATE,
+)
 
 
 def dominates(a, b) -> bool:
@@ -168,3 +181,57 @@ def detect_strata_kinks(
                 if abs(slope_across - slope_before) / scale > 0.5:
                     detected.append(b)
     return detected
+
+
+def minmax_sbx_crossover(p1, p2, lows, highs, rng):
+    """Simulated binary crossover of two parent vectors within box bounds.
+
+    Returns two children; with probability 1 - CROSSOVER_RATE the parents
+    pass through unchanged.
+    """
+    c1, c2 = list(p1), list(p2)
+    if rng.random() > CROSSOVER_RATE:
+        return c1, c2
+    for i in range(len(p1)):
+        if rng.random() > 0.5:
+            continue
+        x1, x2 = p1[i], p2[i]
+        if abs(x1 - x2) < 1e-14:
+            continue
+        lo, hi = min(x1, x2), max(x1, x2)
+        u = rng.random()
+        beta = (
+            (2.0 * u) ** _SBX_POWER
+            if u <= 0.5
+            else (1.0 / (2.0 * (1.0 - u))) ** _SBX_POWER
+        )
+        c1[i] = 0.5 * ((1.0 + beta) * lo + (1.0 - beta) * hi)
+        c2[i] = 0.5 * ((1.0 - beta) * lo + (1.0 + beta) * hi)
+        c1[i] = min(max(c1[i], lows[i]), highs[i])
+        c2[i] = min(max(c2[i], lows[i]), highs[i])
+    return c1, c2
+
+
+def minmax_polynomial_mutation(x, lows, highs, rng):
+    """Polynomial mutation; each variable mutates with probability
+    1 / len(x)."""
+    rate = 1.0 / len(x)
+    y = list(x)
+    for i in range(len(y)):
+        if rng.random() > rate:
+            continue
+        lo, hi = lows[i], highs[i]
+        span = hi - lo
+        if span <= 0:
+            continue
+        u = rng.random()
+        d1 = (y[i] - lo) / span
+        d2 = (hi - y[i]) / span
+        if u <= 0.5:
+            val = 2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** _MUTATION_ORDER
+            delta = val**_MUTATION_POWER - 1.0
+        else:
+            val = 2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** _MUTATION_ORDER
+            delta = 1.0 - val**_MUTATION_POWER
+        y[i] = min(max(y[i] + delta * span, lo), hi)
+    return y

@@ -6,7 +6,12 @@ import random
 
 import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
-from follower_reference import answer, follower_total_profit, waterfill_walk
+from follower_reference import (
+    answer,
+    follower_total_profit,
+    index_walk_kkt_residual,
+    waterfill_walk,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +29,7 @@ from minetax import (
     evolve,
 )
 from minetax.lower import (
+    _ACTIVE_TOL,
     CERT_MARGIN,
     KKT_TOL,
     _discounted_kkt_residual,
@@ -607,6 +613,51 @@ def test_discounted_follower_matches_the_dp_on_planted_breakpoints(instance):
     # breakpoint that the solve puts it on, so the two may differ in the
     # last bits (the q tolerance still holds)
     _check_against_dp(instance, same_as_guess=False)
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A schedule for the r > 0 certificate on a generated instance at r in
+    {0, 0.05, 0.3}: the solve's answer with each period kept, moved a
+    little, moved anywhere in its box, or put on a bound, and then, at
+    times, one X_t moved onto an inner breakpoint or eps (the certificate's
+    tolerance) to either side of it, exactly or nearly."""
+    model, tech, strat = draw(
+        _convex_instances(rates=st.sampled_from((0.0, 0.05, 0.3)))
+    )
+    periods = _periods(strat, tech, model)
+    q = list(best_response_fixed_tech(strat, tech, model).q)
+    for t, (_, _, h) in enumerate(periods):
+        how = draw(st.sampled_from(("keep", "jiggle", "anywhere", "zero", "cap")))
+        if how == "jiggle":
+            q[t] = min(h, q[t] * (1.0 + draw(st.floats(-1e-3, 1e-3))))
+        elif how == "anywhere":
+            q[t] = draw(st.floats(0.0, h))
+        elif how != "keep":
+            q[t] = 0.0 if how == "zero" else h
+    t = draw(st.integers(0, len(q) - 1))
+    # X_{t-1} as the certificate sums it
+    before = list(itertools.accumulate(q, initial=0.0))[t]
+    above = [b for b in model.strata.breakpoints[:-1] if b >= before]
+    if above and draw(st.booleans()):
+        b = draw(st.sampled_from(above))
+        side = draw(st.sampled_from((0.0, 1.0, -1.0)))
+        scale = draw(st.sampled_from((1.0, 1.0 - 1e-6, 1.0 + 1e-6)))
+        # twice, so that eps is the one of the moved schedule
+        for _ in range(2):
+            eps = _ACTIVE_TOL * max(1.0, sum(q))
+            q[t] = max(0.0, b + side * scale * eps - before)
+    return q, periods, _discounted_args(model, tech)
+
+
+@given(case=_certificate_cases())
+@settings(max_examples=300, deadline=None)
+def test_certificate_matches_the_index_walk(case):
+    q, periods, args = case
+    assert (
+        _discounted_kkt_residual(q, periods, *args).hex()
+        == index_walk_kkt_residual(q, periods, *args).hex()
+    )
 
 
 @given(instance=st.one_of(

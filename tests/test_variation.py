@@ -8,11 +8,17 @@ passed through uncrossed, a child clipped onto its box, parents equal in
 a gene, a zero-span gene, and a call that mutates nothing.
 `random.Random(seed).random()` gives the same stream in every Python
 version; `**` is the platform's `pow`.
+
+A property then checks both operators against their `min`/`max` versions
+in `leader_reference`, bit for bit, on generated boxes and parents.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from leader_reference import minmax_polynomial_mutation, minmax_sbx_crossover
 
 from minetax.variation import polynomial_mutation, sbx_crossover
 
@@ -114,3 +120,44 @@ def test_polynomial_mutation_golden(case, seed, draws, y):
     rng = random.Random(seed)
     assert list(map(float.hex, polynomial_mutation(*case, rng))) == y
     assert rng.getstate() == _after(seed, draws)
+
+
+@st.composite
+def _boxes_and_parents(draw):
+    """1 to 6 genes, each a box [low, high] of zero span at times, with two
+    parents in it, each on one of its bounds or anywhere between. Parents
+    on the bounds let a spread (u > 0.5) land a child outside the box on
+    either side, which the clip puts back on the bound."""
+    lows, highs, p1, p2 = [], [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        low = draw(st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-10.0, 50.0)))
+        # one gene in four of zero span
+        zero_span = draw(st.sampled_from((False, False, False, True)))
+        high = low + (0.0 if zero_span else draw(st.floats(1e-9, 100.0)))
+        lows.append(low)
+        highs.append(high)
+        for parent in (p1, p2):
+            parent.append(draw(st.one_of(
+                st.sampled_from((low, high)), st.floats(low, high)
+            )))
+    return p1, p2, lows, highs
+
+
+def _hexes(x):
+    return list(map(float.hex, x))
+
+
+@given(case=_boxes_and_parents(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300)
+def test_operators_match_their_minmax_versions(case, seed):
+    p1, p2, lows, highs = case
+    for a, b in ((p1, p2), (p2, p1)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        children = sbx_crossover(a, b, lows, highs, rng)
+        expected = minmax_sbx_crossover(a, b, lows, highs, ref)
+        assert list(map(_hexes, children)) == list(map(_hexes, expected))
+        assert rng.getstate() == ref.getstate()
+        for c in children:
+            y = polynomial_mutation(c, lows, highs, rng)
+            assert _hexes(y) == _hexes(minmax_polynomial_mutation(c, lows, highs, ref))
+            assert rng.getstate() == ref.getstate()
