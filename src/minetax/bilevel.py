@@ -205,11 +205,13 @@ class EvolveResult(namedtuple(
 def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
     # `evolve` draws every tax inside tau_bounds and `variation` clips it
     # there, and ExtendedModel checked those bounds finite and nonnegative,
-    # so the namedtuple's own constructor skips LeaderStrategy's check
-    strat = LeaderStrategy._make((tuple(tau),))
+    # so the strategy is built by tuple's constructor, without
+    # LeaderStrategy's check. Both records are literal tuples of their
+    # fields: the namedtuple's `_make` would only check their length
+    strat = tuple.__new__(LeaderStrategy, (tuple(tau),))
     br = best_response(strat, model)
     revenue, damage = leader_objectives(br, strat, model)
-    return ArchiveEntry._make((damage, revenue, strat, br))
+    return tuple.__new__(ArchiveEntry, (damage, revenue, strat, br))
 
 
 def _same_floats(x: tuple[float, ...], y: tuple[float, ...]) -> bool:

@@ -34,6 +34,9 @@ both rates. What a solve reads of the model and the technology (C, c_t,
 the strata, d, w, the first bracket of the shooting) is built once per
 model and table technology, `ExtendedModel.follower_constants`; any
 other technology record gets its constants, C included, built afresh.
+A solve unpacks that record once, and builds its answer with
+`tuple.__new__` from a literal tuple of the five fields, whose length
+`BestResponse._make` would only check again.
 
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
@@ -293,15 +296,21 @@ def best_response_fixed_tech(
     strat: LeaderStrategy, tech: TechParams, model: ExtendedModel
 ) -> BestResponse:
     """Unique profit-maximizing schedule for fixed taxes and technology."""
-    if len(strat.tau) != model.T:
+    tau = strat.tau
+    if len(tau) != model.T:
         raise ValueError("strategy length must equal the horizon T")
     k = model.follower_constants.get(tech.tech_id)
     if k is None or k.tech is not tech:
         # outside the table, or the table's id with other costs
         k = FollowerConstants.build(tech, model)
+    (_, cost, rows, slopes, breakpoints, inner, starts, d, w, w_head, w_last,
+     discounted, fixed_cost, _) = k
     beta_er = tech.beta_er
-    periods = [(a - x - beta_er, c, h) for (a, c, h), x in zip(k.rows, strat.tau)]
-    if k.discounted:
+    # a loop, not a comprehension: on Python 3.11 a comprehension is a call
+    periods: list[tuple[float, float, float]] = []
+    for (a, c, h), x in zip(rows, tau):
+        periods.append((a - x - beta_er, c, h))
+    if discounted:
         # a pinned X_t leaves the periods after t as the same problem from b
         q: list[float] = []
         x0 = 0.0
@@ -309,30 +318,29 @@ def best_response_fixed_tech(
             tail, x0 = _shoot(len(q), x0, periods, k)
             q += tail
         total = sum(q)
-        residual = _discounted_kkt_residual(q, periods, k.d, k.w, k.slopes, k.inner)
+        residual = _discounted_kkt_residual(q, periods, d, w, slopes, inner)
     else:
-        q, lam = _waterfill(periods, k.slopes, k.breakpoints)
+        q, lam = _waterfill(periods, slopes, breakpoints)
         total = sum(q)
         # KKT residual, in units of extraction: q is q(lam) by construction,
         # and lam must be a subgradient of C at the total, which then covers
-        # every stratum cheaper than lam and enters none dearer than it
-        starts, slopes = k.starts, k.slopes
-        residual = max(
-            0.0,
-            starts[bisect_left(slopes, lam)] - total,
-            total - starts[bisect_right(slopes, lam)],
-        )
+        # every stratum cheaper than lam and enters none dearer than it:
+        # max(0.0, short, over), by the comparisons `max` makes
+        short = starts[bisect_left(slopes, lam)] - total
+        residual = short if short > 0.0 else 0.0
+        over = total - starts[bisect_right(slopes, lam)]
+        if over > residual:
+            residual = over
     # -(sum_t d_t) gamma_er - sum_t w_t C(X_t) + sum_t d_t (a_t - c_t q_t) q_t,
     # with X_T = sum(q); at r = 0 every w_t before T is 0
-    cost = k.cost
-    profit = k.fixed_cost - k.w_last * cost(total)
-    if k.discounted:
-        for wt, x in zip(k.w_head, itertools.accumulate(q)):
+    profit = fixed_cost - w_last * cost(total)
+    if discounted:
+        for wt, x in zip(w_head, itertools.accumulate(q)):
             if wt:
                 profit -= wt * cost(x)
-    for (a, c, _), dt, v in zip(periods, k.d, q):
+    for (a, c, _), dt, v in zip(periods, d, q):
         profit += dt * ((a - c * v) * v)
-    return BestResponse._make((
+    return tuple.__new__(BestResponse, (
         tuple(q), tech.tech_id, profit,
         residual <= KKT_TOL * max(1.0, total), residual,
     ))
@@ -408,9 +416,10 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     """
     if len(model.techs) == 1:
         return best_response_fixed_tech(strat, model.techs[0], model)
-    answers = [
-        best_response_fixed_tech(strat, tech, model) for tech in model.undominated
-    ]
+    # a loop, as in `best_response_fixed_tech`
+    answers: list[BestResponse] = []
+    for tech in model.undominated:
+        answers.append(best_response_fixed_tech(strat, tech, model))
     # with nothing dominated this is the full enumeration
     plan = model.choice_plan
     if plan:

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Callable, Iterable
@@ -25,6 +26,13 @@ def _require_finite(what: str, values: Iterable[float]) -> None:
     # JSON accepts NaN and Infinity, and every comparison with NaN is false
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{what} must be finite")
+
+
+# the largest bound an objective term may reach over the box: a sixteenth
+# of the largest float. A profit adds three such bounds (the price and tax
+# terms, the rate cost, the cumulative cost) and the follower's gradient
+# doubles a term, so what the program sums from them stays finite
+OBJECTIVE_LIMIT = sys.float_info.max / 16
 
 
 class AnalyticalParams(namedtuple("AnalyticalParams", "alpha beta delta gamma phi k")):
@@ -280,6 +288,7 @@ class ExtendedModel(
                 f"discount rate r = {r} is too large for horizon "
                 f"T = {T}: the discount factor of period T underflows to 0"
             )
+        _require_bounded_objectives(model)
         return model
 
     @functools.cached_property
@@ -375,6 +384,42 @@ class ExtendedModel(
         return sum(self.discount_factors)
 
 
+def _require_bounded_objectives(model: ExtendedModel) -> None:
+    """Bound each term of the objectives over the box 0 <= q_t <= qbar_t,
+    0 <= tau_t <= taubar_t, with every d_t <= 1, and reject the model if a
+    bound exceeds `OBJECTIVE_LIMIT`: past it a profit, a revenue or a
+    damage may come out inf or NaN. Checked once per model, so no
+    evaluation pays for it."""
+    qbar = [hi for _, hi in model.q_bounds]
+    extraction = sum(qbar)
+    bounds = [(
+        "the price and tax terms",
+        sum((abs(a) + b * h + tau_hi) * h for a, b, h, (_, tau_hi)
+            in zip(model.alpha, model.beta, qbar, model.tau_bounds)),
+    )]
+    for t in model.techs:
+        bounds.append((
+            f"technology {t.tech_id}'s extraction-rate cost",
+            sum((t.alpha_er * h + t.beta_er) * h + t.gamma_er for h in qbar),
+        ))
+        # the slopes are nondecreasing, so C(x) <= s_M x
+        bounds.append((
+            f"technology {t.tech_id}'s cumulative cost",
+            t.slopes[-1] * extraction,
+        ))
+    bounds.append((
+        "the reference damage k_max * sum_t qbar_t",
+        max(t.k for t in model.techs) * extraction,
+    ))
+    for what, bound in bounds:
+        if not bound <= OBJECTIVE_LIMIT:
+            raise ValueError(
+                f"{what} may overflow: the bound on the box 0 <= q_t <= "
+                f"qbar_t, 0 <= tau_t <= taubar_t is {bound:.3g}, over the "
+                f"limit {OBJECTIVE_LIMIT:.3g}"
+            )
+
+
 def _nonnegative_floats(what: str, values: Iterable[float]) -> tuple[float, ...]:
     """`values` as a tuple of floats, each finite and at least 0 (-0.0
     included). 0.0 <= x is false for NaN and -inf, and +inf is looked for."""
@@ -387,8 +432,8 @@ def _nonnegative_floats(what: str, values: Iterable[float]) -> tuple[float, ...]
 class LeaderStrategy(namedtuple("LeaderStrategy", "tau")):
     """Per-period tax vector of the regulator. Its constructor checks each
     tax finite and nonnegative; `bilevel._evaluate` builds strategies with
-    the namedtuple's `_make` instead, from taxes inside the model's
-    tau_bounds, which `ExtendedModel` checked."""
+    `tuple.__new__` instead, from taxes inside the model's tau_bounds,
+    which `ExtendedModel` checked."""
 
     __slots__ = ()
     tau: tuple[float, ...]
@@ -435,15 +480,16 @@ def leader_objectives(
     Damage is a physical quantity and is never discounted; only monetary
     flows carry the discount factor.
     """
-    if len(resp.q) != model.T or len(strat.tau) != model.T:
+    q, tau, T = resp.q, strat.tau, model.T
+    if len(q) != T or len(tau) != T:
         raise ValueError("schedule lengths must equal the horizon T")
-    revenue = sum(map(mul, map(mul, model.discount_factors, strat.tau), resp.q))
+    revenue = sum(map(mul, map(mul, model.discount_factors, tau), q))
     # the id map behind `ExtendedModel.tech`, read without the method call
     try:
         k = model._techs_by_id[resp.a].k
     except KeyError:
         raise KeyError(f"unknown technology id {resp.a}") from None
-    return revenue, k * sum(resp.q)
+    return revenue, k * sum(q)
 
 
 def analytical_as_extended(p: AnalyticalParams) -> ExtendedModel:

@@ -31,23 +31,36 @@ floats.
 was before it zipped its backward pass: a walk over the period indices,
 with X_t from a prefix list and `max`/`min` in its clips. The tests check
 that both return the same float bit for bit.
+
+`attribute_read_fixed_tech` is `minetax.lower.best_response_fixed_tech` as
+it was before it unpacked its `FollowerConstants` in one step and built its
+answer with `tuple.__new__`: each constant read as an attribute, and the
+answer built with `BestResponse._make`. The tests check that both return
+the same answer bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 
 from minetax.lower import (
     _ACTIVE_TOL,
+    KKT_TOL,
     BestResponse,
     _crossing,
+    _discounted_kkt_residual,
     _Periods,
     _schedule,
+    _shoot,
+    _waterfill,
 )
 from minetax.model import (
     ExtendedModel,
+    FollowerConstants,
     LeaderStrategy,
     TechParams,
     _nonnegative_floats,
@@ -184,3 +197,52 @@ def index_walk_kkt_residual(
             # go on from the reachable value nearest the requirement
             lo = hi = hi if hi < need_lo else lo
     return residual
+
+
+def attribute_read_fixed_tech(
+    strat: LeaderStrategy, tech: TechParams, model: ExtendedModel
+) -> BestResponse:
+    """Unique profit-maximizing schedule for fixed taxes and technology."""
+    if len(strat.tau) != model.T:
+        raise ValueError("strategy length must equal the horizon T")
+    k = model.follower_constants.get(tech.tech_id)
+    if k is None or k.tech is not tech:
+        # outside the table, or the table's id with other costs
+        k = FollowerConstants.build(tech, model)
+    beta_er = tech.beta_er
+    periods = [(a - x - beta_er, c, h) for (a, c, h), x in zip(k.rows, strat.tau)]
+    if k.discounted:
+        # a pinned X_t leaves the periods after t as the same problem from b
+        q: list[float] = []
+        x0 = 0.0
+        while len(q) < len(periods):
+            tail, x0 = _shoot(len(q), x0, periods, k)
+            q += tail
+        total = sum(q)
+        residual = _discounted_kkt_residual(q, periods, k.d, k.w, k.slopes, k.inner)
+    else:
+        q, lam = _waterfill(periods, k.slopes, k.breakpoints)
+        total = sum(q)
+        # KKT residual, in units of extraction: q is q(lam) by construction,
+        # and lam must be a subgradient of C at the total, which then covers
+        # every stratum cheaper than lam and enters none dearer than it
+        starts, slopes = k.starts, k.slopes
+        residual = max(
+            0.0,
+            starts[bisect_left(slopes, lam)] - total,
+            total - starts[bisect_right(slopes, lam)],
+        )
+    # -(sum_t d_t) gamma_er - sum_t w_t C(X_t) + sum_t d_t (a_t - c_t q_t) q_t,
+    # with X_T = sum(q); at r = 0 every w_t before T is 0
+    cost = k.cost
+    profit = k.fixed_cost - k.w_last * cost(total)
+    if k.discounted:
+        for wt, x in zip(k.w_head, itertools.accumulate(q)):
+            if wt:
+                profit -= wt * cost(x)
+    for (a, c, _), dt, v in zip(periods, k.d, q):
+        profit += dt * ((a - c * v) * v)
+    return BestResponse._make((
+        tuple(q), tech.tech_id, profit,
+        residual <= KKT_TOL * max(1.0, total), residual,
+    ))

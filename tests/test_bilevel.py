@@ -1,7 +1,8 @@
+import math
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import minetax.bilevel as bilevel
@@ -233,9 +234,16 @@ HV_REL_BOUND = 2e-14
 
 
 def _hv_bound(entries, ref_revenue, ref_damage):
+    """HV_REL_BOUND of the box, plus one math.ulp(0.0) per area term. Below
+    the normal range a product's rounding error is absolute, up to half of
+    math.ulp(0.0), where the box's relative bound underflows to 0. The
+    kept area takes one term per evicted row and one per insert, at most
+    two per entry, and the full pass one per row: at most three per entry
+    in all."""
     top = max([e.revenue for e in entries], default=ref_revenue)
     least = min([e.damage for e in entries], default=ref_damage)
-    return HV_REL_BOUND * (top - ref_revenue) * max(0.0, ref_damage - least)
+    box = (top - ref_revenue) * max(0.0, ref_damage - least)
+    return HV_REL_BOUND * box + math.ulp(0.0) * 3 * len(entries)
 
 
 class TestOneListArchive:
@@ -243,6 +251,10 @@ class TestOneListArchive:
         pairs=st.lists(st.tuples(_objective_values, _objective_values), max_size=60),
         ref_damage=_objective_values,
     )
+    # a subnormal reference damage: the kept area is 3 * 5e-324 = 1.5e-323
+    # and the full pass rounds 1.5 * 5e-324 to 1e-323, one subnormal ulp
+    # apart, while the box's relative bound underflows to 0
+    @example(pairs=[(2.0, 0.0), (3.0, 0.0), (0.5, 0.0)], ref_damage=5e-324)
     @settings(max_examples=300)
     def test_matches_brute_force_and_three_lists(self, pairs, ref_damage):
         entries = [_entry(r, d) for r, d in pairs]
@@ -623,6 +635,26 @@ class TestEvolve:
             assert (entry.revenue, entry.damage) == (
                 leader_objectives(br, strat, discounted)
             )
+
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_evaluate_builds_the_records_make_builds(self, model, params, r,
+                                                     embedded):
+        instance = analytical_as_extended(params) if embedded else model
+        instance = replace(instance, r=r)
+        for strat in random_strategies(instance, 20, seed=37):
+            # a list, as `evolve` passes its initial draws
+            entry = bilevel._evaluate(list(strat.tau), instance)
+            made_strat = LeaderStrategy._make((tuple(strat.tau),))
+            br = best_response(made_strat, instance)
+            revenue, damage = leader_objectives(br, made_strat, instance)
+            made = ArchiveEntry._make((damage, revenue, made_strat, br))
+            assert type(entry) is ArchiveEntry
+            assert type(entry.strategy) is LeaderStrategy
+            assert type(entry.response) is BestResponse
+            assert entry == made
+            # repr tells -0.0 from 0.0, and shows every float to the bit
+            assert repr(entry) == repr(made)
 
     def test_archive_mutually_nondominated(self, model):
         cfg = EaConfig(population_size=12, max_generations=8, seed=5)

@@ -381,6 +381,53 @@ class TestDiscountUnderflow:
         assert "error" not in capsys.readouterr().err
 
 
+def _every(path, value):
+    """Set `path` to value in each item of the list at its first key."""
+    def edit(cfg):
+        first, *rest = path
+        for node in cfg["extended"][first]:
+            _set(rest, value)(node)
+
+    return edit
+
+
+class TestOverflowingObjectives:
+    """Finite configs whose objectives overflow on the box are rejected on
+    load, with a message naming the quantity: at every alpha_t = 1e160 the
+    free-choice follower's profits came out NaN and the run ended in a
+    bare `min()` error, and at alpha_t = 1e300 (technology 4) or k = 1e308
+    it wrote inf revenue and profit, or inf damage, and exited 0."""
+
+    @pytest.mark.parametrize(
+        "edit, tech, quantity",
+        [
+            (_set(("extended", "alpha"), [1e160] * 5), "all",
+             "the price and tax terms"),
+            (_set(("extended", "alpha"), [1e300] * 5), "4",
+             "the price and tax terms"),
+            (_every(("technologies", "k"), 1e308), "all",
+             "the reference damage"),
+        ],
+        ids=["alpha-1e160", "alpha-1e300-tech-4", "k-1e308"],
+    )
+    def test_rejected_with_a_message(self, tmp_path, capsys, edit, tech,
+                                     quantity):
+        cfg = _bundled()
+        edit(cfg)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        rc = main(["--model", "extended", "--config", str(path),
+                   "--pop-size", "8", "--generations", "2", "--tech", tech,
+                   "--out", str(out_dir)])
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {quantity} ")
+        assert " may overflow: " in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+
 def _run_cli(*args):
     src = str(Path(minetax.__file__).resolve().parents[1])
     return subprocess.run(

@@ -8,6 +8,7 @@ import pytest
 from curve_dp import _discounted_schedule, _stratum_fixed_point
 from follower_reference import (
     answer,
+    attribute_read_fixed_tech,
     follower_total_profit,
     index_walk_kkt_residual,
     waterfill_walk,
@@ -658,6 +659,31 @@ def test_certificate_matches_the_index_walk(case):
         _discounted_kkt_residual(q, periods, *args).hex()
         == index_walk_kkt_residual(q, periods, *args).hex()
     )
+
+
+@given(
+    instance=st.one_of(
+        _convex_instances(rates=st.sampled_from((0.0, 0.05, 0.3))),
+        _planted_instances(rates=st.sampled_from((0.05, 0.3))),
+    ),
+    twin=st.booleans(),
+)
+@example(instance=_pinned_instance(), twin=False)
+@example(instance=_pinned_instance(), twin=True)
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_the_attribute_reads(instance, twin):
+    # the table's own record takes the cached constants, an equal but
+    # distinct one the constants built afresh
+    model, tech, strat = instance
+    if twin:
+        tech = TechParams(*tech)
+    got = best_response_fixed_tech(strat, tech, model)
+    want = attribute_read_fixed_tech(strat, tech, model)
+    assert type(got) is type(want) is lower.BestResponse
+    assert (got.a, got.optimality_tag) == (want.a, want.optimality_tag)
+    assert [v.hex() for v in got.q] == [v.hex() for v in want.q]
+    assert got.profit.hex() == want.profit.hex()
+    assert got.kkt_residual.hex() == want.kkt_residual.hex()
 
 
 @given(instance=st.one_of(

@@ -23,7 +23,7 @@ from minetax import (
     leader_objectives,
 )
 from minetax.analytical import follower_best_response, follower_profit
-from minetax.model import config_from_dict, load_config, replace
+from minetax.model import OBJECTIVE_LIMIT, config_from_dict, load_config, replace
 
 
 schedules = st.lists(
@@ -331,6 +331,41 @@ class TestNonFiniteInputs:
         assert period_profits((-0.0,) * 5, (-0.0,) * 5, tech, model) == (
             period_profits(zero, zero, tech, model)
         )
+
+
+class TestObjectiveBounds:
+    """A model whose objectives may overflow on the box is rejected when it
+    is built, with the quantity named; each case leaves the bundled model
+    but for one field."""
+
+    @pytest.mark.parametrize(
+        "changes, quantity",
+        [
+            ({"tau_bounds": ((0.0, 1e306),) * 5}, "the price and tax terms"),
+            ({"alpha_er": 1e305}, "technology 1's extraction-rate cost"),
+            ({"slopes": (1.0, 1.5, 2.25, 3.375, 1e305)},
+             "technology 1's cumulative cost"),
+            ({"k": 1e305}, "the reference damage"),
+        ],
+        ids=["tax", "rate", "cumulative", "damage"],
+    )
+    def test_rejected_naming_the_quantity(self, model, changes, quantity):
+        if "tau_bounds" not in changes:
+            tech = replace(model.tech(1), **changes)
+            changes = {"techs": (tech,) + model.techs[1:]}
+        with pytest.raises(ValueError, match=f"^{re.escape(quantity)} .*overflow"):
+            replace(model, **changes)
+
+    def test_bound_at_the_limit_is_kept(self):
+        # the reference damage is k * qbar_1 = k
+        tech = TechParams(tech_id=1, k=OBJECTIVE_LIMIT, alpha_er=0.0,
+                          beta_er=0.0, gamma_er=0.0, slopes=(1.0,))
+        model = ExtendedModel(T=1, alpha=(2.0,), beta=(1.0,), techs=(tech,),
+                              strata=StrataTable(amounts=(1.0,)),
+                              q_bounds=((0.0, 1.0),))
+        over = math.nextafter(OBJECTIVE_LIMIT, math.inf)
+        with pytest.raises(ValueError, match="^the reference damage "):
+            replace(model, techs=(replace(tech, k=over),))
 
 
 class TestTotalProfit:
