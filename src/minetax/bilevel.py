@@ -202,16 +202,18 @@ class EvolveResult(namedtuple(
         return len(self.hv_history) - 1
 
 
-def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
-    # `evolve` draws every tax inside tau_bounds and `variation` clips it
-    # there, and ExtendedModel checked those bounds finite and nonnegative,
-    # so the strategy is built by tuple's constructor, without
-    # LeaderStrategy's check. Both records are literal tuples of their
-    # fields: the namedtuple's `_make` would only check their length
-    strat = tuple.__new__(LeaderStrategy, (tuple(tau),))
-    br = best_response(strat, model)
-    revenue, damage = leader_objectives(br, strat, model)
-    return tuple.__new__(ArchiveEntry, (damage, revenue, strat, br))
+def _solve(taus: Sequence[tuple[float, ...]], model: ExtendedModel) -> list:
+    """Each tax vector's entry, in order: the follower's answer and the
+    leader's objectives there. `evolve` keeps every tax inside tau_bounds,
+    which ExtendedModel checked finite and nonnegative, so both records are
+    literal tuples, built without LeaderStrategy's or `_make`'s check."""
+    entries = []
+    for tau in taus:
+        strat = tuple.__new__(LeaderStrategy, (tau,))
+        br = best_response(strat, model)
+        revenue, damage = leader_objectives(br, strat, model)
+        entries.append(tuple.__new__(ArchiveEntry, (damage, revenue, strat, br)))
+    return entries
 
 
 def _same_floats(x: tuple[float, ...], y: tuple[float, ...]) -> bool:
@@ -259,11 +261,16 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
 
     The follower chooses among the model's technologies; a frontier for
     one technology is the run on a model whose table holds only that one.
-    `_select` sorts each merged population once; the ranks and crowding
-    distances it returns drive the next generation's binary tournaments.
-    A child that is its own parent's tax vector bit for bit, as crossover
-    passes a parent through and mutation may leave every gene alone, is
-    that parent's entry again: no solve and no archive insert.
+    As in NSGA-II, the initial population and each generation are bred,
+    then solved, then archived. Breeding draws every child: tournaments
+    on `_select`'s ranks and crowding distances, SBX, mutation. A child
+    that is its parent's taxes bit for bit (crossover passes parents
+    through; mutation may move no gene) is the parent's entry again, with
+    nothing to solve or insert. `_solve` answers the others back to back,
+    faster than one at a time; the archive gets each new tagged entry in
+    child order, and untagged answers, new or copied, count as failed.
+    The follower draws no random numbers, so a seed gives the same run as
+    solving and archiving each child as it is drawn.
     The run stops after `max_generations`, or when the archive's
     hypervolume has stalled (`HV_STALL_TOL`, `HV_STALL_GENERATIONS`).
     Every draw is `random.Random(config.seed).random()`, a sequence Python
@@ -277,34 +284,27 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
     archive = ParetoArchive(ref_r, ref_d)
     failed = 0
 
-    def make(tau: Sequence[float]) -> ArchiveEntry:
+    def settle(offspring: list, taus: list) -> list[ArchiveEntry]:
+        """Solve and archive bred children: `offspring` holds each copy's
+        parent entry, and None where `taus` holds the child's taxes."""
         nonlocal failed
-        entry = _evaluate(tau, model)
-        if entry.response.optimality_tag:
-            archive.insert(entry)
-        else:
-            failed += 1
-        return entry
-
-    def copy_of(parent: ArchiveEntry) -> ArchiveEntry:
-        """The entry of a child that is its parent's tax vector bit for
-        bit: the parent's own. The follower would give the same answer, and
-        the archive has already seen its objectives, so there is nothing
-        to solve or insert; an untagged answer still counts as failed."""
-        nonlocal failed
-        if not parent.response.optimality_tag:
-            failed += 1
-        return parent
+        fresh = iter(_solve(taus, model))
+        for i, entry in enumerate(offspring):
+            if entry is None:
+                entry = offspring[i] = next(fresh)
+                if entry.response.optimality_tag:
+                    archive.insert(entry)
+            if not entry.response.optimality_tag:
+                failed += 1
+        return offspring
 
     n = config.population_size
     draw = rng.random
-    pop, rank, crowd = _select(
-        [
-            make([lo + (hi - lo) * draw() for lo, hi in zip(lows, highs)])
-            for _ in range(n)
-        ],
-        n,
-    )
+    taus = [
+        tuple([lo + (hi - lo) * draw() for lo, hi in zip(lows, highs)])
+        for _ in range(n)
+    ]
+    pop, rank, crowd = _select(settle([None] * n, taus), n)
 
     def tournament() -> ArchiveEntry:
         i = int(n * draw())
@@ -316,7 +316,7 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
     hv_history = [archive.hypervolume()]
     reason = "max_generations"
     for _ in range(config.max_generations):
-        offspring = []
+        offspring, taus = [], []
         while len(offspring) < n:
             parents = tournament(), tournament()
             children = sbx_crossover(
@@ -325,11 +325,12 @@ def evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
             # child i comes from parent i's genes, crossed or not
             for parent, c in zip(parents, children):
                 tau = tuple(polynomial_mutation(c, lows, highs, rng))
-                offspring.append(
-                    copy_of(parent) if _same_floats(tau, parent.strategy.tau)
-                    else make(tau)
-                )
-        pop, rank, crowd = _select(pop + offspring, n)
+                if _same_floats(tau, parent.strategy.tau):
+                    offspring.append(parent)
+                else:
+                    offspring.append(None)
+                    taus.append(tau)
+        pop, rank, crowd = _select(pop + settle(offspring, taus), n)
         hv_history.append(archive.hypervolume())
         # at zero reference damage every hypervolume is 0, so a flat history
         # says nothing about progress; the history holds one value more

@@ -431,9 +431,8 @@ def _nonnegative_floats(what: str, values: Iterable[float]) -> tuple[float, ...]
 
 class LeaderStrategy(namedtuple("LeaderStrategy", "tau")):
     """Per-period tax vector of the regulator. Its constructor checks each
-    tax finite and nonnegative; `bilevel._evaluate` builds strategies with
-    `tuple.__new__` instead, from taxes inside the model's tau_bounds,
-    which `ExtendedModel` checked."""
+    tax finite and nonnegative; `bilevel._solve` skips that check, as its
+    taxes lie inside tau_bounds, which `ExtendedModel` checked."""
 
     __slots__ = ()
     tau: tuple[float, ...]

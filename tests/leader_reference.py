@@ -26,13 +26,33 @@ operators of `minetax.variation` as they were before they bound
 at every draw, and `min`/`max` calls for the parents' order and the
 clips. The references both operators must match bit for bit, in the
 children and in the draws they take.
+
+`interleaved_evolve` is `minetax.bilevel.evolve` as it was before it bred a
+whole generation, then solved it, then archived it: each child drawn,
+solved (`_evaluate`) and archived (`make`, or `copy_of` for a verbatim
+copy of its parent) before the next child's draws. The reference the
+phased run must match bit for bit. It calls the follower, the objectives
+and the variation operators through `minetax.bilevel`, as `evolve` does.
 """
 
 import bisect
 import itertools
+import random
 from collections.abc import Sequence
 
-from minetax.bilevel import ArchiveEntry, crowding_distance, nondominated_sort
+import minetax.bilevel as bilevel
+from minetax.bilevel import (
+    ArchiveEntry,
+    EaConfig,
+    EvolveResult,
+    ParetoArchive,
+    _same_floats,
+    _select,
+    crowding_distance,
+    nondominated_sort,
+    reference_point,
+)
+from minetax.model import ExtendedModel, LeaderStrategy
 from minetax.variation import (
     _MUTATION_ORDER,
     _MUTATION_POWER,
@@ -235,3 +255,106 @@ def minmax_polynomial_mutation(x, lows, highs, rng):
             delta = 1.0 - val**_MUTATION_POWER
         y[i] = min(max(y[i] + delta * span, lo), hi)
     return y
+
+
+def _evaluate(tau: Sequence[float], model: ExtendedModel) -> ArchiveEntry:
+    # `evolve` draws every tax inside tau_bounds and `variation` clips it
+    # there, and ExtendedModel checked those bounds finite and nonnegative,
+    # so the strategy is built by tuple's constructor, without
+    # LeaderStrategy's check. Both records are literal tuples of their
+    # fields: the namedtuple's `_make` would only check their length
+    strat = tuple.__new__(LeaderStrategy, (tuple(tau),))
+    br = bilevel.best_response(strat, model)
+    revenue, damage = bilevel.leader_objectives(br, strat, model)
+    return tuple.__new__(ArchiveEntry, (damage, revenue, strat, br))
+
+
+def interleaved_evolve(model: ExtendedModel, config: EaConfig) -> EvolveResult:
+    """NSGA-II evolution of tax strategies with a bilevel archive.
+
+    The follower chooses among the model's technologies; a frontier for
+    one technology is the run on a model whose table holds only that one.
+    `_select` sorts each merged population once; the ranks and crowding
+    distances it returns drive the next generation's binary tournaments.
+    A child that is its own parent's tax vector bit for bit, as crossover
+    passes a parent through and mutation may leave every gene alone, is
+    that parent's entry again: no solve and no archive insert.
+    The run stops after `max_generations`, or when the archive's
+    hypervolume has stalled (`HV_STALL_TOL`, `HV_STALL_GENERATIONS`).
+    Every draw is `random.Random(config.seed).random()`, a sequence Python
+    keeps across versions, so a seed reproduces the archive on any
+    interpreter.
+    """
+    rng = random.Random(config.seed)
+    lows = [lo for lo, _ in model.tau_bounds]
+    highs = [hi for _, hi in model.tau_bounds]
+    ref_r, ref_d = reference_point(model)
+    archive = ParetoArchive(ref_r, ref_d)
+    failed = 0
+
+    def make(tau: Sequence[float]) -> ArchiveEntry:
+        nonlocal failed
+        entry = _evaluate(tau, model)
+        if entry.response.optimality_tag:
+            archive.insert(entry)
+        else:
+            failed += 1
+        return entry
+
+    def copy_of(parent: ArchiveEntry) -> ArchiveEntry:
+        """The entry of a child that is its parent's tax vector bit for
+        bit: the parent's own. The follower would give the same answer, and
+        the archive has already seen its objectives, so there is nothing
+        to solve or insert; an untagged answer still counts as failed."""
+        nonlocal failed
+        if not parent.response.optimality_tag:
+            failed += 1
+        return parent
+
+    n = config.population_size
+    draw = rng.random
+    pop, rank, crowd = _select(
+        [
+            make([lo + (hi - lo) * draw() for lo, hi in zip(lows, highs)])
+            for _ in range(n)
+        ],
+        n,
+    )
+
+    def tournament() -> ArchiveEntry:
+        i = int(n * draw())
+        j = int(n * draw())
+        if rank[i] != rank[j]:
+            return pop[i if rank[i] < rank[j] else j]
+        return pop[i if crowd[i] >= crowd[j] else j]
+
+    hv_history = [archive.hypervolume()]
+    reason = "max_generations"
+    for _ in range(config.max_generations):
+        offspring = []
+        while len(offspring) < n:
+            parents = tournament(), tournament()
+            children = bilevel.sbx_crossover(
+                parents[0].strategy.tau, parents[1].strategy.tau, lows, highs, rng
+            )
+            # child i comes from parent i's genes, crossed or not
+            for parent, c in zip(parents, children):
+                tau = tuple(bilevel.polynomial_mutation(c, lows, highs, rng))
+                offspring.append(
+                    copy_of(parent) if _same_floats(tau, parent.strategy.tau)
+                    else make(tau)
+                )
+        pop, rank, crowd = _select(pop + offspring, n)
+        hv_history.append(archive.hypervolume())
+        # at zero reference damage every hypervolume is 0, so a flat history
+        # says nothing about progress; the history holds one value more
+        # than the generations run
+        if (
+            ref_d > 0.0
+            and len(hv_history) > bilevel.HV_STALL_GENERATIONS
+            and hv_history[-1] - hv_history[-1 - bilevel.HV_STALL_GENERATIONS]
+            < bilevel.HV_STALL_TOL
+        ):
+            reason = "hv_stall"
+            break
+    return EvolveResult(archive, tuple(hv_history), failed, reason)

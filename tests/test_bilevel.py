@@ -1,5 +1,7 @@
+import itertools
 import math
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from leader_reference import (
     detect_strata_kinks,
     dominates,
     full_pass_hypervolume,
+    interleaved_evolve,
     negated_key_select,
 )
 from minetax import (
@@ -26,6 +29,7 @@ from minetax import (
     analytical_as_extended,
     best_response,
     crowding_distance,
+    default_config,
     evolve,
     leader_objectives,
     nondominated_sort,
@@ -626,8 +630,10 @@ class TestEvolve:
     @pytest.mark.parametrize("r", [0.0, 0.05])
     def test_evaluate_takes_the_profit_from_the_solve(self, model, r):
         discounted = replace(model, r=r)
-        for strat in random_strategies(model, 20, seed=31):
-            entry = bilevel._evaluate(strat.tau, discounted)
+        strats = random_strategies(model, 20, seed=31)
+        entries = bilevel._solve([s.tau for s in strats], discounted)
+        assert len(entries) == len(strats)
+        for strat, entry in zip(strats, entries):
             br = best_response(strat, discounted)
             # the solve's answer, profit and tag included
             assert entry.response == br
@@ -642,9 +648,10 @@ class TestEvolve:
                                                      embedded):
         instance = analytical_as_extended(params) if embedded else model
         instance = replace(instance, r=r)
-        for strat in random_strategies(instance, 20, seed=37):
-            # a list, as `evolve` passes its initial draws
-            entry = bilevel._evaluate(list(strat.tau), instance)
+        strats = random_strategies(instance, 20, seed=37)
+        # tuples of floats, as `evolve` breeds them
+        entries = bilevel._solve([tuple(s.tau) for s in strats], instance)
+        for strat, entry in zip(strats, entries, strict=True):
             made_strat = LeaderStrategy._make((tuple(strat.tau),))
             br = best_response(made_strat, instance)
             revenue, damage = leader_objectives(br, made_strat, instance)
@@ -783,6 +790,147 @@ class TestVerbatimCopies:
         assert copies > 0
         assert result.failed_evaluations == 8 * 6
         assert len(result.archive) == 0
+
+
+def _hex_fields(entry):
+    """Every field of an archive entry, each float as float.hex, which
+    tells -0.0 from 0.0 and shows every bit."""
+    response = entry.response
+    residual = response.kkt_residual
+    return (
+        entry.damage.hex(), entry.revenue.hex(),
+        tuple(map(float.hex, entry.strategy.tau)),
+        tuple(map(float.hex, response.q)), response.a, response.profit.hex(),
+        response.optimality_tag, residual if residual is None else residual.hex(),
+    )
+
+
+def _same_run(phased, interleaved):
+    """The two results are one run: every archive entry field, the
+    hypervolume history, the failed count and the stop reason, to the bit."""
+    assert [_hex_fields(e) for e in phased.archive.entries] == [
+        _hex_fields(e) for e in interleaved.archive.entries
+    ]
+    assert list(map(float.hex, phased.hv_history)) == list(
+        map(float.hex, interleaved.hv_history)
+    )
+    assert phased.failed_evaluations == interleaved.failed_evaluations
+    assert phased.termination_reason == interleaved.termination_reason
+
+
+@st.composite
+def _evolve_runs(draw):
+    """(model, config, stall window): tables of 1-3 convex technologies
+    over 1-4 periods, drawn at random or from the bundled table's first
+    periods, at r = 0, 0.05 or 1e4 (where the follower leaves a few of the
+    bundled table's answers untagged), with zero-width tax bounds in some
+    periods (in all of them, every child is a verbatim copy of its
+    parent), population 4-16 and 0-6 generations; a stall window of 2
+    lets the stall stop fire within them."""
+    T = draw(st.integers(1, 4))
+    n_techs = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        bundled = default_config().extended
+        alpha, beta, strata = bundled.alpha[:T], bundled.beta[:T], bundled.strata
+        techs = tuple(draw(st.permutations(bundled.techs))[:n_techs])
+    else:
+        M = draw(st.integers(1, 3))
+        alpha = tuple(draw(st.floats(1.0, 100.0)) for _ in range(T))
+        beta = tuple(draw(st.floats(0.05, 5.0)) for _ in range(T))
+        strata = StrataTable(amounts=tuple(
+            draw(st.floats(0.5, 50.0)) for _ in range(M)
+        ))
+        techs = tuple(
+            TechParams(
+                tech_id=i + 1, k=draw(st.floats(0.0, 10.0)),
+                alpha_er=draw(st.floats(0.0, 2.0)),
+                beta_er=draw(st.floats(0.0, 10.0)),
+                gamma_er=draw(st.floats(0.0, 10.0)),
+                slopes=tuple(itertools.accumulate(
+                    draw(st.floats(0.0, 10.0)) for _ in range(M)
+                )),
+            )
+            for i in range(n_techs)
+        )
+    all_pinned = draw(st.integers(0, 4)) == 0
+    tau_bounds = []
+    for a in alpha:
+        lo = draw(st.floats(0.0, a))
+        pinned = all_pinned or draw(st.integers(0, 2)) == 0
+        tau_bounds.append((lo, lo if pinned else draw(st.floats(lo, a))))
+    model = ExtendedModel(
+        T=T, alpha=alpha, beta=beta, techs=techs, strata=strata,
+        r=draw(st.sampled_from([0.0, 0.05, 1e4])), tau_bounds=tau_bounds,
+    )
+    config = EaConfig(
+        population_size=2 * draw(st.integers(2, 8)),
+        max_generations=draw(st.integers(0, 6)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return model, config, draw(st.sampled_from([bilevel.HV_STALL_GENERATIONS, 2]))
+
+
+def _untagged_copies_run():
+    """A run in which children copy untagged parents: the bundled table's
+    first four periods at r = 1e4 with technology 1 alone and period 1's
+    tax pinned at alpha_1 / 2; 2 of its 6 failed evaluations are copies."""
+    bundled = default_config().extended
+    T = 4
+    tau_bounds = [(bundled.alpha[0] / 2,) * 2] + [(0.0, a) for a in bundled.alpha[1:T]]
+    model = ExtendedModel(
+        T=T, alpha=bundled.alpha[:T], beta=bundled.beta[:T],
+        techs=bundled.techs[:1], strata=bundled.strata, r=1e4,
+        tau_bounds=tau_bounds,
+    )
+    return model, EaConfig(16, 6, 5), bilevel.HV_STALL_GENERATIONS
+
+
+class TestPhasedGenerations:
+    """`evolve` breeds a whole generation, then solves it, then archives
+    it. The follower draws no random numbers, so the run must be the one
+    that solves and archives each child as it is drawn, to the bit."""
+
+    @given(run=_evolve_runs())
+    @example(run=_untagged_copies_run())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_interleaved_run(self, run):
+        model, config, window = run
+        with mock.patch.object(bilevel, "HV_STALL_GENERATIONS", window):
+            _same_run(evolve(model, config), interleaved_evolve(model, config))
+
+    def test_matches_at_the_cli_defaults(self, model):
+        config = EaConfig(population_size=40, max_generations=100, seed=0)
+        _same_run(evolve(model, config), interleaved_evolve(model, config))
+
+    def test_solves_after_all_draws_and_archives_after_all_solves(
+        self, model, monkeypatch
+    ):
+        # the order of calls within one generation: every variation draw,
+        # then every solve, then every archive insert
+        events = []
+
+        def logged(name, fn):
+            def call(*args):
+                events.append(name)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(
+            bilevel, "sbx_crossover", logged("breed", sbx_crossover)
+        )
+        monkeypatch.setattr(
+            bilevel, "polynomial_mutation", logged("breed", polynomial_mutation)
+        )
+        monkeypatch.setattr(
+            bilevel, "best_response", logged("solve", best_response)
+        )
+        monkeypatch.setattr(
+            bilevel.ParetoArchive, "insert",
+            logged("archive", bilevel.ParetoArchive.insert),
+        )
+        evolve(model, EaConfig(population_size=8, max_generations=2, seed=5))
+        phases = [name for name, _ in itertools.groupby(events)]
+        assert phases == ["solve", "archive"] + ["breed", "solve", "archive"] * 2
 
 
 class TestFrontierComposition:
