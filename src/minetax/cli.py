@@ -70,8 +70,8 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
     is C(q_1) and its cumulative column is q_1's string ("0" for -0.0).
     Unchecked: `entries` come from `evolve` on this `model`."""
     T, alpha, beta = model.T, model.alpha, model.beta
-    bps = model.strata.breakpoints
-    M = len(bps)
+    # the solver's stratum rule: past b_{M-1} is the last stratum
+    inner = model.strata.breakpoints[:-1]
     techs = {a: (k.cost, k.tech.alpha_er, k.tech.beta_er, k.tech.gamma_er)
              for a, k in model.follower_constants.items()}
     # "%.12g" % x is _fmt(x); rows end in "\r\n" as csv.writer ends them
@@ -118,7 +118,7 @@ def _write_outputs(out: Path, entries: list[ArchiveEntry], model) -> None:
                       - charge
                       - tau_t * q_t)
                 rows.append(row % (i, t + 1, taus[t], qs[t], pi, shown,
-                                   min(bisect_left(bps, cum) + 1, M)))
+                                   bisect_left(inner, cum) + 1))
             sf.write("".join(rows))
 
 

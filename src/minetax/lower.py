@@ -31,7 +31,7 @@ answers too, but in its place it made an r = 0 solve 1.6 times as slow
 at T = 1 and 1.5-1.7 times at T = 5, the lower figure with its bisects
 skipped where w_t = 0. One profit sum, taken from the schedule, serves
 both rates. What a solve reads of the model and the technology (C, c_t,
-the strata, d, w, the first bracket of the shooting) is built once per
+the strata, d, w, the first brackets of the shooting) is built once per
 model and table technology, `ExtendedModel.follower_constants`; any
 other technology record gets its constants, C included, built afresh.
 A solve unpacks that record once, and builds its answer with
@@ -41,10 +41,10 @@ A solve unpacks that record once, and builds its answer with
 Technology choice is a small enumeration on top; a technology that
 another one dominates in cost is solved only when a profit-gap
 certificate cannot rule it out of the follower's tie set. Which answer
-each certificate starts from, and its fixed-cost part, are read off a
-plan built once per model, `ExtendedModel.choice_plan`, and its c_t off
-the dominator's `FollowerConstants`. A table of one technology skips the
-enumeration: its one answer is the follower's.
+each certificate starts from, and its fixed-cost part, are read off the
+`Dominance` records built once per model, `ExtendedModel.dominance`, and
+its c_t off the dominator's `FollowerConstants`. A table of one
+technology skips the enumeration: its one answer is the follower's.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def _waterfill(
     true, and bisection over the strata finds the m* a walk up them would.
     Either S(s_m*) lands in stratum m*, so lam = s_m*, or it drops below
     the stratum's start: then the total sits on that breakpoint, with lam
-    strictly between s_{m*-1} and s_m*.
+    strictly between s_{m*-1} and s_m*. The last stratum takes no test, so
+    only b_1, ..., b_{M-1} are read.
     """
     lo, hi = 0, len(slopes) - 1
     probe = None  # (q, S) at slopes[hi], once probed
@@ -174,7 +175,7 @@ def _shoot(
     """Optimal q_t from period t0 on, given X_{t0-1} = x0, by shooting on
     S_{t0} (see the module docstring): the schedule to T, or, when X_{t*}
     is pinned on a breakpoint b, the schedule to t* and b. x0 = 0 at
-    t0 = 0, the only start whose bracket is in `k`."""
+    t0 = 0."""
     T = len(periods)
     d, w, slopes, inner = k.d, k.w, k.slopes, k.inner
 
@@ -194,15 +195,11 @@ def _shoot(
             total += u
         return m, total
 
-    # W is nonincreasing in s, so W(lo) and W(hi) bound the root in turn.
-    # W(hi) is run first, as lo's first tightening: the first run at lo
-    # starts from it
-    if t0:
-        base, top = slopes[bisect_left(inner, x0)], slopes[-1]
-        lo = sum(w[t] * base for t in range(t0, T))
-        hi = sum(w[t] * top for t in range(t0, T))
-    else:
-        lo, hi = k.bracket
+    # W is nonincreasing in s, so W(lo) and W(hi), first at x0's slope and
+    # at the last one, bound the root in turn. W(hi) is run first, as lo's
+    # first tightening: the first run at lo starts from it
+    bracket = k.brackets[t0]
+    lo, hi = bracket[bisect_left(inner, x0)], bracket[-1]
     fixed: list[int] = []
     m_hi, w_hi = run(hi, fixed)
     lo = max(lo, w_hi)
@@ -303,8 +300,8 @@ def best_response_fixed_tech(
     if k is None or k.tech is not tech:
         # outside the table, or the table's id with other costs
         k = FollowerConstants.build(tech, model)
-    (_, cost, rows, slopes, breakpoints, inner, starts, d, w, w_head, w_last,
-     discounted, fixed_cost, _) = k
+    (_, cost, rows, slopes, inner, starts, d, w, w_head, w_last, discounted,
+     fixed_cost, _) = k
     beta_er = tech.beta_er
     # a loop, not a comprehension: on Python 3.11 a comprehension is a call
     periods: list[tuple[float, float, float]] = []
@@ -320,7 +317,7 @@ def best_response_fixed_tech(
         total = sum(q)
         residual = _discounted_kkt_residual(q, periods, d, w, slopes, inner)
     else:
-        q, lam = _waterfill(periods, slopes, breakpoints)
+        q, lam = _waterfill(periods, slopes, inner)
         total = sum(q)
         # KKT residual, in units of extraction: q is q(lam) by construction,
         # and lam must be a subgradient of C at the total, which then covers
@@ -351,8 +348,6 @@ def _pick_optimistic(
 ) -> BestResponse:
     """Among profit-tied best responses, pick the one best for the leader.
     The tie-break ends in the technology id, so candidate order is free."""
-    if len(candidates) == 1:
-        return candidates[0]
     best_profit = max(c.profit for c in candidates)
     tol = max(TIE_TOL, TIE_TOL * abs(best_profit))
     tied = [c for c in candidates if c.profit >= best_profit - tol]
@@ -407,12 +402,11 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     The undominated technologies are solved first, in table order. A
     technology that another one dominates (`ExtendedModel.dominance`) is
     solved only when `_profit_gap_bound` cannot show it out of the profit
-    tie; the answer is the one the full enumeration gives. What that skip
-    reads of the model, each record with its dominator's position among
-    the undominated answers and the bound's fixed-cost part, is built once
-    per model (`ExtendedModel.choice_plan`). A model with one technology
-    has no dominance and no tie to break, so that technology's answer is
-    returned as it is, as is a lone answer after the skip.
+    tie; the answer is the one the full enumeration gives. Each record
+    holds what that skip reads: its dominator's position among the
+    undominated answers and the bound's fixed-cost part. A model with one
+    technology has no dominance and no tie to break, so that technology's
+    answer is returned as it is, as is a lone answer after the skip.
     """
     if len(model.techs) == 1:
         return best_response_fixed_tech(strat, model.techs[0], model)
@@ -421,8 +415,8 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
     for tech in model.undominated:
         answers.append(best_response_fixed_tech(strat, tech, model))
     # with nothing dominated this is the full enumeration
-    plan = model.choice_plan
-    if plan:
+    dominance = model.dominance
+    if dominance:
         # the best profit of the full enumeration is at least this one, so a
         # profit below best - slack stays out of its tie set too
         best = (
@@ -432,12 +426,13 @@ def best_response(strat: LeaderStrategy, model: ExtendedModel) -> BestResponse:
         slack = max(TIE_TOL, TIE_TOL * abs(best)) + CERT_MARGIN * max(1.0, abs(best))
         # appended answers go after the undominated ones, so each position
         # still names its dominator's answer
-        for dom, at, fixed_part in plan:
-            ref = answers[at]
+        for dom in dominance:
+            ref = answers[dom.at]
             need = best - ref.profit + slack
             # the bound's fixed-cost part alone often settles it
             if ref.optimality_tag and (
-                fixed_part > need or _profit_gap_bound(ref.q, dom, model, need) > need
+                dom.fixed_part > need
+                or _profit_gap_bound(ref.q, dom, model, need) > need
             ):
                 continue
             answers.append(best_response_fixed_tech(strat, dom.tech, model))

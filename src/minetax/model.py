@@ -166,7 +166,9 @@ class StrataTable(namedtuple("StrataTable", "amounts")):
         return min(bisect_left(self.breakpoints, x) + 1, len(self.amounts))
 
 
-class Dominance(namedtuple("Dominance", "tech dominator fixed_gap unit_gap")):
+class Dominance(namedtuple(
+    "Dominance", "tech dominator fixed_gap unit_gap at fixed_part"
+)):
     """`dominator` is no dearer than `tech` in alpha_er, beta_er, gamma_er
     and every stratum slope, and cheaper in at least one of them.
 
@@ -174,7 +176,9 @@ class Dominance(namedtuple("Dominance", "tech dominator fixed_gap unit_gap")):
     gap) more per period and at least `unit_gap` (the beta_er gap plus the
     least slope gap) more per unit extracted, each discounted as the
     profit is, so the mine earns at least as much with `dominator` at
-    every tax.
+    every tax. What `lower.best_response` reads to skip `tech`: `at`, the
+    dominator's position in `ExtendedModel.undominated`, and `fixed_part`,
+    the fixed-cost part fixed_gap * sum_t d_t of the profit-gap bound.
     """
 
     __slots__ = ()
@@ -182,38 +186,43 @@ class Dominance(namedtuple("Dominance", "tech dominator fixed_gap unit_gap")):
     dominator: TechParams
     fixed_gap: float
     unit_gap: float
+    at: int
+    fixed_part: float
 
 
 class FollowerConstants(namedtuple(
     "FollowerConstants",
-    "tech cost rows slopes breakpoints inner starts d w w_head w_last"
-    " discounted fixed_cost bracket",
+    "tech cost rows slopes inner starts d w w_head w_last discounted"
+    " fixed_cost brackets",
 )):
     """What a fixed-technology follower solve (`lower.best_response_fixed_tech`)
     reads of the model and of `tech`, none of which depends on the taxes:
     C, rows (alpha_t, c_t = beta_t + alpha_er, qbar_t), the strata (inner =
-    breakpoints[:-1], starts = (0, inner, inf)), d, w, w[:-1], w_T, r > 0,
-    -(sum_t d_t) gamma_er, and the shooting's first bracket (sum_t w_t s_1,
-    sum_t w_t s_M), summed as `lower._shoot` sums it. The one record of a
-    technology's costs: the writer, the battery and the profit-gap
-    certificate read C and c_t here."""
+    (b_1, ..., b_{M-1}), starts = (0, inner, inf)), d, w, w[:-1], w_T,
+    r > 0, -(sum_t d_t) gamma_er, and the table of the shooting's first
+    brackets, brackets[t0][m] = sum_{t>=t0} w_t s_m, summed in period
+    order: `lower._shoot` starting at t0 reads it. The one record of a technology's costs: the writer, the battery
+    and the profit-gap certificate read C and c_t here."""
 
     __slots__ = ()
 
     @classmethod
     def build(cls, tech: TechParams, model: ExtendedModel) -> FollowerConstants:
-        strata, slopes, w = model.strata, tech.slopes, model.cost_weights
+        strata, slopes, d = model.strata, tech.slopes, model.discount_factors
+        # the discounted cost is sum_t w_t C(X_t), w_t = d_t - d_{t+1}, d_{T+1} = 0
+        w = tuple(a - b for a, b in zip(d, d[1:] + (0.0,)))
         inner = strata.breakpoints[:-1]
         rows = tuple(
             (a, b + tech.alpha_er, h)
             for a, b, (_, h) in zip(model.alpha, model.beta, model.q_bounds)
         )
-        bracket = tuple(sum(wt * s for wt in w) for s in (slopes[0], slopes[-1]))
+        brackets = tuple(
+            tuple(sum(wt * s for wt in w[t0:]) for s in slopes) for t0 in range(len(w))
+        )
         return cls(
-            tech, strata.cost_curve(slopes), rows, slopes, strata.breakpoints,
-            inner, (0.0,) + inner + (math.inf,), model.discount_factors, w,
-            w[:-1], w[-1], model.r > 0.0,
-            -model.discounted_periods * tech.gamma_er, bracket,
+            tech, strata.cost_curve(slopes), rows, slopes, inner,
+            (0.0,) + inner + (math.inf,), d, w, w[:-1], w[-1], model.r > 0.0,
+            -model.discounted_periods * tech.gamma_er, brackets,
         )
 
 
@@ -295,7 +304,8 @@ class ExtendedModel(
     def dominance(self) -> tuple[Dominance, ...]:
         """Each technology that another one dominates, in table order, with
         the first undominated technology (in table order) that dominates
-        it. Identical technologies dominate neither way. Computed once per
+        it and that technology's position among the undominated ones.
+        Identical technologies dominate neither way. Computed once per
         model."""
         costs = [(t.alpha_er, t.beta_er, t.gamma_er) + t.slopes for t in self.techs]
 
@@ -311,15 +321,19 @@ class ExtendedModel(
             if j in top:
                 continue
             tech = self.techs[j]
-            dominator = self.techs[next(i for i in top if dominates(i, j))]
+            at = next(p for p, i in enumerate(top) if dominates(i, j))
+            dominator = self.techs[top[at]]
             least_slope_gap = min(
                 b - a for a, b in zip(dominator.slopes, tech.slopes)
             )
+            fixed_gap = tech.gamma_er - dominator.gamma_er
             found.append(Dominance(
                 tech=tech,
                 dominator=dominator,
-                fixed_gap=tech.gamma_er - dominator.gamma_er,
+                fixed_gap=fixed_gap,
                 unit_gap=tech.beta_er - dominator.beta_er + least_slope_gap,
+                at=at,
+                fixed_part=fixed_gap * self.discounted_periods,
             ))
         return tuple(found)
 
@@ -341,42 +355,17 @@ class ExtendedModel(
         model."""
         return {t.tech_id: FollowerConstants.build(t, self) for t in self.techs}
 
-    @functools.cached_property
-    def choice_plan(self) -> tuple[tuple[Dominance, int, float], ...]:
-        """What `lower.best_response` reads to skip dominated technologies:
-        per `Dominance` record, in order, the record, its dominator's
-        position in `undominated` and the fixed-cost part of the profit-gap
-        bound, fixed_gap * sum_t d_t. Computed once per model."""
-        at = {t.tech_id: i for i, t in enumerate(self.undominated)}
-        return tuple(
-            (dom, at[dom.dominator.tech_id], dom.fixed_gap * self.discounted_periods)
-            for dom in self.dominance
-        )
-
-    @functools.cached_property
-    def _techs_by_id(self) -> dict[int, TechParams]:
-        """Each technology by its id. Computed once per model."""
-        return {t.tech_id: t for t in self.techs}
-
     def tech(self, tech_id: int) -> TechParams:
-        try:
-            return self._techs_by_id[tech_id]
-        except KeyError:
-            raise KeyError(f"unknown technology id {tech_id}") from None
+        for t in self.techs:
+            if t.tech_id == tech_id:
+                return t
+        raise KeyError(f"unknown technology id {tech_id}")
 
     @functools.cached_property
     def discount_factors(self) -> tuple[float, ...]:
         """(d_1, ..., d_T), d_t = (1 + r)^-(t-1) for 1-based period t.
         Computed once per model."""
         return tuple((1.0 + self.r) ** (-(t - 1)) for t in range(1, self.T + 1))
-
-    @functools.cached_property
-    def cost_weights(self) -> tuple[float, ...]:
-        """(w_1, ..., w_T), w_t = d_t - d_{t+1} with d_{T+1} = 0: the
-        discounted cost is sum_t w_t C(X_t) with X_t the extraction through
-        period t. Computed once per model."""
-        d = self.discount_factors
-        return tuple(a - b for a, b in zip(d, d[1:] + (0.0,)))
 
     @functools.cached_property
     def discounted_periods(self) -> float:
@@ -483,9 +472,8 @@ def leader_objectives(
     if len(q) != T or len(tau) != T:
         raise ValueError("schedule lengths must equal the horizon T")
     revenue = sum(map(mul, map(mul, model.discount_factors, tau), q))
-    # the id map behind `ExtendedModel.tech`, read without the method call
     try:
-        k = model._techs_by_id[resp.a].k
+        k = model.follower_constants[resp.a].tech.k
     except KeyError:
         raise KeyError(f"unknown technology id {resp.a}") from None
     return revenue, k * sum(q)
@@ -559,7 +547,7 @@ def _pair(section: str, name: str, value) -> tuple[float, float]:
 def analytical_from_dict(d: dict) -> AnalyticalParams:
     section = "analytical config"
     d = _object(section, d)
-    return AnalyticalParams(
+    p = AnalyticalParams(
         alpha=_number(section, "alpha", d["alpha"]),
         beta=_number(section, "beta", d["beta"]),
         delta=_number(section, "delta", d["delta"]),
@@ -567,6 +555,13 @@ def analytical_from_dict(d: dict) -> AnalyticalParams:
         phi=_number(section, "phi", d.get("phi", 0.0)),
         k=_number(section, "k", d["k"]),
     )
+    # one overflow rule for both models: the T = 1 embedding's bound covers
+    # each sweep point's revenue, damage and profit
+    try:
+        analytical_as_extended(p)
+    except ValueError as e:
+        raise ValueError(f"{section}: {e}") from None
+    return p
 
 
 def _technology(section: str, name: str, td) -> TechParams:

@@ -36,8 +36,9 @@ class CheckResult(
 
 
 FOC_WEIGHTS = (0.02, 0.1, 0.25, 0.5, 0.75, 1.0)
-# tax grid step of the closed-form check, and its tolerance on the tax
-FOC_GRID_STEP = 1e-3
+# the closed-form check's tax grid steps alpha / FOC_GRID_STEPS over
+# [0, alpha] (1e-3 at alpha = 100), and that step is its tolerance on the tax
+FOC_GRID_STEPS = 100_000
 # samples of the closed-form frontier, uniform in damage
 FRONTIER_SAMPLES = 4001
 
@@ -63,9 +64,10 @@ def check_closed_form(p: AnalyticalParams) -> CheckResult:
     induced extraction is clamped at 0 and the FOCs do not hold)."""
     w_min = ana.feasibility_threshold(p)
     weights = [w for w in FOC_WEIGHTS if w > w_min]
-    grid = GridSpec(lows=(0.0,), highs=(p.alpha,), step=FOC_GRID_STEP)
+    step = p.alpha / FOC_GRID_STEPS
+    grid = GridSpec(lows=(0.0,), highs=(p.alpha,), step=step)
     # a tax error h moves the extraction by h / (2 (beta + delta))
-    q_step = FOC_GRID_STEP / (2 * (p.beta + p.delta))
+    q_step = step / (2 * (p.beta + p.delta))
     worst = 0.0
     for w, (tau_grid, _) in zip(weights, weighted_scalar_check(p, weights, grid)):
         tau = ana.optimal_tax(w, p)
@@ -85,7 +87,7 @@ def check_closed_form(p: AnalyticalParams) -> CheckResult:
         cap = 0.5 * room if room > 0.0 else math.inf
         d_f = _fd_central(leader, tau, min(tau, room), cap)
         worst = max(worst, abs(d_pi), abs(d_f))
-        worst = max(worst, abs(tau_grid - tau) - FOC_GRID_STEP)
+        worst = max(worst, abs(tau_grid - tau) - step)
         q_grid = ana.follower_best_response(tau_grid, p)
         worst = max(worst, abs(q_grid - q) - q_step)
     return CheckResult(

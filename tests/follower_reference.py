@@ -221,7 +221,7 @@ def attribute_read_fixed_tech(
         total = sum(q)
         residual = _discounted_kkt_residual(q, periods, k.d, k.w, k.slopes, k.inner)
     else:
-        q, lam = _waterfill(periods, k.slopes, k.breakpoints)
+        q, lam = _waterfill(periods, k.slopes, k.inner)
         total = sum(q)
         # KKT residual, in units of extraction: q is q(lam) by construction,
         # and lam must be a subgradient of C at the total, which then covers

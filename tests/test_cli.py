@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -426,6 +427,36 @@ class TestOverflowingObjectives:
         assert err.startswith(f"error: {quantity} ")
         assert " may overflow: " in err and "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_analytical_rejected_with_a_message(self, tmp_path, capsys):
+        # at alpha = 1e160 the sweep wrote revenue inf and profit nan and
+        # exited 0; the bound of the T = 1 embedding now rejects it on load
+        cfg = _bundled()
+        cfg["analytical"]["alpha"] = 1e160
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        rc = main(["--model", "analytical", "--config", str(path),
+                   "--points", "5", "--out", str(out_dir)])
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "error: analytical config: the price and tax terms may overflow: "
+        )
+        assert not out_dir.exists()
+
+    def test_analytical_under_the_bound_is_finite(self, tmp_path):
+        cfg = _bundled()
+        cfg["analytical"]["alpha"] = 1e150
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["--model", "analytical", "--config", str(path),
+                   "--points", "5", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        rows = _read_csv(tmp_path / "sweep.csv")
+        assert len(rows) == 5
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 def _run_cli(*args):
@@ -1056,19 +1087,32 @@ class TestVerify:
         assert reports[0] == reports[1]
         assert "all checks passed" in reports[1]
 
-    @pytest.mark.parametrize("alpha", [1e308, 1e6])
-    def test_tax_axis_over_the_cap_is_usage_error(self, tmp_path, capsys, alpha):
-        # the closed-form check's tax grid holds alpha / 1e-3 points: inf at
-        # 1e308, whose int() raises OverflowError, and 1e9 floats at 1e6
+    @pytest.mark.parametrize("alpha", [2500.0, 1e6])
+    def test_tax_grid_scales_with_alpha(self, tmp_path, capsys, alpha):
+        # the closed-form check's tax grid steps alpha / 1e5: with a fixed
+        # step of 1e-3 it held alpha / 1e-3 points, over the axis cap of
+        # 2e6 from alpha = 2000 on
         cfg = _bundled()
         cfg["analytical"]["alpha"] = alpha
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["--verify", "--quick", "--config", str(path)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "all checks passed" in out and err == ""
+
+    def test_overflowing_alpha_is_usage_error(self, tmp_path, capsys):
+        # rejected on load, before any check runs
+        cfg = _bundled()
+        cfg["analytical"]["alpha"] = 1e308
         path = tmp_path / "alpha.json"
         path.write_text(json.dumps(cfg))
         rc = main(["--verify", "--quick", "--config", str(path)])
         assert rc == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: grid axis 0: ") and "(cap 2000000)" in err
+        assert err.startswith(
+            "error: analytical config: the price and tax terms may overflow: "
+        )
 
     def test_negative_damage_is_usage_error(self, tmp_path, capsys):
         cfg = _bundled()

@@ -78,10 +78,11 @@ def _periods(strat, tech, model):
 
 
 def _discounted_args(model, tech):
-    """The r > 0 solvers' arguments after the periods: d, w, slopes and the
-    inner breakpoints."""
-    return (model.discount_factors, model.cost_weights, tech.slopes,
-            model.strata.breakpoints[:-1])
+    """The r > 0 solvers' arguments after the periods: d, w (w_t = d_t -
+    d_{t+1}, d_{T+1} = 0), slopes and the inner breakpoints."""
+    d = model.discount_factors
+    w = tuple(a - b for a, b in zip(d, d[1:] + (0.0,)))
+    return d, w, tech.slopes, model.strata.breakpoints[:-1]
 
 
 class TestBestResponseFixedTech:
@@ -446,9 +447,9 @@ class TestDiscountedFollower:
         k = model.follower_constants[tech.tech_id]
         assert _shoot(0, 0.0, periods, k) == ([10.0], 10.0)
         assert _shoot(1, 10.0, periods, k) == ([5.0], 10.0)
-        # the bracket in k is the one at t0 = 0 only: a shoot after a pin
-        # sums its own
-        assert _shoot(1, 10.0, periods, k._replace(bracket=None)) == ([5.0], 10.0)
+        # a shoot after a pin reads its own start's brackets only
+        after_pin = k._replace(brackets=(None,) + k.brackets[1:])
+        assert _shoot(1, 10.0, periods, after_pin) == ([5.0], 10.0)
         assert _discounted_schedule(periods, *args) == [10.0, 5.0]
         br = best_response_fixed_tech(strat, tech, model)
         assert br.q == (10.0, 5.0)
@@ -711,12 +712,14 @@ def test_cached_constants_give_the_fresh_answer(instance):
     for x in (0.0,) + model.strata.breakpoints + (stock + 1.0, 2.0 * stock):
         assert repr(fresh_k.cost(x)) == repr(k.cost(x))
     assert model.follower_constants[tech.tech_id] is k
-    # the bracket is the one `_shoot` would sum at t0 = 0 on this interpreter
-    w, T = model.cost_weights, model.T
+    # each bracket is the sum `_shoot` once made at its start on this
+    # interpreter
+    w, T = _discounted_args(model, tech)[1], model.T
     expected = tuple(
-        sum(w[t] * s for t in range(T)) for s in (tech.slopes[0], tech.slopes[-1])
+        tuple(sum(w[t] * s for t in range(t0, T)) for s in tech.slopes)
+        for t0 in range(T)
     )
-    assert repr(k.bracket) == repr(expected)
+    assert repr(k.brackets) == repr(expected)
 
 
 @given(instance=_convex_instances(rates=_RATES))
@@ -956,19 +959,20 @@ def test_certificate_stops_once_past_need(instance, split):
 
 @pytest.mark.parametrize("r", [0.0, 0.05])
 def test_choice_plan_built_once_per_model(model, monkeypatch, r):
-    # `ExtendedModel.choice_plan`, what `best_response` reads to skip a
-    # dominated technology, is built on the first solve and then reused
+    # the choice plan, the `Dominance` records of `ExtendedModel.dominance`
+    # that `best_response` walks to skip a dominated technology, is built
+    # on the first solve and then reused
     model = replace(model, r=r)
     built = []
-    plan = ExtendedModel.choice_plan.func
+    plan = ExtendedModel.dominance.func
 
     def counted(self):
         built.append(self)
         return plan(self)
 
     counted_plan = functools.cached_property(counted)
-    counted_plan.__set_name__(ExtendedModel, "choice_plan")
-    monkeypatch.setattr(ExtendedModel, "choice_plan", counted_plan)
+    counted_plan.__set_name__(ExtendedModel, "dominance")
+    monkeypatch.setattr(ExtendedModel, "dominance", counted_plan)
     solves = _count_fixed_tech_solves(monkeypatch)
     evolve(model, EaConfig(20, 5, 7))
     assert len(solves) > 10 * len(model.techs)
@@ -984,11 +988,9 @@ def test_choice_plan_built_once_per_model(model, monkeypatch, r):
 @settings(max_examples=200, deadline=None)
 def test_plan_positions_name_the_dominators(instance):
     model, _ = instance
-    plan = model.choice_plan
-    assert [dom for dom, _, _ in plan] == list(model.dominance)
-    for dom, at, fixed_part in plan:
-        assert model.undominated[at] is dom.dominator
-        assert fixed_part == dom.fixed_gap * model.discounted_periods
+    for dom in model.dominance:
+        assert model.undominated[dom.at] is dom.dominator
+        assert dom.fixed_part == dom.fixed_gap * model.discounted_periods
 
 
 def test_certificate_without_need_is_the_full_bound(model):

@@ -518,9 +518,8 @@ class TestDiscounting:
         )
         d = tuple((1.0 + r) ** (-(t - 1)) for t in range(1, model.T + 1))
         assert discounted.discount_factors == d
-        assert discounted.cost_weights == tuple(
-            a - b for a, b in zip(d, d[1:] + (0.0,))
-        )
+        w = tuple(a - b for a, b in zip(d, d[1:] + (0.0,)))
+        assert all(k.w == w for k in discounted.follower_constants.values())
 
     def test_rate_that_underflows_the_last_factor_rejected(self, model):
         # (1 + 1e100)^-4 rounds to 0.0, which every follower solver divides by
